@@ -19,6 +19,7 @@
 #include "src/sim/topology.h"
 #include "src/util/bits.h"
 #include "src/util/probe_pipeline.h"
+#include "src/util/thread_pool.h"
 
 namespace {
 
@@ -168,6 +169,35 @@ void BM_StreamingGenerate(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_StreamingGenerate)->Arg(1 << 20)->MeasureProcessCPUTime();
+
+/// Bucket-at-a-time publish gate: RadixPartition on a device over an
+/// explicit 2-worker pool, so the second pass records each block's runs,
+/// plans their buckets in the launch epilogue and copies them in
+/// parallel afterwards. A 1-worker pool (what a 1-CPU machine builds by
+/// default) would take the direct-pack path and never exercise it.
+/// pass_bits {3,7} over 256K tuples leaves runs of a few tuples per
+/// child, the sub-line regime where partial-line non-temporal stores
+/// used to dominate. Registered with MeasureProcessCPUTime: the blocks
+/// and the copies run on pool workers.
+void BM_RadixPartitionReplay(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  util::ThreadPool pool(2);
+  sim::Device device{hw::HardwareSpec::Icde2019Testbed(), &pool};
+  const auto rel = data::MakeUniqueUniform(n, 16);
+  const auto dev = util::ValueOrExit(
+      gpujoin::DeviceRelation::Upload(&device, rel), "micro_kernels");
+  gpujoin::RadixPartitionConfig cfg;
+  cfg.pass_bits = {3, 7};
+  for (auto _ : state) {
+    auto parted = util::ValueOrExit(
+        gpujoin::RadixPartition(&device, dev, cfg), "micro_kernels");
+    benchmark::DoNotOptimize(parted.tuples);
+    device.ClearProfile();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_RadixPartitionReplay)->Arg(1 << 18)->MeasureProcessCPUTime();
 
 /// Probe-pipeline gate inputs: large enough that the chained table
 /// (heads + packed nodes, ~384 MB at 16M build tuples) exceeds even a

@@ -157,6 +157,20 @@ util::Status Session::Cancel(QueryHandle handle) {
   return util::Status::OK();
 }
 
+util::Result<const QueryResult*> Session::TryResult(
+    QueryHandle handle) const {
+  if (handle < 0 || static_cast<size_t>(handle) >= queries_.size()) {
+    return util::Status::Invalid("Session::TryResult: unknown query handle " +
+                                 std::to_string(handle));
+  }
+  if (!completed_) {
+    return util::Status::Invalid("Session::TryResult: query handle " +
+                                 std::to_string(handle) +
+                                 " has no result: Run() has not succeeded");
+  }
+  return &results_[static_cast<size_t>(handle)];
+}
+
 double Session::EstimateCost(uint64_t bytes) const {
   const hw::HardwareSpec& spec = devices_[0]->spec();
   const hw::PcieModel pcie(spec.pcie);
@@ -703,6 +717,7 @@ util::Status Session::Run() {
         static_cast<uint64_t>(d->memory().peak_used()));
   }
   PublishMetrics();
+  completed_ = true;
   return util::Status::OK();
 }
 

@@ -294,10 +294,16 @@ class Session {
   /// Devices the session schedules onto.
   int device_count() const { return static_cast<int>(devices_.size()); }
 
-  /// Result of query `handle`; valid after Run() succeeded.
+  /// Result of query `handle`; valid after Run() succeeded. Unchecked:
+  /// use TryResult when the handle or the session's state is not known.
   const QueryResult& result(QueryHandle handle) const {
     return results_[static_cast<size_t>(handle)];
   }
+
+  /// Checked result(): kInvalid naming the handle when it is unknown or
+  /// Run() has not succeeded.
+  [[nodiscard]]
+  util::Result<const QueryResult*> TryResult(QueryHandle handle) const;
 
   /// Batch statistics; valid after Run() succeeded.
   const SessionStats& stats() const { return stats_; }
@@ -428,6 +434,8 @@ class Session {
   QueryGraph graph_;
   ScheduledBatch batch_;
   bool ran_ = false;
+  /// Run() returned OK: results_ holds every query's outcome.
+  bool completed_ = false;
   /// config_.recovery, or any session device with an armed FaultPlan.
   bool recovery_enabled_ = false;
 

@@ -201,23 +201,35 @@ size_t BlockLocalSharedBytes(uint32_t fanout, uint32_t stage_elems) {
 ///
 /// Concurrent appends to a shared chain would land in host-scheduling
 /// order, so each block instead records its runs into a private buffer
-/// (AppendBulk, lock-free) and the launch epilogue replays them in block
-/// order (Replay). The replay packs tuples and allocates buckets exactly
-/// as serialized block-order execution would, so chain structure and the
-/// per-block bucket-allocation atomics are bit-identical from 1 host
-/// thread to N. Order-independent charges (stage flushes and their
-/// metadata atomics) are paid at record time, where the kernel performs
-/// them.
+/// (AppendBulk, lock-free) and publishes them in two steps:
 ///
-/// With a single host worker the record/replay detour is pure overhead:
-/// ParallelForRanges hands all blocks to one worker in ascending id, so
-/// inline appends already happen in canonical block order. `direct`
-/// mode packs straight into the chains from the block body — same run
-/// sequence per child, same packing, same per-block charges (the
-/// bucket-allocation atomic moves from epilogue to body but stays on
-/// the same block's stats) — and skips a full buffered copy of every
-/// tuple. Byte-identity between the two modes is pinned by the
-/// 1-vs-8-thread cases of gpujoin_stat_invariance_test.
+///  - Plan, the launch epilogue, walks the block's runs in block order
+///    and does only the bookkeeping: it draws and prepends buckets,
+///    advances fills and charges the block one device atomic per bucket
+///    exactly as serialized block-order execution would, and records
+///    where each piece of each run lands. Chain structure and the
+///    per-block bucket-allocation atomics are thereby bit-identical from
+///    1 host thread to N.
+///  - Copy, after the launch, moves the recorded tuples to their planned
+///    slots for all blocks in parallel on the device's pool. Planned
+///    slots never overlap, so the copies need no ordering; it is
+///    charge-free host work. Pieces of different blocks may share a
+///    cache line at their ends, but StreamCopyU32 writes only whole
+///    lines non-temporally, so a shared line only takes plain stores.
+///
+/// Order-independent charges (stage flushes and their metadata atomics)
+/// are paid at record time, where the kernel performs them.
+///
+/// With a single host worker the record/plan/copy detour is pure
+/// overhead: ParallelForRanges hands all blocks to one worker in
+/// ascending id, so inline appends already happen in canonical block
+/// order. `direct` mode packs straight into the chains from the block
+/// body — same run sequence per child, same packing, same per-block
+/// charges (the bucket-allocation atomic moves from epilogue to body but
+/// stays on the same block's stats) — and skips a full buffered copy of
+/// every tuple. Byte-identity between the two modes is pinned by the
+/// 1-vs-8-thread cases of gpujoin_stat_invariance_test and, down to the
+/// chain contents at pool widths 1, 2 and 8, by thread_pool_stress_test.
 class GlobalChains {
  public:
   GlobalChains(BucketChains* out, int num_blocks, bool direct)
@@ -241,7 +253,12 @@ class GlobalChains {
     block->ChargeStageFlush(count);
     if (count == 0) return;
     if (direct_) {
-      Pack(block, child, keys, pays, count);
+      PackFrom(block, child, count,
+               [&](uint32_t done, size_t dst, uint32_t batch) {
+                 util::StreamCopyU32(keys + done, out_->keys() + dst, batch);
+                 util::StreamCopyU32(pays + done, out_->payloads() + dst,
+                                     batch);
+               });
       return;
     }
     PerBlock& pb = per_block_[static_cast<size_t>(block->block_id())];
@@ -250,35 +267,56 @@ class GlobalChains {
     pb.pays.insert(pb.pays.end(), pays, pays + count);
   }
 
-  /// Epilogue half: drains this block's recorded runs onto the shared
+  /// Epilogue half: places this block's recorded runs on the shared
   /// chains, charging it one device atomic per bucket it draws from the
   /// pool — the same allocations it would have performed inline under
-  /// serialized block-order execution. No-op in direct mode (everything
-  /// was packed in the body).
-  void Replay(sim::Block* block) {
+  /// serialized block-order execution — and records one Piece per
+  /// bucket a run lands in, for Copy(). No-op in direct mode (everything was packed in
+  /// the body).
+  void Plan(sim::Block* block) {
     if (direct_) return;
     PerBlock& pb = per_block_[static_cast<size_t>(block->block_id())];
-    size_t off = 0;
     for (const Run& run : pb.runs) {
-      PackFrom(block, run.child, pb.keys.data() + off, pb.pays.data() + off,
-               run.count);
-      off += run.count;
+      PackFrom(block, run.child, run.count,
+               [&](uint32_t /*done*/, size_t dst, uint32_t batch) {
+                 pb.pieces.push_back({dst, batch});
+               });
     }
-    pb = PerBlock();  // the buffered copy is dead weight from here
-    util::StreamFence();
+    std::vector<Run>().swap(pb.runs);  // planned; release before Copy
+  }
+
+  /// Moves every block's recorded tuples to the slots Plan chose, blocks
+  /// spread over `pool`, releasing each block's buffers as it goes. Call
+  /// once after the launch returns. No-op in direct mode.
+  void Copy(util::ThreadPool* pool) {
+    if (direct_) return;
+    pool->ParallelForRanges(
+        per_block_.size(), [&](size_t /*worker*/, size_t begin, size_t end) {
+          for (size_t b = begin; b < end; ++b) {
+            PerBlock& pb = per_block_[b];
+            size_t src = 0;
+            for (const Piece& piece : pb.pieces) {
+              util::StreamCopyU32(pb.keys.data() + src,
+                                  out_->keys() + piece.dst, piece.count);
+              util::StreamCopyU32(pb.pays.data() + src,
+                                  out_->payloads() + piece.dst, piece.count);
+              src += piece.count;
+            }
+            pb = PerBlock();  // the buffered copy is dead weight from here
+          }
+          util::StreamFence();
+        });
   }
 
  private:
-  void Pack(sim::Block* block, uint32_t child, const uint32_t* keys,
-            const uint32_t* pays, uint32_t count) {
-    PackFrom(block, child, keys, pays, count);
-  }
-
-  /// Packs one run into `child`'s chain: fills the child's current
-  /// bucket to capacity before drawing a fresh one (one device atomic
-  /// each), prepending new buckets to the child's list.
-  void PackFrom(sim::Block* block, uint32_t child, const uint32_t* keys,
-                const uint32_t* pays, uint32_t count) {
+  /// Packs a run of `count` tuples into `child`'s chain: fills the
+  /// child's current bucket to capacity before drawing a fresh one (one
+  /// device atomic each), prepending new buckets to the child's list.
+  /// `place(done, dst, batch)` receives each piece: tuples
+  /// [done, done + batch) of the run belong at pool slot `dst`.
+  template <typename Place>
+  void PackFrom(sim::Block* block, uint32_t child, uint32_t count,
+                Place&& place) {
     const uint32_t cap = out_->bucket_capacity();
     uint32_t done = 0;
     while (done < count) {
@@ -292,7 +330,7 @@ class GlobalChains {
           std::abort();
         }
         // Prepend to the child's list (runs arrive in ascending block
-        // order — inline in direct mode, via replay otherwise — so the
+        // order — inline in direct mode, via Plan otherwise — so the
         // order is canonical).
         out_->next()[nb] = out_->heads()[child];
         out_->heads()[child] = nb;
@@ -301,9 +339,7 @@ class GlobalChains {
       }
       const uint32_t room = cap - out_->fill()[b];
       const uint32_t batch = std::min(room, count - done);
-      const size_t dst = static_cast<size_t>(b) * cap + out_->fill()[b];
-      util::StreamCopyU32(keys + done, out_->keys() + dst, batch);
-      util::StreamCopyU32(pays + done, out_->payloads() + dst, batch);
+      place(done, static_cast<size_t>(b) * cap + out_->fill()[b], batch);
       out_->fill()[b] += batch;
       done += batch;
     }
@@ -313,8 +349,15 @@ class GlobalChains {
     uint32_t child;
     uint32_t count;
   };
+  /// One planned copy: the next `count` recorded tuples of the block go
+  /// to pool slot `dst` (sources are consumed in recording order).
+  struct Piece {
+    size_t dst;
+    uint32_t count;
+  };
   struct PerBlock {
     std::vector<Run> runs;
+    std::vector<Piece> pieces;
     std::vector<uint32_t> keys, pays;
   };
   BucketChains* out_;
@@ -829,7 +872,7 @@ util::Result<PartitionedRelation> RadixPartitionNextPass(
       },
       [&](sim::Block& block) {
         if (bucket_mode) {
-          global.Replay(&block);
+          global.Plan(&block);
         } else {
           for (const PendingSegment& seg :
                pending[static_cast<size_t>(block.block_id())]) {
@@ -837,6 +880,7 @@ util::Result<PartitionedRelation> RadixPartitionNextPass(
           }
         }
       }));
+  global.Copy(device->pool());
   PublishScatterCounters(config, scatter_counters);
 
   PartitionedRelation out;

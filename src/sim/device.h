@@ -110,6 +110,10 @@ class Device {
   /// host-side shared state may skip their locking when this is 1.
   size_t functional_parallelism() const { return pool_->num_threads(); }
 
+  /// The host pool that executes this device's blocks. Kernels may use
+  /// it for charge-free host work after a launch returns.
+  util::ThreadPool* pool() const { return pool_; }
+
   /// Timing model in use.
   const hw::CostModel& cost_model() const { return cost_model_; }
 

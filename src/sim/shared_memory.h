@@ -22,9 +22,11 @@ namespace gjoin::sim {
 class SharedMemory {
  public:
   /// \param capacity_bytes the block's shared-memory budget.
+  /// The scratchpad is left uninitialized: Alloc zeroes every region it
+  /// hands out, so nothing can read a byte the block did not write.
   explicit SharedMemory(size_t capacity_bytes)
       : capacity_(capacity_bytes),
-        storage_(std::make_unique<std::byte[]>(capacity_bytes)) {}
+        storage_(std::make_unique_for_overwrite<std::byte[]>(capacity_bytes)) {}
 
   SharedMemory(const SharedMemory&) = delete;
   SharedMemory& operator=(const SharedMemory&) = delete;

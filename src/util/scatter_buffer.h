@@ -10,9 +10,10 @@
 // per-destination buffer (a few cache lines each, L1/L2-resident), and a
 // full buffer is flushed to its destination as one sequential
 // line-granularity burst. StreamCopyU32 performs that burst with
-// non-temporal stores where the ISA has them — the flushed lines bypass
-// the cache entirely (no RFO read of data the CPU is about to fully
-// overwrite, no eviction pressure on the staging area).
+// non-temporal stores on every whole line where the ISA has them — the
+// flushed lines bypass the cache entirely (no RFO read of data the CPU
+// is about to fully overwrite, no eviction pressure on the staging
+// area); the partial lines at a burst's ends take plain stores.
 //
 // This header is the ONLY place non-temporal intrinsics may appear (the
 // `nontemporal-guard` linter rule enforces it): NT stores break the
@@ -66,22 +67,33 @@ void SetDefaultScatterBufferTuples(int tuples);
 /// default, otherwise clamped to [1, kMaxScatterBufferTuples].
 int ResolveScatterBufferTuples(int requested);
 
-/// Copies `n` uint32 values to `dst` with non-temporal stores when the
-/// ISA supports them (scalar head/tail handle destination alignment);
-/// plain copy otherwise. Content is identical either way. Callers MUST
+/// Copies `n` uint32 values to `dst`. Where the ISA has non-temporal
+/// stores, every whole 64-byte line of `dst` the copy covers is written
+/// with them; the partial lines at either end (and the whole copy, when
+/// it covers no full line) use plain stores. A non-temporal store to a
+/// partial line is slow: the write-combining buffer cannot retire it as
+/// one line write, so it drains as a masked partial write to memory —
+/// and the line is usually shared with a neighbouring run that is about
+/// to be written anyway. Content is identical either way. Callers MUST
 /// publish with StreamFence() before other threads may read `dst`.
 inline void StreamCopyU32(const uint32_t* src, uint32_t* dst, size_t n) {
 #if defined(__SSE2__)
-  size_t i = 0;
-  // Align the destination to 16 bytes; _mm_stream_si128 requires it.
-  while (i < n && (reinterpret_cast<uintptr_t>(dst + i) & 0xfu) != 0) {
-    dst[i] = src[i];
-    ++i;
+  constexpr size_t kLineWords = 64 / sizeof(uint32_t);
+  // Words before dst's first line boundary (0 when already aligned).
+  const size_t head =
+      ((0 - reinterpret_cast<uintptr_t>(dst)) & 63u) / sizeof(uint32_t);
+  if (n < head + kLineWords) {
+    for (size_t i = 0; i < n; ++i) dst[i] = src[i];
+    return;
   }
-  for (; i + 4 <= n; i += 4) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-    _mm_stream_si128(reinterpret_cast<__m128i*>(dst + i), v);
+  size_t i = 0;
+  for (; i < head; ++i) dst[i] = src[i];
+  for (; i + kLineWords <= n; i += kLineWords) {
+    for (size_t j = 0; j < kLineWords; j += 4) {
+      const __m128i v =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i + j));
+      _mm_stream_si128(reinterpret_cast<__m128i*>(dst + i + j), v);
+    }
   }
   for (; i < n; ++i) dst[i] = src[i];
 #else

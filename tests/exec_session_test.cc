@@ -157,6 +157,36 @@ TEST_F(ExecSessionTest, OneQuerySessionSpeedupIsExactlyOne) {
   EXPECT_EQ(session.stats().shared_upload_hits, 0u);
 }
 
+TEST_F(ExecSessionTest, TryResultChecksHandleAndRunState) {
+  sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
+  Session session(&device);
+  api::JoinConfig cfg;
+  cfg.pass_bits = {6, 5};
+  const auto handle = session.Submit(r_, s_, cfg);
+
+  auto before = session.TryResult(handle);
+  ASSERT_FALSE(before.ok());
+  EXPECT_EQ(before.status().code(), util::StatusCode::kInvalid);
+  EXPECT_NE(before.status().message().find("handle 0"), std::string::npos)
+      << before.status();
+
+  ASSERT_TRUE(session.Run().ok());
+  auto after = session.TryResult(handle);
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(*after, &session.result(handle));
+  EXPECT_EQ((*after)->outcome.stats.matches, 200000u);
+
+  for (const exec::QueryHandle bad : {-1, 1, 42}) {
+    auto unknown = session.TryResult(bad);
+    ASSERT_FALSE(unknown.ok());
+    EXPECT_EQ(unknown.status().code(), util::StatusCode::kInvalid);
+    EXPECT_NE(unknown.status().message().find(
+                  "unknown query handle " + std::to_string(bad)),
+              std::string::npos)
+        << unknown.status();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Invariant 2: batched queries return standalone-identical stats.
 // ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <initializer_list>
 #include <stdexcept>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "src/gpujoin/nonpartitioned.h"
 #include "src/gpujoin/output_ring.h"
 #include "src/gpujoin/partitioned_join.h"
+#include "src/gpujoin/radix_partition.h"
 #include "src/util/thread_pool.h"
 
 namespace gjoin {
@@ -129,6 +132,7 @@ class LaunchDeterminismTest : public ::testing::Test {
   data::Relation r_;
   data::Relation s_;
   util::ThreadPool pool1_{1};
+  util::ThreadPool pool2_{2};
   util::ThreadPool pool8_{8};
 };
 
@@ -154,7 +158,7 @@ TEST_F(LaunchDeterminismTest, PartitionedJoinIdenticalAcrossPoolWidths) {
 
 TEST_F(LaunchDeterminismTest, PartitionAtATimeSecondPassIdentical) {
   // The default (bucket-at-a-time) second pass runs in the test above
-  // through the GlobalChains ordered replay; this covers the
+  // through the GlobalChains ordered plan; this covers the
   // partition-at-a-time assignment, whose deferred segment publishes
   // replay through the same epilogue.
   gpujoin::PartitionedJoinConfig cfg;
@@ -173,6 +177,97 @@ TEST_F(LaunchDeterminismTest, PartitionAtATimeSecondPassIdentical) {
     EXPECT_DOUBLE_EQ(got->seconds, ref->seconds);
     ExpectSameProfile(d1, d8);
   }
+}
+
+/// A partitioned relation's layout as a join reads it: per partition,
+/// its tuples and its bucket fills, both in chain order.
+struct ChainContents {
+  std::vector<std::vector<uint32_t>> keys, pays, fills;
+};
+
+ChainContents PartitionAndRead(sim::Device* dev, const data::Relation& rel,
+                               const gpujoin::RadixPartitionConfig& cfg) {
+  ChainContents out;
+  auto input = gpujoin::DeviceRelation::Upload(dev, rel);
+  EXPECT_TRUE(input.ok()) << input.status();
+  if (!input.ok()) return out;
+  auto parted = gpujoin::RadixPartition(dev, *input, cfg);
+  EXPECT_TRUE(parted.ok()) << parted.status();
+  if (!parted.ok()) return out;
+  const gpujoin::BucketChains& chains = parted->chains;
+  const uint32_t cap = chains.bucket_capacity();
+  const uint32_t parts = chains.num_partitions();
+  out.keys.resize(parts);
+  out.pays.resize(parts);
+  out.fills.resize(parts);
+  for (uint32_t p = 0; p < parts; ++p) {
+    for (int32_t b = chains.heads()[p]; b != gpujoin::BucketChains::kNull;
+         b = chains.next()[b]) {
+      const uint32_t fill = chains.fill()[b];
+      const size_t base = static_cast<size_t>(b) * cap;
+      out.fills[p].push_back(fill);
+      out.keys[p].insert(out.keys[p].end(), chains.keys() + base,
+                         chains.keys() + base + fill);
+      out.pays[p].insert(out.pays[p].end(), chains.payloads() + base,
+                         chains.payloads() + base + fill);
+    }
+  }
+  return out;
+}
+
+/// With more than one worker, bucket-at-a-time passes record each
+/// block's runs, plan their buckets in the ordered epilogue and copy the
+/// tuples in parallel after the launch; with one worker they pack
+/// directly from the block body. Every width must leave the same tuples
+/// in the same chain order, in buckets of the same fills, with the same
+/// charges — stats alone would not notice two runs swapped in a chain.
+void ExpectChainsIdenticalAcrossWidths(
+    const data::Relation& rel, const gpujoin::RadixPartitionConfig& cfg,
+    std::initializer_list<util::ThreadPool*> pools) {
+  sim::Device ref_dev{hw::HardwareSpec::Icde2019Testbed(), *pools.begin()};
+  ASSERT_EQ(ref_dev.functional_parallelism(), 1u);  // the direct path
+  const ChainContents ref = PartitionAndRead(&ref_dev, rel, cfg);
+  size_t tuples = 0;
+  for (const auto& keys : ref.keys) tuples += keys.size();
+  ASSERT_EQ(tuples, rel.size());
+  for (auto it = pools.begin() + 1; it != pools.end(); ++it) {
+    SCOPED_TRACE("pool width " + std::to_string((*it)->num_threads()));
+    sim::Device dev{hw::HardwareSpec::Icde2019Testbed(), *it};
+    const ChainContents got = PartitionAndRead(&dev, rel, cfg);
+    ASSERT_EQ(got.keys.size(), ref.keys.size());
+    for (size_t p = 0; p < ref.keys.size(); ++p) {
+      ASSERT_EQ(got.fills[p], ref.fills[p]) << "partition " << p;
+      ASSERT_EQ(got.keys[p], ref.keys[p]) << "partition " << p;
+      ASSERT_EQ(got.pays[p], ref.pays[p]) << "partition " << p;
+    }
+    ExpectSameProfile(ref_dev, dev);
+  }
+}
+
+TEST_F(LaunchDeterminismTest, ChainContentsIdenticalWithSubLineRuns) {
+  // A streaming-chunk shape: 64K tuples over 2^10 partitions leaves each
+  // block a few tuples per child in pass 2, so nearly every recorded run
+  // is shorter than one 64-byte line.
+  const data::Relation rel = data::MakeUniformProbe(1 << 16, 1 << 16, 41);
+  gpujoin::RadixPartitionConfig cfg;
+  cfg.pass_bits = {3, 7};
+  ExpectChainsIdenticalAcrossWidths(rel, cfg, {&pool1_, &pool2_, &pool8_});
+}
+
+TEST_F(LaunchDeterminismTest, ChainContentsIdenticalWithZipfRuns) {
+  // Popular Zipf keys crowd a few children; with small buckets their
+  // long runs straddle bucket boundaries and cover whole lines.
+  gpujoin::RadixPartitionConfig cfg;
+  cfg.pass_bits = {3, 4};
+  cfg.bucket_capacity = 64;
+  sim::Device probe_dev{hw::HardwareSpec::Icde2019Testbed(), &pool1_};
+  const ChainContents layout = PartitionAndRead(&probe_dev, s_, cfg);
+  size_t longest = 0;
+  for (const auto& fills : layout.fills) {
+    longest = std::max(longest, fills.size());
+  }
+  ASSERT_GE(longest, 8u);  // some child spans many buckets
+  ExpectChainsIdenticalAcrossWidths(s_, cfg, {&pool1_, &pool2_, &pool8_});
 }
 
 TEST_F(LaunchDeterminismTest, MaterializedRingBytesIdenticalEvenWrapped) {
