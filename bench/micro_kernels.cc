@@ -199,6 +199,49 @@ void BM_RadixPartitionReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_RadixPartitionReplay)->Arg(1 << 18)->MeasureProcessCPUTime();
 
+/// Block-nested-loop fallback gate: an aggregate shared-hash join whose
+/// co-partitions (8192 build tuples) are about 3x shared_elems, as in
+/// co-processing working sets. The host runs it through one slot-sorted
+/// build index per partition instead of a table and an S rescan per
+/// chunk; regressing toward the rescans shows here. Inputs are
+/// partitioned once outside the loop. Registered with
+/// MeasureProcessCPUTime: the index build runs on pool workers.
+void BM_JoinCoPartitionsOversized(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
+  const auto r = data::MakeUniqueUniform(n, 17);
+  const auto s = data::MakeUniformProbe(2 * n, n, 18);
+  gpujoin::RadixPartitionConfig pcfg;
+  pcfg.pass_bits = {5};
+  const auto rp = util::ValueOrExit(
+      gpujoin::RadixPartition(
+          &device,
+          util::ValueOrExit(gpujoin::DeviceRelation::Upload(&device, r),
+                            "micro_kernels"),
+          pcfg),
+      "micro_kernels");
+  const auto sp = util::ValueOrExit(
+      gpujoin::RadixPartition(
+          &device,
+          util::ValueOrExit(gpujoin::DeviceRelation::Upload(&device, s),
+                            "micro_kernels"),
+          pcfg),
+      "micro_kernels");
+  gpujoin::CoPartitionJoinConfig cfg;
+  cfg.shared_elems = 3072;
+  for (auto _ : state) {
+    auto result = util::ValueOrExit(
+        gpujoin::JoinCoPartitions(&device, rp, sp, cfg), "micro_kernels");
+    benchmark::DoNotOptimize(result.matches);
+    device.ClearProfile();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 3 *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_JoinCoPartitionsOversized)
+    ->Arg(1 << 18)
+    ->MeasureProcessCPUTime();
+
 /// Probe-pipeline gate inputs: large enough that the chained table
 /// (heads + packed nodes, ~384 MB at 16M build tuples) exceeds even a
 /// 260 MB LLC — the regime the pipeline exists for. Shared across the

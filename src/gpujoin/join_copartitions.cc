@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <functional>
+#include <numeric>
 #include <vector>
 
 #include "src/util/bits.h"
@@ -18,6 +20,13 @@ using util::CeilDiv;
 /// Empty-slot sentinel of the 16-bit-offset hash table ("the limited size
 /// of shared memory allows us to trim the offsets to 16 bits").
 constexpr uint16_t kEmpty16 = 0xFFFF;
+
+/// Slot-index probes of slots holding at least this many build tuples
+/// tally per chunk group; shorter ones per tuple, where group exits
+/// mispredict. Measured: grouping every slot costs uniform inputs about
+/// a fifth of their speed, tallying every slot per tuple halves skewed
+/// ones; 32 was the best of 4-64.
+constexpr ptrdiff_t kGroupedRun = 32;
 
 /// One unit of probe work: R partition `p` joined against S buckets
 /// [s_from, s_from + s_count) of the flattened per-partition bucket list.
@@ -151,11 +160,21 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
     return util::Status::Invalid(
         "shared_elems must fit 16-bit offsets (< 65535)");
   }
-  if (config.output == OutputMode::kMaterialize && out == nullptr) {
-    return util::Status::Invalid("materialization requires an OutputRing");
+  if (config.shared_elems == 0) {
+    return util::Status::Invalid("shared_elems must be positive");
+  }
+  if (config.max_probe_buckets_per_item == 0) {
+    return util::Status::Invalid("max_probe_buckets_per_item must be positive");
   }
   const bool need_table = config.algo != ProbeAlgorithm::kNestedLoop;
   const bool need_out = config.output == OutputMode::kMaterialize;
+  if (need_out && out == nullptr) {
+    return util::Status::Invalid("materialization requires an OutputRing");
+  }
+  if (need_out && config.out_stage_pairs == 0) {
+    return util::Status::Invalid(
+        "out_stage_pairs must be positive when materializing");
+  }
   {
     // Validate the shared-memory budget up front (launch-time failure on
     // real hardware).
@@ -195,6 +214,7 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
   std::vector<WorkItem> items;
   std::vector<uint64_t> r_sizes(num_partitions);
   std::vector<uint32_t> items_per_partition(num_partitions, 0);
+  std::vector<uint32_t> first_item(num_partitions, 0);
   for (uint32_t p = 0; p < num_partitions; ++p) {
     r_sizes[p] = build.chains.PartitionSize(p);
     const uint32_t begin = static_cast<uint32_t>(s_buckets_flat.size());
@@ -204,6 +224,7 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
     }
     const uint32_t count = static_cast<uint32_t>(s_buckets_flat.size()) - begin;
     if (count == 0 || r_sizes[p] == 0) continue;
+    first_item[p] = static_cast<uint32_t>(items.size());
     for (uint32_t from = 0; from < count;
          from += config.max_probe_buckets_per_item) {
       items.push_back(
@@ -224,19 +245,32 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
   const uint32_t r_cap = build.chains.bucket_capacity();
   const uint32_t s_cap = probe.chains.bucket_capacity();
 
-  // ---- Host-side chunk memoization ----
+  // ---- Host-side pre-work ----
   // Work items slice a partition's S chain, so a partition with k items
   // re-loads its R chunk and rebuilds the chunk's table k times. The
   // simulated kernel genuinely re-executes that work per item — its
   // charges below stay exactly where they were — but the functional
-  // result is identical every time. For partitions probed by several
-  // items whose R side fits a single chunk (oversized skewed partitions
-  // keep the per-item path), gather the chunk and build its probe index
-  // once up front; the per-item loops then only charge the
-  // re-load/rebuild. Single-item partitions skip the memo — there is no
-  // duplicated work to save, only allocation overhead to pay. Insertion
-  // order matches the per-chunk builds bit for bit, so chain structure
-  // — and with it step counts and match emission order — is unchanged.
+  // result is identical every time.
+  //
+  // kMemoChunk: for partitions probed by several items whose R side fits
+  // a single chunk, gather the chunk and build its probe index once up
+  // front; the per-item loops then only charge the re-load/rebuild.
+  // Single-item partitions skip the memo — there is no duplicated work
+  // to save, only allocation overhead to pay. Insertion order matches
+  // the per-chunk builds bit for bit, so chain structure — and with it
+  // step counts and match emission order — is unchanged.
+  //
+  // kSlotIndex: a shared-hash aggregate over an oversized partition
+  // (block-NL fallback) rebuilds one table per chunk and rescans S per
+  // chunk. Chunk c's chain for slot s holds exactly chunk c's R tuples
+  // of slot s, so a probe's steps in chunk c are the slot's tuples
+  // tagged c, and its matches those with an equal key. Counting-sorting
+  // R by slot, tagged with chunk ids, lets each item walk its S buckets
+  // once, against all chunks, before the launch; the chunk loop then
+  // charges the tallied steps and matches. Aggregation is
+  // order-independent, so results are unchanged; materialization keeps
+  // the chunk-major path for its emission order.
+  enum HostPlan : uint8_t { kPerItem, kMemoChunk, kSlotIndex };
   struct PrebuiltChunk {
     std::vector<uint32_t> keys, pays;
     std::vector<uint16_t> heads16, next16;        // kSharedHash
@@ -244,29 +278,44 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
     std::vector<util::PackedHashNode> nodes;      // kDeviceHash
     std::vector<int32_t> nl_heads, nl_next;       // kNestedLoop aggregate
   };
+  /// A kSlotIndex item's probe outcome. Its steps and matches per
+  /// (chunk, S bucket) start at `cells` in cell_steps/cell_hits,
+  /// row-major by chunk.
+  struct ItemTally {
+    size_t cells = 0;
+    uint64_t matches = 0;
+    uint64_t checksum = 0;
+  };
   std::vector<PrebuiltChunk> prebuilt(num_partitions);
-  std::vector<char> has_prebuilt(num_partitions, 0);
+  std::vector<HostPlan> host_plan(num_partitions, kPerItem);
+  std::vector<ItemTally> tallies;
+  std::vector<uint64_t> cell_steps, cell_hits;
   {
-    std::vector<uint32_t> wanted;
-    std::vector<char> seen(num_partitions, 0);
-    for (const WorkItem& item : items) {
-      if (!seen[item.p] && items_per_partition[item.p] >= 2) {
-        seen[item.p] = 1;
-        wanted.push_back(item.p);
+    const uint64_t max_chunk = config.algo == ProbeAlgorithm::kDeviceHash
+                                   ? UINT32_MAX
+                                   : config.shared_elems;
+    const bool slot_index = config.algo == ProbeAlgorithm::kSharedHash &&
+                            config.output != OutputMode::kMaterialize;
+    std::vector<uint32_t> memo, indexed;
+    for (uint32_t p = 0; p < num_partitions; ++p) {
+      if (items_per_partition[p] == 0) continue;
+      if (r_sizes[p] > max_chunk) {
+        if (slot_index) {
+          host_plan[p] = kSlotIndex;
+          indexed.push_back(p);
+        }
+      } else if (items_per_partition[p] >= 2) {
+        host_plan[p] = kMemoChunk;
+        memo.push_back(p);
       }
     }
-    util::ThreadPool::Default()->ParallelForRanges(
-        wanted.size(), [&](size_t /*worker*/, size_t lo, size_t hi) {
+    util::ThreadPool* pool = device->pool();
+    pool->ParallelForRanges(
+        memo.size(), [&](size_t /*worker*/, size_t lo, size_t hi) {
           for (size_t j = lo; j < hi; ++j) {
-            const uint32_t p = wanted[j];
-            const uint64_t r_total = r_sizes[p];
-            const uint64_t max_chunk =
-                config.algo == ProbeAlgorithm::kDeviceHash
-                    ? UINT32_MAX
-                    : config.shared_elems;
-            if (r_total == 0 || r_total > max_chunk) continue;
+            const uint32_t p = memo[j];
             PrebuiltChunk& pre = prebuilt[p];
-            const uint32_t r_count = static_cast<uint32_t>(r_total);
+            const uint32_t r_count = static_cast<uint32_t>(r_sizes[p]);
             pre.keys.resize(r_count);
             pre.pays.resize(r_count);
             uint32_t filled = 0;
@@ -310,7 +359,133 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
                 pre.nl_heads[slot] = static_cast<int32_t>(i);
               }
             }
-            has_prebuilt[p] = 1;
+          }
+        });
+
+    // kSlotIndex: one pool pass over the indexed partitions' items. A
+    // worker builds a partition's index when its range reaches the
+    // partition, then probes it for each of the partition's items while
+    // it is cache-resident. A skewed partition's many items still split
+    // over the workers, each building the index once.
+    std::vector<uint32_t> indexed_items;
+    size_t cells = 0;
+    for (const uint32_t p : indexed) {
+      if (tallies.empty()) tallies.resize(items.size());
+      for (uint32_t w = first_item[p];
+           w < first_item[p] + items_per_partition[p]; ++w) {
+        tallies[w].cells = cells;
+        cells += CeilDiv(r_sizes[p], config.shared_elems) * items[w].s_count;
+        indexed_items.push_back(w);
+      }
+    }
+    cell_steps.assign(cells, 0);
+    cell_hits.assign(cells, 0);
+
+    struct SlotTuple {
+      uint32_t key, pay, chunk;
+    };
+    /// Slot s owns by_slot[slot_begin[s], slot_begin[s + 1]).
+    struct SlotIndex {
+      std::vector<SlotTuple> by_slot;
+      std::vector<uint32_t> slot_begin;
+    };
+    const auto build_index = [&](uint32_t p, SlotIndex& index) {
+      // Visits R_p in chain order as (slot, chunk, key, payload).
+      const auto for_each_r = [&](auto&& fn) {
+        uint32_t chunk = 0, room = config.shared_elems;
+        for (int32_t b = build.chains.heads()[p]; b != BucketChains::kNull;
+             b = build.chains.next()[b]) {
+          const size_t base = static_cast<size_t>(b) * r_cap;
+          const uint32_t* keys = build.chains.keys() + base;
+          const uint32_t* pays = build.chains.payloads() + base;
+          for (uint32_t i = 0; i < build.chains.fill()[b]; ++i) {
+            fn(util::HashTableSlot(keys[i], radix_bits, config.hash_slots),
+               chunk, keys[i], pays[i]);
+            if (--room == 0) {
+              ++chunk;
+              room = config.shared_elems;
+            }
+          }
+        }
+      };
+      index.slot_begin.assign(config.hash_slots + 1, 0);
+      for_each_r([&](uint32_t slot, uint32_t, uint32_t, uint32_t) {
+        ++index.slot_begin[slot + 1];
+      });
+      std::partial_sum(index.slot_begin.begin(), index.slot_begin.end(),
+                       index.slot_begin.begin());
+      index.by_slot.resize(r_sizes[p]);
+      for_each_r([&](uint32_t slot, uint32_t chunk, uint32_t key,
+                     uint32_t pay) {
+        index.by_slot[index.slot_begin[slot]++] = {key, pay, chunk};
+      });
+      // The scatter advanced each start to the next slot's.
+      std::copy_backward(index.slot_begin.begin(), index.slot_begin.end() - 1,
+                         index.slot_begin.end());
+      index.slot_begin[0] = 0;
+    };
+    const auto tally_item = [&](uint32_t w, const SlotIndex& index) {
+      const WorkItem& item = items[w];
+      uint64_t* steps = cell_steps.data() + tallies[w].cells;
+      uint64_t* hits = cell_hits.data() + tallies[w].cells;
+      uint64_t matches = 0, checksum = 0;
+      for (uint32_t sb = 0; sb < item.s_count; ++sb) {
+        const int32_t b = s_buckets_flat[item.s_from + sb];
+        const size_t s_base = static_cast<size_t>(b) * s_cap;
+        const uint32_t* skeys = probe.chains.keys() + s_base;
+        const uint32_t* spays = probe.chains.payloads() + s_base;
+        for (uint32_t i = 0; i < probe.chains.fill()[b]; ++i) {
+          const uint32_t skey = skeys[i];
+          const uint32_t slot =
+              util::HashTableSlot(skey, radix_bits, config.hash_slots);
+          const SlotTuple* t = index.by_slot.data() + index.slot_begin[slot];
+          const SlotTuple* const end =
+              index.by_slot.data() + index.slot_begin[slot + 1];
+          if (end - t < kGroupedRun) {
+            for (; t < end; ++t) {
+              const size_t cell =
+                  static_cast<size_t>(t->chunk) * item.s_count + sb;
+              const bool hit = t->key == skey;
+              ++steps[cell];
+              hits[cell] += hit;
+              matches += hit;
+              checksum += hit ? static_cast<uint64_t>(t->pay) + spays[i] : 0;
+            }
+            continue;
+          }
+          // Long (skewed) slots: the tuples ascend by chunk, so tally each
+          // chunk's group in registers instead of a memory add per tuple.
+          while (t < end) {
+            const uint32_t chunk = t->chunk;
+            const SlotTuple* const group = t;
+            uint64_t group_hits = 0, group_pays = 0;
+            for (; t < end && t->chunk == chunk; ++t) {
+              const bool hit = t->key == skey;
+              group_hits += hit;
+              group_pays += hit ? t->pay : 0;
+            }
+            const size_t cell = static_cast<size_t>(chunk) * item.s_count + sb;
+            steps[cell] += static_cast<uint64_t>(t - group);
+            hits[cell] += group_hits;
+            matches += group_hits;
+            checksum += group_pays + group_hits * spays[i];
+          }
+        }
+      }
+      tallies[w].matches = matches;
+      tallies[w].checksum = checksum;
+    };
+    pool->ParallelForRanges(
+        indexed_items.size(), [&](size_t /*worker*/, size_t lo, size_t hi) {
+          SlotIndex index;
+          uint32_t indexed_p = UINT32_MAX;
+          for (size_t j = lo; j < hi; ++j) {
+            const uint32_t w = indexed_items[j];
+            if (items[w].p != indexed_p) {
+              indexed_p = items[w].p;
+              build_index(indexed_p, index);
+            }
+            tally_item(w, index);
           }
         });
   }
@@ -421,10 +596,17 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
             r_buckets.push_back(b);
           }
 
-          // Memoized single-chunk partitions skip the duplicated host
-          // gather/build below; every charge still runs per item.
+          // Memoized and slot-indexed partitions skip the host gather and
+          // build below; every charge still runs per item and chunk.
           const PrebuiltChunk* pre =
-              has_prebuilt[item.p] ? &prebuilt[item.p] : nullptr;
+              host_plan[item.p] != kPerItem ? &prebuilt[item.p] : nullptr;
+          const ItemTally* tally =
+              host_plan[item.p] == kSlotIndex ? &tallies[w] : nullptr;
+          const bool indexed = tally != nullptr;
+          if (indexed) {
+            state.matches += tally->matches;
+            state.checksum += tally->checksum;
+          }
 
           uint64_t r_done = 0;
           while (r_done < r_total) {
@@ -463,7 +645,7 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
               uint32_t filled = 0;
               for (size_t bi = 0; bi < r_buckets.size(); ++bi) {
                 const int32_t b = r_buckets[bi];
-                if (bi + 1 < r_buckets.size()) {
+                if (gkeys != nullptr && bi + 1 < r_buckets.size()) {
                   // Hide the next bucket's first-line miss behind this
                   // bucket's copy.
                   util::PrefetchRead(build.chains.keys() +
@@ -552,9 +734,12 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
             }
 
             // ---- Probe the item's S bucket slice ----
+            const size_t chunk_row =
+                indexed ? tally->cells + r_done / chunk_elems * item.s_count
+                        : 0;
             for (uint32_t sb = 0; sb < item.s_count; ++sb) {
               const int32_t b = s_buckets_flat[item.s_from + sb];
-              if (sb + 1 < item.s_count) {
+              if (!indexed && sb + 1 < item.s_count) {
                 util::PrefetchRead(
                     probe.chains.keys() +
                     static_cast<size_t>(s_buckets_flat[item.s_from + sb + 1]) *
@@ -644,34 +829,39 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
                 // chain overlaps those chains' L2 latencies and branch
                 // recovery (~1.25x measured even fully cached). Batches
                 // visit probes in order, so match emission is identical
-                // at every depth.
-                const uint16_t* h16 =
-                    pre != nullptr ? pre->heads16.data() : area.heads;
-                const uint16_t* n16 =
-                    pre != nullptr ? pre->next16.data() : area.next;
-                const bool epoch_gated = pre == nullptr;
-                const uint32_t* skeys = probe.chains.keys() + s_base;
-                const uint32_t* spays = probe.chains.payloads() + s_base;
+                // at every depth. Slot-indexed items tallied this probe
+                // before the launch.
                 uint64_t steps = 0;
-                util::GroupProbe<uint16_t>(
-                    s_fill, pipeline_depth,
-                    [&](size_t i, uint16_t& e) {
-                      const uint32_t slot = util::HashTableSlot(
-                          skeys[i], radix_bits, config.hash_slots);
-                      e = !epoch_gated || table_epoch[slot] == cur_epoch
-                              ? h16[slot]
-                              : kEmpty16;
-                    },
-                    [&](size_t i, uint16_t& head) {
-                      const uint32_t skey = skeys[i];
-                      for (uint16_t e = head; e != kEmpty16; e = n16[e]) {
-                        ++steps;
-                        if (rkeys[e] == skey) {
-                          state.Match(&block, config, &area, rpays[e],
-                                      spays[i]);
+                if (indexed) {
+                  steps = cell_steps[chunk_row + sb];
+                } else {
+                  const uint16_t* h16 =
+                      pre != nullptr ? pre->heads16.data() : area.heads;
+                  const uint16_t* n16 =
+                      pre != nullptr ? pre->next16.data() : area.next;
+                  const bool epoch_gated = pre == nullptr;
+                  const uint32_t* skeys = probe.chains.keys() + s_base;
+                  const uint32_t* spays = probe.chains.payloads() + s_base;
+                  util::GroupProbe<uint16_t>(
+                      s_fill, pipeline_depth,
+                      [&](size_t i, uint16_t& e) {
+                        const uint32_t slot = util::HashTableSlot(
+                            skeys[i], radix_bits, config.hash_slots);
+                        e = !epoch_gated || table_epoch[slot] == cur_epoch
+                                ? h16[slot]
+                                : kEmpty16;
+                      },
+                      [&](size_t i, uint16_t& head) {
+                        const uint32_t skey = skeys[i];
+                        for (uint16_t e = head; e != kEmpty16; e = n16[e]) {
+                          ++steps;
+                          if (rkeys[e] == skey) {
+                            state.Match(&block, config, &area, rpays[e],
+                                        spays[i]);
+                          }
                         }
-                      }
-                    });
+                      });
+                }
                 // Slot read (2B) per probe + (key, next) per chain step.
                 block.ChargeShared(2ull * s_fill + 6ull * steps);
                 block.ChargeCycles((s_fill * 2 + steps * 3) / 32 + 1);
@@ -777,7 +967,9 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
                 block.ChargeCycles((s_fill * 2 + steps * 3) / 32 + 1);
               }
 
-              ChargeGathers(&block, config, state.matches - matches_before,
+              ChargeGathers(&block, config,
+                            indexed ? cell_hits[chunk_row + sb]
+                                    : state.matches - matches_before,
                             build.tuples, probe.tuples);
             }
             r_done += r_count;

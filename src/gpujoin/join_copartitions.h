@@ -13,6 +13,10 @@
 //     degrades to hash-based *block* nested loops — building the table
 //     over shared-memory-sized chunks of R_p and rescanning S_p per
 //     chunk — which is exactly the skew collapse mechanism of Fig. 17.
+//     In aggregate mode the host executes that fallback from one
+//     slot-sorted index of R_p, probing each S tuple once and charging
+//     the per-chunk builds and rescans from the tallied steps and
+//     matches, so results and stats equal the chunk-by-chunk run.
 //
 //   kNestedLoop — R_p is staged contiguously in shared memory and warps
 //     compare 32 probe values against 32 build values at a time using

@@ -16,67 +16,51 @@ using gjoin::gpujoin::OutputMode;
 
 namespace {
 
-/// Concatenates a subset of host partitions into one relation. The
-/// per-partition copies land at precomputed offsets, so they run in
-/// parallel over the thread pool (byte-identical to the serial append).
-data::Relation ConcatParts(const cpu::HostPartitions& parts,
-                           const std::vector<uint32_t>& which) {
-  data::Relation out;
-  std::vector<size_t> offsets(which.size());
-  size_t total = 0;
+/// Stages partitions `which` of `parts` as the chunks of one working
+/// set's GPU input, in that order. With `owned` (aliasing `parts`) the
+/// columns are moved out, leaving empty shells; otherwise they are
+/// copied, one partition per pool task. The copies are allocated on the
+/// calling thread: allocated on the workers, they land in per-thread
+/// malloc arenas, which hold on to freed memory and raise peak RSS.
+gjoin::gpujoin::ChunkedDeviceInput StageSet(const cpu::HostPartitions& parts,
+                                            cpu::HostPartitions* owned,
+                                            const std::vector<uint32_t>& which,
+                                            util::ThreadPool* pool) {
+  std::vector<data::Relation> copies;
+  if (owned == nullptr) {
+    copies.resize(which.size());
+    for (size_t j = 0; j < which.size(); ++j) {
+      copies[j].keys.reserve(parts.parts[which[j]].size());
+      copies[j].payloads.reserve(parts.parts[which[j]].size());
+    }
+    pool->ParallelForRanges(
+        which.size(), [&](size_t /*worker*/, size_t lo, size_t hi) {
+          for (size_t j = lo; j < hi; ++j) {
+            const data::Relation& part = parts.parts[which[j]];
+            copies[j].keys.assign(part.keys.begin(), part.keys.end());
+            copies[j].payloads.assign(part.payloads.begin(),
+                                      part.payloads.end());
+          }
+        });
+  }
+  gjoin::gpujoin::ChunkedDeviceInput in;
   for (size_t j = 0; j < which.size(); ++j) {
-    offsets[j] = total;
-    total += parts.parts[which[j]].size();
+    data::Relation& part =
+        owned != nullptr ? owned->parts[which[j]] : copies[j];
+    in.Add(std::move(part.keys), std::move(part.payloads));
   }
-  out.keys.resize(total);
-  out.payloads.resize(total);
-  util::ThreadPool::Default()->ParallelForRanges(
-      which.size(), [&](size_t /*worker*/, size_t lo, size_t hi) {
-        for (size_t j = lo; j < hi; ++j) {
-          const data::Relation& part = parts.parts[which[j]];
-          std::copy(part.keys.begin(), part.keys.end(),
-                    out.keys.begin() + offsets[j]);
-          std::copy(part.payloads.begin(), part.payloads.end(),
-                    out.payloads.begin() + offsets[j]);
-        }
-      });
-  return out;
+  return in;
 }
 
-}  // namespace
-
-util::Result<CoProcessPlan> PlanCoProcessJoin(sim::Device* device,
-                                              const data::Relation& build,
-                                              const data::Relation& probe,
-                                              const CoProcessConfig& config) {
-  return PlanCoProcessJoinShared(device, build, probe, config, nullptr,
-                                 nullptr, nullptr, nullptr);
-}
-
-util::Result<CoProcessPlan> PlanCoProcessJoinShared(
-    sim::Device* device, const data::Relation& build,
-    const data::Relation& probe, const CoProcessConfig& config,
-    const cpu::HostPartitions* build_parts,
-    const cpu::HostPartitions* probe_parts,
-    cpu::HostPartitions* out_build_parts,
-    cpu::HostPartitions* out_probe_parts) {
+/// Phases 2 and 3 of planning, shared by both entry points: packs the
+/// build side's partitions into working sets and joins each set on a
+/// scratch device. `owned_build`/`owned_probe` are null (copy each set's
+/// partitions) or alias `r_parts`/`s_parts` (consume them).
+util::Result<CoProcessPlan> PlanWorkingSets(
+    sim::Device* device, const cpu::HostPartitions& r_parts,
+    const cpu::HostPartitions& s_parts, cpu::HostPartitions* owned_build,
+    cpu::HostPartitions* owned_probe, const CoProcessConfig& config) {
   const hw::HardwareSpec& spec = device->spec();
-  const hw::CpuCostModel cpu_model(spec.cpu);
-
-  // ---- 1. Host partitioning (functional), shared when precomputed ----
-  cpu::HostPartitions r_local, s_local;
-  if (build_parts == nullptr) {
-    GJOIN_ASSIGN_OR_RETURN(
-        r_local, cpu::CpuRadixPartition(build, config.cpu, cpu_model));
-    build_parts = &r_local;
-  }
-  if (probe_parts == nullptr) {
-    GJOIN_ASSIGN_OR_RETURN(
-        s_local, cpu::CpuRadixPartition(probe, config.cpu, cpu_model));
-    probe_parts = &s_local;
-  }
-  const cpu::HostPartitions& r_parts = *build_parts;
-  const cpu::HostPartitions& s_parts = *probe_parts;
 
   // ---- 2. Working sets from the build side's partition sizes ----
   WorkingSetConfig packing = config.packing;
@@ -96,94 +80,7 @@ util::Result<CoProcessPlan> PlanCoProcessJoinShared(
   // with relaxed capacity (see header); planning used the real budget.
   hw::HardwareSpec scratch_spec = spec;
   scratch_spec.gpu.device_memory_bytes = SIZE_MAX / 4;
-  sim::Device scratch(scratch_spec);
-
-  gjoin::gpujoin::PartitionedJoinConfig join_cfg = config.join;
-  join_cfg.partition.base_shift = config.cpu.radix_bits;
-  join_cfg.join.output = config.materialize_to_host
-                             ? OutputMode::kMaterialize
-                             : OutputMode::kAggregate;
-  if (join_cfg.join.key_bits == 0) {
-    uint32_t max_key = 1;
-    for (uint32_t k : build.keys) max_key = std::max(max_key, k);
-    join_cfg.join.key_bits = util::Log2Floor(max_key) + 1;
-  }
-
-  CoProcessPlan plan;
-  plan.total_input_bytes = build.bytes() + probe.bytes();
-  for (size_t set_index = 0; set_index < sets.size(); ++set_index) {
-    const WorkingSet& ws = sets[set_index];
-    data::Relation r_ws = ConcatParts(r_parts, ws.partitions);
-    data::Relation s_ws = ConcatParts(s_parts, ws.partitions);
-    if (r_ws.empty() || s_ws.empty()) continue;
-
-    GJOIN_ASSIGN_OR_RETURN(
-        gjoin::gpujoin::DeviceRelation r_dev,
-        gjoin::gpujoin::DeviceRelation::Upload(&scratch, r_ws));
-    GJOIN_ASSIGN_OR_RETURN(
-        gjoin::gpujoin::DeviceRelation s_dev,
-        gjoin::gpujoin::DeviceRelation::Upload(&scratch, s_ws));
-    GJOIN_ASSIGN_OR_RETURN(
-        JoinStats ws_join,
-        gjoin::gpujoin::PartitionedJoin(&scratch, r_dev, s_dev, join_cfg));
-
-    // Oversized singleton sets: the R side exceeds the budget, so S is
-    // re-streamed once per budget-sized R slice (GPU sub-partitioning,
-    // Section IV-B) — the skew penalty of Fig. 18.
-    const uint64_t restreams =
-        std::max<uint64_t>(1, util::CeilDiv(ws.bytes, packing.budget_bytes));
-
-    CoProcessPlan::WorkingSetRun run;
-    run.matches = ws_join.matches;
-    run.payload_sum = ws_join.payload_sum;
-    run.gpu_seconds = ws_join.seconds;
-    run.join_s = ws_join.join_s;
-    run.partition_s = ws_join.partition_s;
-    run.transfer_bytes = r_ws.bytes() + s_ws.bytes() * restreams;
-    run.set_index = set_index;
-    plan.runs.push_back(run);
-  }
-
-  // Hand freshly-computed partitions to the caller's cache.
-  if (out_build_parts != nullptr && build_parts == &r_local) {
-    *out_build_parts = std::move(r_local);
-  }
-  if (out_probe_parts != nullptr && probe_parts == &s_local) {
-    *out_probe_parts = std::move(s_local);
-  }
-  return plan;
-}
-
-util::Result<CoProcessPlan> PlanCoProcessJoinConsuming(
-    sim::Device* device, cpu::HostPartitions build_parts,
-    cpu::HostPartitions probe_parts, const CoProcessConfig& config) {
-  const hw::HardwareSpec& spec = device->spec();
-  if (build_parts.radix_bits != config.cpu.radix_bits ||
-      probe_parts.radix_bits != config.cpu.radix_bits) {
-    return util::Status::Invalid(
-        "PlanCoProcessJoinConsuming: partitions disagree with "
-        "config.cpu.radix_bits");
-  }
-
-  // ---- 2. Working sets from the build side's partition sizes ----
-  // (Phase 1, host partitioning, happened at the caller — typically fed
-  // chunk-at-a-time by a streaming generator.)
-  WorkingSetConfig packing = config.packing;
-  if (packing.budget_bytes == 0) {
-    packing.budget_bytes = static_cast<uint64_t>(
-        static_cast<double>(spec.gpu.device_memory_bytes) * 0.45);
-  }
-  std::vector<uint64_t> part_bytes(build_parts.parts.size());
-  for (size_t p = 0; p < build_parts.parts.size(); ++p) {
-    part_bytes[p] = build_parts.parts[p].bytes();
-  }
-  GJOIN_ASSIGN_OR_RETURN(std::vector<WorkingSet> sets,
-                         PackWorkingSets(part_bytes, packing));
-
-  // ---- 3. Per-working-set functional join ----
-  hw::HardwareSpec scratch_spec = spec;
-  scratch_spec.gpu.device_memory_bytes = SIZE_MAX / 4;
-  sim::Device scratch(scratch_spec);
+  sim::Device scratch(scratch_spec, device->pool());
 
   gjoin::gpujoin::PartitionedJoinConfig join_cfg = config.join;
   join_cfg.partition.base_shift = config.cpu.radix_bits;
@@ -194,34 +91,25 @@ util::Result<CoProcessPlan> PlanCoProcessJoinConsuming(
     // Partitioning permutes the keys, so the max over the partitions is
     // the max over the original relation.
     uint32_t max_key = 1;
-    for (const data::Relation& part : build_parts.parts) {
+    for (const data::Relation& part : r_parts.parts) {
       for (uint32_t k : part.keys) max_key = std::max(max_key, k);
     }
     join_cfg.join.key_bits = util::Log2Floor(max_key) + 1;
   }
 
   CoProcessPlan plan;
-  plan.total_input_bytes = (build_parts.tuples + probe_parts.tuples) *
-                           data::Relation::kTupleBytes;
+  plan.total_input_bytes =
+      (r_parts.tuples + s_parts.tuples) * data::Relation::kTupleBytes;
   for (size_t set_index = 0; set_index < sets.size(); ++set_index) {
     const WorkingSet& ws = sets[set_index];
-    uint64_t r_bytes = 0, s_bytes = 0;
-    for (uint32_t p : ws.partitions) {
-      r_bytes += build_parts.parts[p].bytes();
-      s_bytes += probe_parts.parts[p].bytes();
-    }
-
-    // Stage the set's partition columns in ConcatParts order; the join's
-    // first pass walks and frees them chunk by chunk. The moved-from
-    // partitions stay behind as empty shells, releasing this set's share
-    // of the host footprint even when the set is skipped as empty.
-    gjoin::gpujoin::ChunkedDeviceInput r_in, s_in;
-    for (uint32_t p : ws.partitions) {
-      r_in.Add(std::move(build_parts.parts[p].keys),
-               std::move(build_parts.parts[p].payloads));
-      s_in.Add(std::move(probe_parts.parts[p].keys),
-               std::move(probe_parts.parts[p].payloads));
-    }
+    // The join's first pass walks and frees the staged chunks; consumed
+    // partitions are released even when the set is skipped as empty.
+    gjoin::gpujoin::ChunkedDeviceInput r_in =
+        StageSet(r_parts, owned_build, ws.partitions, device->pool());
+    gjoin::gpujoin::ChunkedDeviceInput s_in =
+        StageSet(s_parts, owned_probe, ws.partitions, device->pool());
+    const uint64_t r_bytes = r_in.size() * data::Relation::kTupleBytes;
+    const uint64_t s_bytes = s_in.size() * data::Relation::kTupleBytes;
     if (r_bytes == 0 || s_bytes == 0) continue;
 
     GJOIN_ASSIGN_OR_RETURN(
@@ -229,6 +117,9 @@ util::Result<CoProcessPlan> PlanCoProcessJoinConsuming(
         gjoin::gpujoin::PartitionedJoinChunkedConsuming(
             &scratch, std::move(r_in), std::move(s_in), join_cfg));
 
+    // Oversized singleton sets: the R side exceeds the budget, so S is
+    // re-streamed once per budget-sized R slice (GPU sub-partitioning,
+    // Section IV-B) — the skew penalty of Fig. 18.
     const uint64_t restreams =
         std::max<uint64_t>(1, util::CeilDiv(ws.bytes, packing.budget_bytes));
 
@@ -243,6 +134,66 @@ util::Result<CoProcessPlan> PlanCoProcessJoinConsuming(
     plan.runs.push_back(run);
   }
   return plan;
+}
+
+}  // namespace
+
+util::Result<CoProcessPlan> PlanCoProcessJoin(sim::Device* device,
+                                              const data::Relation& build,
+                                              const data::Relation& probe,
+                                              const CoProcessConfig& config) {
+  return PlanCoProcessJoinShared(device, build, probe, config, nullptr,
+                                 nullptr, nullptr, nullptr);
+}
+
+util::Result<CoProcessPlan> PlanCoProcessJoinShared(
+    sim::Device* device, const data::Relation& build,
+    const data::Relation& probe, const CoProcessConfig& config,
+    const cpu::HostPartitions* build_parts,
+    const cpu::HostPartitions* probe_parts,
+    cpu::HostPartitions* out_build_parts,
+    cpu::HostPartitions* out_probe_parts) {
+  const hw::CpuCostModel cpu_model(device->spec().cpu);
+
+  // ---- 1. Host partitioning (functional), shared when precomputed ----
+  cpu::HostPartitions r_local, s_local;
+  if (build_parts == nullptr) {
+    GJOIN_ASSIGN_OR_RETURN(
+        r_local, cpu::CpuRadixPartition(build, config.cpu, cpu_model));
+    build_parts = &r_local;
+  }
+  if (probe_parts == nullptr) {
+    GJOIN_ASSIGN_OR_RETURN(
+        s_local, cpu::CpuRadixPartition(probe, config.cpu, cpu_model));
+    probe_parts = &s_local;
+  }
+  GJOIN_ASSIGN_OR_RETURN(CoProcessPlan plan,
+                         PlanWorkingSets(device, *build_parts, *probe_parts,
+                                         nullptr, nullptr, config));
+
+  // Hand freshly-computed partitions to the caller's cache.
+  if (out_build_parts != nullptr && build_parts == &r_local) {
+    *out_build_parts = std::move(r_local);
+  }
+  if (out_probe_parts != nullptr && probe_parts == &s_local) {
+    *out_probe_parts = std::move(s_local);
+  }
+  return plan;
+}
+
+util::Result<CoProcessPlan> PlanCoProcessJoinConsuming(
+    sim::Device* device, cpu::HostPartitions build_parts,
+    cpu::HostPartitions probe_parts, const CoProcessConfig& config) {
+  if (build_parts.radix_bits != config.cpu.radix_bits ||
+      probe_parts.radix_bits != config.cpu.radix_bits) {
+    return util::Status::Invalid(
+        "PlanCoProcessJoinConsuming: partitions disagree with "
+        "config.cpu.radix_bits");
+  }
+  // Phase 1, host partitioning, happened at the caller — typically fed
+  // chunk-at-a-time by a streaming generator.
+  return PlanWorkingSets(device, build_parts, probe_parts, &build_parts,
+                         &probe_parts, config);
 }
 
 util::Result<CoProcessRun> CoProcessExecutePlanned(

@@ -179,6 +179,47 @@ TEST_F(GpuJoinTest, RejectsMaterializationWithoutRing) {
   EXPECT_FALSE(JoinCoPartitions(&device_, *parted, *parted, jcfg, nullptr).ok());
 }
 
+/// Joins a small relation with itself under `jcfg` and expects a typed
+/// kInvalid naming `field`. Each of these zeros would hang the join or
+/// overflow its output stage.
+void ExpectConfigRejected(sim::Device* device,
+                          const CoPartitionJoinConfig& jcfg,
+                          const std::string& field) {
+  const auto r = data::MakeUniqueUniform(1000, 19);
+  RadixPartitionConfig pc;
+  pc.pass_bits = {4};
+  auto parted = RadixPartition(
+      device, std::move(DeviceRelation::Upload(device, r)).ValueOrDie(), pc);
+  ASSERT_TRUE(parted.ok());
+  auto ring_result = OutputRing::Allocate(&device->memory(), 1024);
+  ASSERT_TRUE(ring_result.ok());
+  OutputRing ring = std::move(ring_result).ValueOrDie();
+  auto st = JoinCoPartitions(device, *parted, *parted, jcfg, &ring);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.status().code(), util::StatusCode::kInvalid);
+  EXPECT_NE(st.status().message().find(field), std::string::npos)
+      << st.status();
+}
+
+TEST_F(GpuJoinTest, RejectsZeroSharedElems) {
+  CoPartitionJoinConfig jcfg;
+  jcfg.shared_elems = 0;
+  ExpectConfigRejected(&device_, jcfg, "shared_elems");
+}
+
+TEST_F(GpuJoinTest, RejectsZeroProbeBucketsPerItem) {
+  CoPartitionJoinConfig jcfg;
+  jcfg.max_probe_buckets_per_item = 0;
+  ExpectConfigRejected(&device_, jcfg, "max_probe_buckets_per_item");
+}
+
+TEST_F(GpuJoinTest, RejectsZeroOutStagePairsWhenMaterializing) {
+  CoPartitionJoinConfig jcfg;
+  jcfg.output = OutputMode::kMaterialize;
+  jcfg.out_stage_pairs = 0;
+  ExpectConfigRejected(&device_, jcfg, "out_stage_pairs");
+}
+
 // ---------------------------------------------------------------------------
 // Non-partitioned baselines
 // ---------------------------------------------------------------------------

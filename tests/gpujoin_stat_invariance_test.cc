@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <vector>
 
 #include "src/cpu/cpu_joins.h"
@@ -201,6 +202,110 @@ TEST_F(StatInvarianceTest, StreamingProbeAggregate) {
   EXPECT_DOUBLE_EQ(st->transfer_s, 0.00024512195121951217);
 }
 
+// ---- Block-nested-loop fallback ----
+// Build partitions larger than shared_elems are joined chunk by chunk
+// (Section III-B). The goldens below were captured before the host
+// executed that fallback through a slot-sorted index, so they pin that
+// the index leaves every charge, match and checksum where the per-chunk
+// rescans put them.
+
+/// A Zipf build joined with a 1024-tuple shared-memory budget: 15 of the
+/// 64 co-partitions are oversized (up to 6 chunks), 4 of them probed by
+/// a single work item and 11 by several; the other 49 fit one chunk.
+util::Result<gpujoin::CoPartitionJoinResult> RunOversizedSharedHashJoin(
+    sim::Device* device, int pipeline_depth) {
+  const data::Relation r = data::MakeZipf(60000, 100000, 1.0, 51);
+  const data::Relation s = data::MakeZipf(100000, 100000, 1.0, 52, 9);
+  gpujoin::RadixPartitionConfig pc;
+  pc.pass_bits = {6};
+  pc.num_blocks = 2;  // few blocks -> short S chains -> one-item partitions
+  pc.bucket_capacity = 256;
+  GJOIN_ASSIGN_OR_RETURN(gpujoin::DeviceRelation rd,
+                         gpujoin::DeviceRelation::Upload(device, r));
+  GJOIN_ASSIGN_OR_RETURN(gpujoin::DeviceRelation sd,
+                         gpujoin::DeviceRelation::Upload(device, s));
+  GJOIN_ASSIGN_OR_RETURN(gpujoin::PartitionedRelation rp,
+                         gpujoin::RadixPartition(device, rd, pc));
+  GJOIN_ASSIGN_OR_RETURN(gpujoin::PartitionedRelation sp,
+                         gpujoin::RadixPartition(device, sd, pc));
+  gpujoin::CoPartitionJoinConfig cfg;
+  cfg.shared_elems = 1024;
+  cfg.hash_slots = 512;
+  cfg.max_probe_buckets_per_item = 4;
+  cfg.key_bits = 17;
+  // Per-match gathers make each (chunk, S bucket)'s match count visible
+  // in random_transactions, not just the total.
+  cfg.build_extra_payload_bytes = 8;
+  cfg.probe_pipeline_depth = pipeline_depth;
+
+  // Guard the workload's shape: both kinds of oversized partition occur.
+  int single_item = 0, multi_item = 0;
+  for (uint32_t p = 0; p < rp.chains.num_partitions(); ++p) {
+    if (rp.chains.PartitionSize(p) <= cfg.shared_elems) continue;
+    uint32_t buckets = 0;
+    for (int32_t b = sp.chains.heads()[p]; b != gpujoin::BucketChains::kNull;
+         b = sp.chains.next()[b]) {
+      ++buckets;
+    }
+    ++(buckets <= cfg.max_probe_buckets_per_item ? single_item : multi_item);
+  }
+  EXPECT_EQ(single_item, 4);
+  EXPECT_EQ(multi_item, 11);
+  return gpujoin::JoinCoPartitions(device, rp, sp, cfg);
+}
+
+TEST_F(StatInvarianceTest, OversizedSharedHashAggregate) {
+  sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
+  auto st = RunOversizedSharedHashJoin(&device, 0);
+  ASSERT_TRUE(st.ok()) << st.status();
+  EXPECT_EQ(st->matches, 73790u);
+  EXPECT_EQ(st->payload_sum, 5957537450ull);
+  EXPECT_DOUBLE_EQ(st->seconds, 2.5623703157051281e-05);
+  ExpectProfileMatches(
+      device,
+      {{"radix_partition_pass1", 480000, 0, 480000, 0, 0, 962560, 60000, 440,
+        118510, 59255, 2, 4.2034374999999997e-05},
+       {"radix_partition_pass1", 800000, 0, 800000, 0, 0, 1602560, 100000,
+        581, 197510, 98755, 2, 6.6721875000000001e-05},
+       {"join_copartitions_hash", 2059556, 0, 0, 149145, 800000, 3633300,
+        117675, 640, 130616, 6716, 40, 2.5623703157051281e-05}});
+}
+
+TEST_F(StatInvarianceTest, CoProcessPlanOversizedWorkingSets) {
+  // Working sets of five CPU partitions, each GPU co-partition merging
+  // them: ~7800 build tuples against the default 4096-tuple budget, as
+  // in the paper's co-processing configuration. The last set holds one
+  // CPU partition and fits.
+  sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
+  outofgpu::CoProcessConfig cfg;
+  cfg.join.partition.pass_bits = {2};
+  cfg.packing.budget_bytes = 250000;
+  auto plan = outofgpu::PlanCoProcessJoin(&device, r_, s_, cfg);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(plan->total_input_bytes, 2400000u);
+  const outofgpu::CoProcessPlan::WorkingSetRun golden[] = {
+      {62611, 9377033565ull, 3.6353581318438911e-05, 1.7970821749999999e-05,
+       1.8382759568438912e-05, 750888, 0},
+      {62503, 9383460892ull, 3.6262826614819006e-05, 1.7889618673076922e-05,
+       1.8373207941742081e-05, 750024, 1},
+      {62562, 9390770919ull, 3.6268331184389136e-05, 1.788990522435897e-05,
+       1.8378425960030166e-05, 750496, 2},
+      {12324, 1855090891ull, 1.8920011262443437e-05, 7.1957083525641013e-06,
+       1.1724302909879335e-05, 148592, 3}};
+  ASSERT_EQ(plan->runs.size(), std::size(golden));
+  for (size_t i = 0; i < plan->runs.size(); ++i) {
+    SCOPED_TRACE("working set run " + std::to_string(i));
+    const auto& got = plan->runs[i];
+    EXPECT_EQ(got.matches, golden[i].matches);
+    EXPECT_EQ(got.payload_sum, golden[i].payload_sum);
+    EXPECT_DOUBLE_EQ(got.gpu_seconds, golden[i].gpu_seconds);
+    EXPECT_DOUBLE_EQ(got.join_s, golden[i].join_s);
+    EXPECT_DOUBLE_EQ(got.partition_s, golden[i].partition_s);
+    EXPECT_EQ(got.transfer_bytes, golden[i].transfer_bytes);
+    EXPECT_EQ(got.set_index, golden[i].set_index);
+  }
+}
+
 // ---- Pipeline-depth invariance ----
 // The probe pipeline (src/util/probe_pipeline.h) is a host wall-clock
 // knob: at every depth the functional results (match counts, checksums,
@@ -267,6 +372,20 @@ TEST_F(StatInvarianceTest, DepthInvariantPartitionedSharedHash) {
       ref = std::move(run);
     } else {
       ExpectSameRun(ref, run, depth);
+    }
+  }
+  // Oversized co-partitions (block-NL fallback) at the scalar loop and a
+  // deep ring.
+  DepthRunCapture oversized_ref;
+  for (const int depth : {1, 32}) {
+    sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
+    auto st = RunOversizedSharedHashJoin(&device, depth);
+    ASSERT_TRUE(st.ok()) << st.status();
+    DepthRunCapture run{st->matches, st->payload_sum, device.profile(), {}};
+    if (depth == 1) {
+      oversized_ref = std::move(run);
+    } else {
+      ExpectSameRun(oversized_ref, run, depth);
     }
   }
 }

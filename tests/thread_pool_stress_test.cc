@@ -156,6 +156,29 @@ TEST_F(LaunchDeterminismTest, PartitionedJoinIdenticalAcrossPoolWidths) {
   }
 }
 
+TEST_F(LaunchDeterminismTest, OversizedSharedHashAggregateIdentical) {
+  // Every co-partition exceeds the 1024-tuple budget (~2500 build tuples
+  // each), so the aggregate join runs the block-NL fallback, whose host
+  // index is built on the device's pool before the launch.
+  gpujoin::PartitionedJoinConfig cfg;
+  cfg.partition.pass_bits = {4};
+  cfg.join.shared_elems = 1024;
+  cfg.join.hash_slots = 512;
+  sim::Device d1{hw::HardwareSpec::Icde2019Testbed(), &pool1_};
+  auto ref = gpujoin::PartitionedJoinFromHost(&d1, r_, s_, cfg);
+  ASSERT_TRUE(ref.ok()) << ref.status();
+  for (util::ThreadPool* pool : {&pool2_, &pool8_}) {
+    SCOPED_TRACE("pool width " + std::to_string(pool->num_threads()));
+    sim::Device dev{hw::HardwareSpec::Icde2019Testbed(), pool};
+    auto got = gpujoin::PartitionedJoinFromHost(&dev, r_, s_, cfg);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(got->matches, ref->matches);
+    EXPECT_EQ(got->payload_sum, ref->payload_sum);
+    EXPECT_DOUBLE_EQ(got->seconds, ref->seconds);
+    ExpectSameProfile(d1, dev);
+  }
+}
+
 TEST_F(LaunchDeterminismTest, PartitionAtATimeSecondPassIdentical) {
   // The default (bucket-at-a-time) second pass runs in the test above
   // through the GlobalChains ordered plan; this covers the
