@@ -15,6 +15,7 @@
 #include "src/data/oracle.h"
 #include "src/exec/session.h"
 #include "src/gpujoin/nonpartitioned.h"
+#include "src/gpujoin/output_ring.h"
 #include "src/gpujoin/partitioned_join.h"
 #include "src/sim/topology.h"
 #include "src/util/bits.h"
@@ -239,6 +240,54 @@ void BM_JoinCoPartitionsOversized(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_JoinCoPartitionsOversized)
+    ->Arg(1 << 18)
+    ->MeasureProcessCPUTime();
+
+/// Materialized-output gate: a shared-hash join of two Zipf(0.5)
+/// relations sharing their popular keys, emitting about three result
+/// pairs per probe tuple into a ring of |S| pairs, so the ring wraps
+/// several times (Fig. 17's setting). Blocks record their pairs and only
+/// the ring's worth that survives the wraps is copied after the launch;
+/// regressing toward replaying every pair onto the ring shows here.
+/// Inputs are partitioned once outside the loop. Registered with
+/// MeasureProcessCPUTime: the blocks run on pool workers.
+void BM_JoinCoPartitionsMaterialized(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
+  const auto r = data::MakeZipf(n, n, 0.5, 19, 21);
+  const auto s = data::MakeZipf(n, n, 0.5, 20, 21);
+  gpujoin::RadixPartitionConfig pcfg;
+  pcfg.pass_bits = {7};
+  const auto partition = [&](const data::Relation& rel) {
+    return util::ValueOrExit(
+        gpujoin::RadixPartition(
+            &device,
+            util::ValueOrExit(gpujoin::DeviceRelation::Upload(&device, rel),
+                              "micro_kernels"),
+            pcfg),
+        "micro_kernels");
+  };
+  const auto rp = partition(r);
+  const auto sp = partition(s);
+  gpujoin::CoPartitionJoinConfig cfg;
+  cfg.output = gpujoin::OutputMode::kMaterialize;
+  auto ring = util::ValueOrExit(
+      gpujoin::OutputRing::Allocate(&device.memory(), n), "micro_kernels");
+  uint64_t wraps = 0;
+  for (auto _ : state) {
+    ring.ResetCursor();
+    auto result = util::ValueOrExit(
+        gpujoin::JoinCoPartitions(&device, rp, sp, cfg, &ring),
+        "micro_kernels");
+    benchmark::DoNotOptimize(result.matches);
+    wraps = ring.total_written() / ring.capacity();
+    device.ClearProfile();
+  }
+  state.counters["ring_wraps"] = static_cast<double>(wraps);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2 *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_JoinCoPartitionsMaterialized)
     ->Arg(1 << 18)
     ->MeasureProcessCPUTime();
 

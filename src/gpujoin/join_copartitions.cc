@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <functional>
 #include <numeric>
 #include <vector>
 
@@ -42,8 +41,6 @@ struct JoinSharedArea {
   uint32_t* rpays = nullptr;
   uint16_t* heads = nullptr;     // hash variants only
   uint16_t* next = nullptr;      // hash variants only
-  uint64_t* out_stage = nullptr;  // materialization only
-  uint32_t out_fill = 0;
 
   bool Alloc(sim::Block* block, const CoPartitionJoinConfig& cfg,
              bool need_table, bool need_out) {
@@ -56,68 +53,58 @@ struct JoinSharedArea {
       next = shared.Alloc<uint16_t>(cfg.shared_elems);
       if (heads == nullptr || next == nullptr) return false;
     }
-    if (need_out) {
-      out_stage = shared.Alloc<uint64_t>(cfg.out_stage_pairs);
-      if (out_stage == nullptr) return false;
+    // The warp output buffer holds no host data (pairs go straight to
+    // the block's EmitRecorder cursor), but it occupies the kernel's
+    // shared memory all the same.
+    if (need_out && shared.Alloc<uint64_t>(cfg.out_stage_pairs) == nullptr) {
+      return false;
     }
     return true;
   }
 };
 
-/// A block's materialized output, recorded during the body and replayed
-/// onto the shared ring by the launch epilogue: `pairs` holds the packed
-/// result pairs, `claims` the size of every ring reservation the kernel
-/// made, in order. Replaying claims per block in ascending id keeps ring
-/// content and wrap behavior independent of host-worker interleaving.
-struct BlockEmits {
-  std::vector<uint64_t> pairs;
-  std::vector<uint32_t> claims;
-  uint64_t ring_capacity = 0;  ///< Charge footprint of the direct path.
-};
-
-/// Accumulates a block's results and flushes them to the global counters
-/// (and the per-block emission buffer when materializing).
+/// Accumulates a block's results; when materializing, records every
+/// result pair, in emission order, on the block's EmitRecorder cursor.
+/// The recorder publishes them onto the ring after the launch, in
+/// ascending block id, so ring content and wrap behavior are
+/// independent of host-worker interleaving.
 struct BlockJoinState {
   uint64_t matches = 0;
   uint64_t checksum = 0;
-  BlockEmits* emits = nullptr;
+  EmitRecorder::Cursor* emits = nullptr;
 
-  void Match(sim::Block* block, const CoPartitionJoinConfig& cfg,
-             JoinSharedArea* area, uint32_t rpay, uint32_t spay) {
+  void Match(uint32_t rpay, uint32_t spay) {
     ++matches;
     checksum += static_cast<uint64_t>(rpay) + spay;
-    if (cfg.output == OutputMode::kMaterialize) {
-      if (!cfg.buffered_output) {
-        // Ablation: direct per-thread write — one global-offset atomic
-        // and one uncoalesced transaction per result pair.
-        emits->pairs.push_back((static_cast<uint64_t>(rpay) << 32) | spay);
-        emits->claims.push_back(1);
-        block->ChargeDeviceAtomic(1);
-        block->ChargeRandomAccess(1, 8ull * emits->ring_capacity);
-        return;
-      }
-      // Warp-buffered write: claim a slot in the shared buffer.
-      area->out_stage[area->out_fill++] =
-          (static_cast<uint64_t>(rpay) << 32) | spay;
-      block->ChargeShared(8);
-      block->ChargeSharedAtomic(1);
-      if (area->out_fill == cfg.out_stage_pairs) {
-        FlushOut(block, area);
-      }
-    }
-  }
-
-  void FlushOut(sim::Block* block, JoinSharedArea* area) {
-    if (area->out_fill == 0) return;
-    block->ChargeDeviceAtomic(1);  // global offset
-    emits->pairs.insert(emits->pairs.end(), area->out_stage,
-                        area->out_stage + area->out_fill);
-    emits->claims.push_back(area->out_fill);
-    block->ChargeShared(8ull * area->out_fill);
-    block->ChargeCoalescedWrite(8ull * area->out_fill);
-    area->out_fill = 0;
+    if (emits != nullptr) emits->Push(rpay, spay);
   }
 };
+
+/// Charges a block's materialization of `pairs` result pairs into a ring
+/// of `ring_capacity` pairs. Every charge is a plain sum over the pairs,
+/// so charging the block's total once equals charging each pair as it
+/// is emitted.
+void ChargeEmission(sim::Block* block, const CoPartitionJoinConfig& cfg,
+                    uint64_t pairs, uint64_t ring_capacity) {
+  // A block that emits nothing writes nothing: its random-access working
+  // set must not grow to the ring's.
+  if (pairs == 0) return;
+  if (!cfg.buffered_output) {
+    // Ablation: direct per-thread writes — one global-offset atomic and
+    // one uncoalesced transaction per result pair.
+    block->ChargeDeviceAtomic(pairs);
+    block->ChargeRandomAccess(pairs, 8 * ring_capacity);
+    return;
+  }
+  // Warp-buffered writes: each pair claims a slot in the shared buffer
+  // (one shared atomic, an 8-byte store); every full buffer, and the
+  // partial one left at the end, flushes with one global-offset atomic,
+  // re-reading the pairs from shared memory and writing them coalesced.
+  block->ChargeShared(16 * pairs);
+  block->ChargeSharedAtomic(pairs);
+  block->ChargeDeviceAtomic(CeilDiv(pairs, cfg.out_stage_pairs));
+  block->ChargeCoalescedWrite(8 * pairs);
+}
 
 /// Charges the late-materialization attribute gathers for `matches`
 /// matches (Figs. 9/10): inside the partitioned join both sides were
@@ -496,28 +483,7 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
   launch.threads_per_block = config.threads_per_block;
   launch.shared_mem_bytes = device->spec().gpu.shared_mem_per_block;
 
-  std::vector<BlockEmits> emits(
-      need_out ? static_cast<size_t>(num_blocks) : 0);
-  std::function<void(sim::Block&)> ring_epilogue;
-  if (need_out) {
-    ring_epilogue = [&](sim::Block& block) {
-        // Replay this block's ring reservations in recorded order; blocks
-        // replay in ascending id, so ring content and wrap behavior are
-        // canonical regardless of how the bodies interleaved.
-        BlockEmits& e = emits[static_cast<size_t>(block.block_id())];
-        size_t off = 0;
-        for (const uint32_t count : e.claims) {
-          const uint64_t base = out->Claim(count);
-          for (uint32_t i = 0; i < count; ++i) {
-            const uint64_t pair = e.pairs[off + i];
-            out->Write(base + i, static_cast<uint32_t>(pair >> 32),
-                       static_cast<uint32_t>(pair));
-          }
-          off += count;
-        }
-        e = BlockEmits();
-    };
-  }
+  EmitRecorder emits(need_out ? static_cast<size_t>(num_blocks) : 0);
 
   GJOIN_ASSIGN_OR_RETURN(
       sim::LaunchResult result,
@@ -526,10 +492,7 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
         const bool shared_table = config.algo == ProbeAlgorithm::kSharedHash;
         if (!area.Alloc(&block, config, shared_table, need_out)) return;
         BlockJoinState state;
-        if (need_out) {
-          state.emits = &emits[static_cast<size_t>(block.block_id())];
-          state.emits->ring_capacity = out->capacity();
-        }
+        if (need_out) state.emits = &emits.cursor(block.block_id());
 
         // Device-memory table scratch (kDeviceHash); reused across
         // items. The functional table packs each slot's chunk epoch
@@ -794,7 +757,7 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
                         for (uint32_t j = 0; j < r_lanes; ++j) {
                           if (rkeys[r0 + j] == skey) {
                             state.Match(
-                                &block, config, &area, rpays[r0 + j],
+                                rpays[r0 + j],
                                 probe.chains.payloads()[s_base + s0 + l]);
                           }
                         }
@@ -815,7 +778,7 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
                         util::Mix32(skey) & (nh.size() - 1);
                     for (int32_t e = nh[slot]; e >= 0; e = nn[e]) {
                       if (rkeys[e] == skey) {
-                        state.Match(&block, config, &area, rpays[e],
+                        state.Match(rpays[e],
                                     probe.chains.payloads()[s_base + i]);
                       }
                     }
@@ -856,8 +819,7 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
                         for (uint16_t e = head; e != kEmpty16; e = n16[e]) {
                           ++steps;
                           if (rkeys[e] == skey) {
-                            state.Match(&block, config, &area, rpays[e],
-                                        spays[i]);
+                            state.Match(rpays[e], spays[i]);
                           }
                         }
                       });
@@ -953,8 +915,7 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
                           }
                           ++steps;
                           if (node.key == skeys[i]) {
-                            state.Match(&block, config, &area, node.pay,
-                                        spays[i]);
+                            state.Match(node.pay, spays[i]);
                           }
                           e = node.next;
                         }
@@ -976,7 +937,10 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
           }
         }
 
-        if (need_out) state.FlushOut(&block, &area);
+        if (need_out) {
+          ChargeEmission(&block, config, state.emits->count(),
+                         out->capacity());
+        }
         // Aggregation epilogue: threads pre-reduce within their warp
         // (shuffle tree), then one device atomic per warp folds into the
         // global aggregate.
@@ -984,8 +948,8 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
         block.ChargeDeviceAtomic(static_cast<uint64_t>(block.num_warps()));
         g_matches.fetch_add(state.matches, std::memory_order_relaxed);
         g_checksum.fetch_add(state.checksum, std::memory_order_relaxed);
-      },
-      ring_epilogue));
+      }));
+  if (need_out) emits.Publish(out);
 
   CoPartitionJoinResult join_result;
   join_result.matches = g_matches.load();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 #include <vector>
 
 #include "src/util/bits.h"
@@ -20,19 +19,6 @@ std::pair<size_t, size_t> BlockRange(size_t n, int b, int nb) {
   const size_t chunk = CeilDiv(n, static_cast<size_t>(nb));
   const size_t begin = static_cast<size_t>(b) * chunk;
   return {std::min(begin, n), std::min(begin + chunk, n)};
-}
-
-/// Per-block result pairs recorded during the probe body and replayed
-/// onto the shared ring by the launch epilogue (ascending block id), so
-/// ring content and wrap behavior are independent of how host workers
-/// interleave the blocks. Every pair was claimed individually by the
-/// kernel, so the replay claims one slot per pair.
-void ReplayRingEmits(OutputRing* out, std::vector<uint64_t>* pairs) {
-  for (const uint64_t pair : *pairs) {
-    out->Write(out->Claim(1), static_cast<uint32_t>(pair >> 32),
-               static_cast<uint32_t>(pair));
-  }
-  std::vector<uint64_t>().swap(*pairs);
 }
 
 int ResolveNumBlocks(const sim::Device& device,
@@ -172,7 +158,8 @@ util::Result<PreparedNonPartitionedBuild> PrepareNonPartitionedBuild(
 
 util::Result<JoinStats> NonPartitionedJoinWithBuild(
     sim::Device* device, const PreparedNonPartitionedBuild& build,
-    const DeviceRelation& probe, const NonPartitionedJoinConfig& config) {
+    const DeviceRelation& probe, const NonPartitionedJoinConfig& config,
+    OutputRing* out) {
   if (config.variant != build.variant) {
     return util::Status::Invalid(
         "NonPartitionedJoinWithBuild: config.variant does not match the "
@@ -185,13 +172,12 @@ util::Result<JoinStats> NonPartitionedJoinWithBuild(
   const uint64_t table_bytes = build.table_bytes;
 
   OutputRing ring;
-  OutputRing* out = nullptr;
-  if (config.output == OutputMode::kMaterialize) {
-    const size_t capacity =
-        config.out_capacity != 0 ? config.out_capacity
-                                 : std::max<size_t>(probe.size, 1);
-    GJOIN_ASSIGN_OR_RETURN(ring,
-                           OutputRing::Allocate(&device->memory(), capacity));
+  if (config.output != OutputMode::kMaterialize) {
+    out = nullptr;
+  } else if (out == nullptr) {
+    GJOIN_ASSIGN_OR_RETURN(
+        ring, OutputRing::Allocate(&device->memory(),
+                                   std::max<size_t>(probe.size, 1)));
     out = &ring;
   }
 
@@ -199,14 +185,10 @@ util::Result<JoinStats> NonPartitionedJoinWithBuild(
   std::atomic<uint64_t> g_matches{0};
   std::atomic<uint64_t> g_checksum{0};
 
-  std::vector<std::vector<uint64_t>> emit(
-      out != nullptr ? static_cast<size_t>(num_blocks) : 0);
-  std::function<void(sim::Block&)> epilogue;
-  if (out != nullptr) {
-    epilogue = [&](sim::Block& block) {
-      ReplayRingEmits(out, &emit[static_cast<size_t>(block.block_id())]);
-    };
-  }
+  // Each block records its result pairs in probe order; they are
+  // published onto the ring after the probe launch, in ascending block id
+  // (see EmitRecorder).
+  EmitRecorder emits(out != nullptr ? static_cast<size_t>(num_blocks) : 0);
 
   if (config.variant == NonPartitionedVariant::kPerfectHash) {
     const sim::DeviceBuffer<uint32_t>& dense = build.dense;
@@ -221,6 +203,8 @@ util::Result<JoinStats> NonPartitionedJoinWithBuild(
                                          num_blocks);
           if (begin >= end) return;
           uint64_t matches = 0, checksum = 0;
+          EmitRecorder::Cursor* emit =
+              out != nullptr ? &emits.cursor(block.block_id()) : nullptr;
           block.ChargeCoalescedRead(8ull * (end - begin));
           // One random access per probe: the best case.
           block.ChargeRandomAccess(end - begin, table_bytes);
@@ -239,10 +223,8 @@ util::Result<JoinStats> NonPartitionedJoinWithBuild(
                   ++matches;
                   checksum += static_cast<uint64_t>(rpay) +
                               probe.payloads[begin + i];
-                  if (out != nullptr) {
-                    emit[static_cast<size_t>(block.block_id())].push_back(
-                        (static_cast<uint64_t>(rpay) << 32) |
-                        probe.payloads[begin + i]);
+                  if (emit != nullptr) {
+                    emit->Push(rpay, probe.payloads[begin + i]);
                   }
                 }
               });
@@ -269,8 +251,8 @@ util::Result<JoinStats> NonPartitionedJoinWithBuild(
               static_cast<uint64_t>(block.num_threads() / 32));
           g_matches.fetch_add(matches, std::memory_order_relaxed);
           g_checksum.fetch_add(checksum, std::memory_order_relaxed);
-        },
-        epilogue));
+        }));
+    if (out != nullptr) emits.Publish(out);
     stats.join_s = build.build_s + probe_result.seconds;
   } else {
     const sim::DeviceBuffer<int32_t>& heads = build.heads;
@@ -329,6 +311,7 @@ util::Result<JoinStats> NonPartitionedJoinWithBuild(
             // Materialization consumes matches in probe order (the ring
             // wrap behavior is observable): the two-stage in-order
             // pipeline prefetches ahead but finishes each probe in turn.
+            EmitRecorder::Cursor& emit = emits.cursor(block.block_id());
             util::OrderedProbePipeline<int32_t>(
                 end - begin, depth,
                 [&](size_t i, int32_t& st) {
@@ -350,9 +333,7 @@ util::Result<JoinStats> NonPartitionedJoinWithBuild(
                       ++matches;
                       checksum += static_cast<uint64_t>(node.pay) +
                                   probe.payloads[begin + i];
-                      emit[static_cast<size_t>(block.block_id())].push_back(
-                          (static_cast<uint64_t>(node.pay) << 32) |
-                          probe.payloads[begin + i]);
+                      emit.Push(node.pay, probe.payloads[begin + i]);
                     }
                     e = node.next;
                   }
@@ -386,8 +367,8 @@ util::Result<JoinStats> NonPartitionedJoinWithBuild(
               static_cast<uint64_t>(block.num_threads() / 32));
           g_matches.fetch_add(matches, std::memory_order_relaxed);
           g_checksum.fetch_add(checksum, std::memory_order_relaxed);
-        },
-        epilogue));
+        }));
+    if (out != nullptr) emits.Publish(out);
     stats.join_s = build.build_s + probe_result.seconds;
   }
 
@@ -399,10 +380,11 @@ util::Result<JoinStats> NonPartitionedJoinWithBuild(
 
 util::Result<JoinStats> NonPartitionedJoin(
     sim::Device* device, const DeviceRelation& build,
-    const DeviceRelation& probe, const NonPartitionedJoinConfig& config) {
+    const DeviceRelation& probe, const NonPartitionedJoinConfig& config,
+    OutputRing* out) {
   GJOIN_ASSIGN_OR_RETURN(PreparedNonPartitionedBuild prepared,
                          PrepareNonPartitionedBuild(device, build, config));
-  return NonPartitionedJoinWithBuild(device, prepared, probe, config);
+  return NonPartitionedJoinWithBuild(device, prepared, probe, config, out);
 }
 
 }  // namespace gjoin::gpujoin

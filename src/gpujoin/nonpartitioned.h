@@ -38,7 +38,6 @@ struct NonPartitionedJoinConfig {
   int threads_per_block = 1024;
   int num_blocks = 0;        ///< 0 = one block per SM slot.
   uint32_t slots_per_tuple = 2;  ///< Table slots = next_pow2(n * this).
-  size_t out_capacity = 0;   ///< Materialization ring; 0 = |S|.
   /// Probe-pipeline depth for the functional probe loops (0 = process
   /// default, 1 = scalar reference loop). Affects host wall-clock only;
   /// results and charged stats are identical at every depth.
@@ -51,10 +50,13 @@ struct NonPartitionedJoinConfig {
 };
 
 /// Runs the non-partitioned hash join over device-resident relations.
+/// In kMaterialize mode, result pairs go to `out` when it is given, and
+/// otherwise to a ring of |S| pairs the join allocates and frees.
 [[nodiscard]]
 util::Result<JoinStats> NonPartitionedJoin(
     sim::Device* device, const DeviceRelation& build,
-    const DeviceRelation& probe, const NonPartitionedJoinConfig& config);
+    const DeviceRelation& probe, const NonPartitionedJoinConfig& config,
+    OutputRing* out = nullptr);
 
 /// \brief A build-side hash table constructed once and probed many
 /// times — the non-partitioned analogue of PreparedBuild (multi-query
@@ -90,10 +92,12 @@ util::Result<PreparedNonPartitionedBuild> PrepareNonPartitionedBuild(
 /// NonPartitionedJoin(device, build, probe, config) run's — the build
 /// is deterministic, so the prepared form's recorded seconds stand in
 /// for rebuilding. `config.variant` must match the prepared build's.
+/// `out` is as for NonPartitionedJoin.
 [[nodiscard]]
 util::Result<JoinStats> NonPartitionedJoinWithBuild(
     sim::Device* device, const PreparedNonPartitionedBuild& build,
-    const DeviceRelation& probe, const NonPartitionedJoinConfig& config);
+    const DeviceRelation& probe, const NonPartitionedJoinConfig& config,
+    OutputRing* out = nullptr);
 
 }  // namespace gjoin::gpujoin
 

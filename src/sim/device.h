@@ -74,11 +74,13 @@ class Device {
   /// returns and `epilogue(block)` then runs sequentially in ascending
   /// block id on the calling thread, charging into the same per-block
   /// stats. Kernels route cross-block side effects (chain publishes,
-  /// shared-table inserts, result-ring claims) through the epilogue so
-  /// the functional outcome — and every charged counter, including
-  /// max_block_cycles — is independent of how blocks interleave across
-  /// host workers: at one host thread the epilogue order equals the
-  /// inline execution order, and at N threads it reproduces it.
+  /// shared-table inserts) through the epilogue so the functional
+  /// outcome — and every charged counter, including max_block_cycles —
+  /// is independent of how blocks interleave across host workers: at one
+  /// host thread the epilogue order equals the inline execution order,
+  /// and at N threads it reproduces it. Side effects that need no
+  /// charges at replay time (materialized result pairs) can instead be
+  /// recorded per block and applied in block order after Launch returns.
   [[nodiscard]]
   util::Result<LaunchResult> Launch(
       const LaunchConfig& config, const std::function<void(Block&)>& body,

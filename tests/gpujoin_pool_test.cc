@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/data/generator.h"
 #include "src/data/oracle.h"
@@ -14,6 +16,7 @@
 #include "src/gpujoin/output_ring.h"
 #include "src/gpujoin/partitioned_join.h"
 #include "src/gpujoin/radix_partition.h"
+#include "src/util/thread_pool.h"
 
 namespace gjoin::gpujoin {
 namespace {
@@ -185,6 +188,117 @@ TEST_F(OutputRingTest, WrapsAndCounts) {
 
 TEST_F(OutputRingTest, RejectsZeroCapacity) {
   EXPECT_FALSE(OutputRing::Allocate(&device_.memory(), 0).ok());
+}
+
+
+// ---- Publishing recorded emissions ----
+// EmitRecorder::Publish must leave the ring, and its cursor, exactly as
+// a serial replay leaves them: every block's pairs claimed and written
+// one at a time, in ascending block id.
+
+/// Records `counts[b]` distinct pairs for block b, publishes them onto a
+/// ring of `capacity` pairs whose cursor already stands at `start`, and
+/// compares every ring word and the cursor against the serial replay,
+/// with the blocks recorded from pools of widths 1, 2 and 8.
+void ExpectPublishMatchesReplay(sim::Device* device,
+                                const std::vector<uint64_t>& counts,
+                                size_t capacity, uint64_t start = 0) {
+  const auto pair_of = [](size_t block, uint64_t i) {
+    return PackPair(static_cast<uint32_t>(block), static_cast<uint32_t>(i));
+  };
+  // Pre-fills the ring with sentinels, so slots nobody writes are
+  // compared too, then advances its cursor to `start`.
+  const auto fresh_ring = [&] {
+    OutputRing ring =
+        std::move(OutputRing::Allocate(&device->memory(), capacity))
+            .ValueOrDie();
+    for (size_t i = 0; i < capacity; ++i) {
+      ring.Write(i, 0xDEADBEEF, static_cast<uint32_t>(i));
+    }
+    ring.ResetCursor();
+    ring.Claim(start);
+    return ring;
+  };
+
+  OutputRing ref = fresh_ring();
+  for (size_t b = 0; b < counts.size(); ++b) {
+    for (uint64_t i = 0; i < counts[b]; ++i) {
+      const uint64_t pair = pair_of(b, i);
+      ref.Write(ref.Claim(1), static_cast<uint32_t>(pair >> 32),
+                static_cast<uint32_t>(pair));
+    }
+  }
+
+  for (const size_t width : {1u, 2u, 8u}) {
+    SCOPED_TRACE("pool width " + std::to_string(width));
+    util::ThreadPool pool(width);
+    OutputRing ring = fresh_ring();
+    EmitRecorder emits(counts.size());
+    // Record from the pool, one block per task, as a launch would.
+    pool.ParallelFor(counts.size(), [&](size_t b) {
+      EmitRecorder::Cursor& cursor = emits.cursor(static_cast<int>(b));
+      for (uint64_t i = 0; i < counts[b]; ++i) {
+        const uint64_t pair = pair_of(b, i);
+        cursor.Push(static_cast<uint32_t>(pair >> 32),
+                    static_cast<uint32_t>(pair));
+      }
+      EXPECT_EQ(cursor.count(), counts[b]);
+    });
+    emits.Publish(&ring);
+    EXPECT_EQ(ring.total_written(), ref.total_written());
+    for (size_t i = 0; i < capacity; ++i) {
+      ASSERT_EQ(ring.pair(i), ref.pair(i)) << "ring slot " << i;
+    }
+  }
+}
+
+constexpr uint64_t kPage = EmitRecorder::kPagePairs;
+
+TEST_F(OutputRingTest, PublishNoPairs) {
+  ExpectPublishMatchesReplay(&device_, {0, 0, 0}, 16);
+  ExpectPublishMatchesReplay(&device_, {}, 16);
+}
+
+TEST_F(OutputRingTest, PublishFewerPairsThanCapacity) {
+  ExpectPublishMatchesReplay(&device_, {3, 2, 4}, 16);
+}
+
+TEST_F(OutputRingTest, PublishExactlyCapacity) {
+  ExpectPublishMatchesReplay(&device_, {5, 3, 8}, 16);
+}
+
+TEST_F(OutputRingTest, PublishOnePairPastCapacity) {
+  ExpectPublishMatchesReplay(&device_, {5, 3, 9}, 16);
+}
+
+TEST_F(OutputRingTest, PublishSkipsEmptyBlocks) {
+  ExpectPublishMatchesReplay(&device_, {4, 0, 0, 7, 0, 5, 0}, 8);
+  ExpectPublishMatchesReplay(&device_, {0, 0, 6, 0, 0, 6, 0, 0}, 8);
+}
+
+TEST_F(OutputRingTest, PublishBlockLargerThanRing) {
+  ExpectPublishMatchesReplay(&device_, {3, 40, 2}, 16);
+  ExpectPublishMatchesReplay(&device_, {3, 2, 40}, 16);
+}
+
+TEST_F(OutputRingTest, PublishCapacityOne) {
+  ExpectPublishMatchesReplay(&device_, {3, 0, 2}, 1);
+  ExpectPublishMatchesReplay(&device_, {1}, 1);
+}
+
+TEST_F(OutputRingTest, PublishAfterEarlierClaims) {
+  // A second launch publishing onto the same ring (pipeline chunks).
+  ExpectPublishMatchesReplay(&device_, {3, 2}, 16, 13);
+  ExpectPublishMatchesReplay(&device_, {30, 0, 5}, 16, 7);
+}
+
+TEST_F(OutputRingTest, PublishCrossesPageBoundaryMidSurvivors) {
+  // The surviving 300 pairs start 150 before block 0's second page.
+  ExpectPublishMatchesReplay(&device_, {kPage + 100, 50}, 300);
+  // Survivors spanning several pages and blocks, with the ring wrapping
+  // inside a page.
+  ExpectPublishMatchesReplay(&device_, {2 * kPage + 5, 3, 0, kPage + 7},
+                             3 * kPage / 2 + 1, 11);
 }
 
 }  // namespace

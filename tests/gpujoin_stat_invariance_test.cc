@@ -601,5 +601,199 @@ TEST_F(StatInvarianceTest, StreamingProbeMaterialize) {
   EXPECT_DOUBLE_EQ(st->transfer_s, 0.00041520325203252029);
 }
 
+
+// ---- Wrapped materialized output ----
+// Rings about a quarter the size of the result set wrap several times,
+// so which pairs survive — and with them every block's emission order
+// and claim offsets — is observable. The goldens were captured when the
+// launch epilogue still replayed every pair onto the ring; they pin that
+// publishing only the survivors after the launch leaves every charge,
+// result and ring word where the replay put them.
+
+/// FNV-1a over the little-endian bytes of every ring word.
+uint64_t RingHash(const gpujoin::OutputRing& ring) {
+  uint64_t hash = 14695981039346656037ull;
+  for (size_t i = 0; i < ring.capacity(); ++i) {
+    const uint64_t word = ring.pair(i);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xFF;
+      hash *= 1099511628211ull;
+    }
+  }
+  return hash;
+}
+
+/// What a wrapped materialized run produced besides its launch profile.
+struct WrappedRun {
+  uint64_t matches;
+  uint64_t payload_sum;
+  uint64_t total_written;
+  uint64_t ring_hash;
+};
+
+void ExpectWrappedRun(const WrappedRun& got, const WrappedRun& golden,
+                      size_t capacity) {
+  EXPECT_EQ(got.matches, golden.matches);
+  EXPECT_EQ(got.payload_sum, golden.payload_sum);
+  EXPECT_EQ(got.total_written, golden.total_written);
+  EXPECT_EQ(got.ring_hash, golden.ring_hash);
+  // The interesting case: about four times the ring's worth of pairs.
+  EXPECT_GE(got.total_written, 3 * capacity);
+}
+
+/// Zipf-skewed inputs sharing their popular keys, so some build
+/// co-partitions exceed the 960-tuple shared budget and the shared-hash
+/// join materializes through the chunk-by-chunk fallback.
+util::Result<WrappedRun> RunWrappedCoPartitionJoin(
+    sim::Device* device, gpujoin::ProbeAlgorithm algo, bool buffered,
+    size_t capacity) {
+  const data::Relation r = data::MakeZipf(30000, 30000, 0.5, 71, 11);
+  const data::Relation s = data::MakeZipf(60000, 30000, 0.5, 72, 11);
+  gpujoin::RadixPartitionConfig pc;
+  pc.pass_bits = {5};
+  GJOIN_ASSIGN_OR_RETURN(gpujoin::DeviceRelation rd,
+                         gpujoin::DeviceRelation::Upload(device, r));
+  GJOIN_ASSIGN_OR_RETURN(gpujoin::DeviceRelation sd,
+                         gpujoin::DeviceRelation::Upload(device, s));
+  GJOIN_ASSIGN_OR_RETURN(gpujoin::PartitionedRelation rp,
+                         gpujoin::RadixPartition(device, rd, pc));
+  GJOIN_ASSIGN_OR_RETURN(gpujoin::PartitionedRelation sp,
+                         gpujoin::RadixPartition(device, sd, pc));
+  gpujoin::CoPartitionJoinConfig cfg;
+  cfg.algo = algo;
+  cfg.output = gpujoin::OutputMode::kMaterialize;
+  cfg.buffered_output = buffered;
+  cfg.shared_elems = 960;
+  cfg.hash_slots = 512;
+  cfg.key_bits = 15;
+  // Guard the workload's shape: a quarter of the co-partitions take the
+  // chunk-by-chunk fallback.
+  int oversized = 0;
+  for (uint32_t p = 0; p < rp.chains.num_partitions(); ++p) {
+    oversized += rp.chains.PartitionSize(p) > cfg.shared_elems;
+  }
+  EXPECT_EQ(oversized, 8);
+  GJOIN_ASSIGN_OR_RETURN(gpujoin::OutputRing ring,
+                         gpujoin::OutputRing::Allocate(&device->memory(),
+                                                       capacity));
+  GJOIN_ASSIGN_OR_RETURN(gpujoin::CoPartitionJoinResult st,
+                         gpujoin::JoinCoPartitions(device, rp, sp, cfg, &ring));
+  return WrappedRun{st.matches, st.payload_sum, ring.total_written(),
+                    RingHash(ring)};
+}
+
+/// The non-partitioned join over a Zipf probe side; the perfect-hash
+/// variant needs unique build keys.
+util::Result<WrappedRun> RunWrappedNonPartitionedJoin(
+    sim::Device* device, gpujoin::NonPartitionedVariant variant,
+    size_t capacity) {
+  const data::Relation r =
+      variant == gpujoin::NonPartitionedVariant::kPerfectHash
+          ? data::MakeUniqueUniform(30000, 73)
+          : data::MakeZipf(30000, 30000, 0.5, 71, 11);
+  const data::Relation s = data::MakeZipf(60000, 30000, 0.5, 72, 11);
+  GJOIN_ASSIGN_OR_RETURN(gpujoin::DeviceRelation rd,
+                         gpujoin::DeviceRelation::Upload(device, r));
+  GJOIN_ASSIGN_OR_RETURN(gpujoin::DeviceRelation sd,
+                         gpujoin::DeviceRelation::Upload(device, s));
+  gpujoin::NonPartitionedJoinConfig cfg;
+  cfg.variant = variant;
+  cfg.output = gpujoin::OutputMode::kMaterialize;
+  GJOIN_ASSIGN_OR_RETURN(gpujoin::OutputRing ring,
+                         gpujoin::OutputRing::Allocate(&device->memory(),
+                                                       capacity));
+  GJOIN_ASSIGN_OR_RETURN(gpujoin::JoinStats st,
+                         gpujoin::NonPartitionedJoin(device, rd, sd, cfg,
+                                                     &ring));
+  return WrappedRun{st.matches, st.payload_sum, ring.total_written(),
+                    RingHash(ring)};
+}
+
+
+constexpr size_t kWrappedCoPartitionRing = 40000;
+
+TEST_F(StatInvarianceTest, WrappedSharedHashMaterialize) {
+  for (const bool buffered : {true, false}) {
+    SCOPED_TRACE(buffered ? "buffered output" : "direct output");
+    sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
+    auto run = RunWrappedCoPartitionJoin(
+        &device, gpujoin::ProbeAlgorithm::kSharedHash, buffered,
+        kWrappedCoPartitionRing);
+    ASSERT_TRUE(run.ok()) << run.status();
+    ExpectWrappedRun(*run,
+                     {159307u, 7184914719ull, 159307u, 9368097917100180302ull},
+                     kWrappedCoPartitionRing);
+    const GoldenLaunch join =
+        buffered
+            ? GoldenLaunch{"join_copartitions_hash", 1873596, 1274456, 0,
+                           10368, 480000, 6740934, 317955, 1284, 148773, 4660,
+                           40, 2.5089720195512819e-05}
+            : GoldenLaunch{"join_copartitions_hash", 1873596, 0, 0, 169675,
+                           480000, 4192022, 158648, 159947, 148773, 4660, 40,
+                           4.6885849730769224e-05};
+    ExpectProfileMatches(
+        device,
+        {{"radix_partition_pass1", 240000, 0, 240000, 0, 0, 505600, 30000,
+          2602, 59360, 1484, 40, 7.9848796380090493e-06},
+         {"radix_partition_pass1", 480000, 0, 480000, 0, 0, 985600, 60000,
+          2572, 118600, 2965, 40, 1.0634359276018099e-05},
+         join});
+  }
+}
+
+TEST_F(StatInvarianceTest, WrappedDeviceHashMaterialize) {
+  sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
+  auto run = RunWrappedCoPartitionJoin(
+      &device, gpujoin::ProbeAlgorithm::kDeviceHash, true,
+      kWrappedCoPartitionRing);
+  ASSERT_TRUE(run.ok()) << run.status();
+  ExpectWrappedRun(*run,
+                   {159307u, 7184914719ull, 159307u, 1776081828212679210ull},
+                   kWrappedCoPartitionRing);
+  ExpectProfileMatches(
+      device,
+      {{"radix_partition_pass1", 240000, 0, 240000, 0, 0, 505600, 30000,
+        2602, 59360, 1484, 40, 7.9848796380090493e-06},
+       {"radix_partition_pass1", 480000, 0, 480000, 0, 0, 985600, 60000,
+        2572, 118600, 2965, 40, 1.0634359276018099e-05},
+       {"join_copartitions_hash", 1751212, 2889752, 0, 761347, 497920,
+        2548912, 159307, 159932, 142415, 4235, 40,
+        9.5437713644230774e-05}});
+}
+
+TEST_F(StatInvarianceTest, WrappedNonPartitionedChainingMaterialize) {
+  constexpr size_t kRing = 40000;
+  sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
+  auto run = RunWrappedNonPartitionedJoin(
+      &device, gpujoin::NonPartitionedVariant::kChaining, kRing);
+  ASSERT_TRUE(run.ok()) << run.status();
+  ExpectWrappedRun(*run,
+                   {159307u, 7184914719ull, 159307u, 13916998182845581516ull},
+                   kRing);
+  ExpectProfileMatches(
+      device,
+      {{"nonpartitioned_build_chain", 240000, 0, 0, 30000, 622144, 0, 0,
+        30000, 3760, 94, 40, 1.1631538461538461e-05},
+       {"nonpartitioned_probe_chain", 480000, 1274456, 0, 409293, 622144,
+        2548912, 159307, 1922, 21584, 594, 40, 4.1590472387820511e-05}});
+}
+
+TEST_F(StatInvarianceTest, WrappedNonPartitionedPerfectHashMaterialize) {
+  constexpr size_t kRing = 14000;
+  sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
+  auto run = RunWrappedNonPartitionedJoin(
+      &device, gpujoin::NonPartitionedVariant::kPerfectHash, kRing);
+  ASSERT_TRUE(run.ok()) << run.status();
+  ExpectWrappedRun(*run,
+                   {60000u, 2698232585ull, 60000u, 17769625474912937162ull},
+                   kRing);
+  ExpectProfileMatches(
+      device,
+      {{"nonpartitioned_build_perfect", 240000, 0, 0, 30000, 120004, 0, 0, 0,
+        2840, 71, 40, 7.8815384615384609e-06},
+       {"nonpartitioned_probe_perfect", 480000, 480000, 0, 60000, 120004,
+        960000, 60000, 1520, 5640, 141, 40, 1.4053653846153844e-05}});
+}
+
 }  // namespace
 }  // namespace gjoin

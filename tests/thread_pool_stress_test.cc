@@ -295,8 +295,9 @@ TEST_F(LaunchDeterminismTest, ChainContentsIdenticalWithZipfRuns) {
 
 TEST_F(LaunchDeterminismTest, MaterializedRingBytesIdenticalEvenWrapped) {
   // A ring smaller than the result set forces wrap-around overwrites, so
-  // even the *order* of ring claims is observable. The epilogue replay
-  // must reproduce the single-worker order exactly.
+  // even the *order* of ring claims is observable. Publishing the
+  // surviving pairs after the launch, in block order, must reproduce the
+  // single-worker ring word for word at every pool width.
   const auto run = [&](sim::Device* dev, std::vector<uint64_t>* ring_bytes) {
     gpujoin::RadixPartitionConfig pc;
     pc.pass_bits = {4};
@@ -323,13 +324,13 @@ TEST_F(LaunchDeterminismTest, MaterializedRingBytesIdenticalEvenWrapped) {
   std::vector<uint64_t> ref;
   sim::Device d1{hw::HardwareSpec::Icde2019Testbed(), &pool1_};
   run(&d1, &ref);
-  for (int rep = 0; rep < 3; ++rep) {
-    SCOPED_TRACE("rep " + std::to_string(rep));
+  for (util::ThreadPool* pool : {&pool1_, &pool2_, &pool8_, &pool8_}) {
+    SCOPED_TRACE("pool width " + std::to_string(pool->num_threads()));
     std::vector<uint64_t> got;
-    sim::Device d8{hw::HardwareSpec::Icde2019Testbed(), &pool8_};
-    run(&d8, &got);
+    sim::Device dev{hw::HardwareSpec::Icde2019Testbed(), pool};
+    run(&dev, &got);
     EXPECT_EQ(got, ref);
-    ExpectSameProfile(d1, d8);
+    ExpectSameProfile(d1, dev);
   }
 }
 
@@ -344,29 +345,41 @@ TEST_F(LaunchDeterminismTest, NonPartitionedVariantsIdentical) {
     gpujoin::NonPartitionedJoinConfig cfg;
     cfg.variant = variant;
     cfg.output = gpujoin::OutputMode::kMaterialize;
-    cfg.out_capacity = 2048;  // force ring wrap here too
 
-    const auto run = [&](sim::Device* dev, gpujoin::JoinStats* stats_out) {
+    const auto run = [&](sim::Device* dev, gpujoin::JoinStats* stats_out,
+                         std::vector<uint64_t>* ring_bytes) {
       auto ub = gpujoin::DeviceRelation::Upload(dev, build);
       auto us = gpujoin::DeviceRelation::Upload(dev, s_);
       ASSERT_TRUE(ub.ok() && us.ok());
-      auto stats = gpujoin::NonPartitionedJoin(dev, *ub, *us, cfg);
+      // Far smaller than the result set: the ring wraps here too.
+      auto ring = gpujoin::OutputRing::Allocate(&dev->memory(), 2048);
+      ASSERT_TRUE(ring.ok()) << ring.status();
+      gpujoin::OutputRing out = std::move(ring).ValueOrDie();
+      auto stats = gpujoin::NonPartitionedJoin(dev, *ub, *us, cfg, &out);
       ASSERT_TRUE(stats.ok()) << stats.status();
+      ASSERT_TRUE(out.wrapped());
       *stats_out = *stats;
+      ring_bytes->resize(out.capacity());
+      for (size_t i = 0; i < out.capacity(); ++i) {
+        (*ring_bytes)[i] = out.pair(i);
+      }
     };
 
     sim::Device d1{hw::HardwareSpec::Icde2019Testbed(), &pool1_};
     gpujoin::JoinStats ref;
-    run(&d1, &ref);
-    for (int rep = 0; rep < 3; ++rep) {
-      SCOPED_TRACE("rep " + std::to_string(rep));
-      sim::Device d8{hw::HardwareSpec::Icde2019Testbed(), &pool8_};
+    std::vector<uint64_t> ref_ring;
+    run(&d1, &ref, &ref_ring);
+    for (util::ThreadPool* pool : {&pool1_, &pool2_, &pool8_, &pool8_}) {
+      SCOPED_TRACE("pool width " + std::to_string(pool->num_threads()));
+      sim::Device dev{hw::HardwareSpec::Icde2019Testbed(), pool};
       gpujoin::JoinStats got;
-      run(&d8, &got);
+      std::vector<uint64_t> got_ring;
+      run(&dev, &got, &got_ring);
       EXPECT_EQ(got.matches, ref.matches);
       EXPECT_EQ(got.payload_sum, ref.payload_sum);
       EXPECT_DOUBLE_EQ(got.seconds, ref.seconds);
-      ExpectSameProfile(d1, d8);
+      EXPECT_EQ(got_ring, ref_ring);
+      ExpectSameProfile(d1, dev);
     }
   }
 }
