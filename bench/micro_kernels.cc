@@ -243,6 +243,50 @@ BENCHMARK(BM_JoinCoPartitionsOversized)
     ->Arg(1 << 18)
     ->MeasureProcessCPUTime();
 
+/// Aggregate shared-hash gate: a uniform join whose co-partitions (2048
+/// build tuples, as many as the table has slots) all fit shared_elems,
+/// probed by four times as many tuples. About half of the partitions
+/// take one work item, the others two, the second probing a partial
+/// bucket. Items probing at least as many tuples as their partition
+/// holds run the key-aggregated probe (per-slot chain lengths and
+/// per-key counts in per-thread scratch); the short ones walk Listing 2
+/// chains. Regressing toward walking every chain shows here. Inputs are
+/// partitioned once outside the loop. Registered with
+/// MeasureProcessCPUTime: the blocks run on pool workers.
+void BM_JoinCoPartitionsAggregate(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
+  const auto r = data::MakeUniqueUniform(n, 23);
+  const auto s = data::MakeUniformProbe(4 * n, n, 24);
+  gpujoin::RadixPartitionConfig pcfg;
+  pcfg.pass_bits = {7};
+  pcfg.num_blocks = 1;  // one partial bucket per partition
+  pcfg.bucket_capacity = 1024;
+  const auto partition = [&](const data::Relation& rel) {
+    return util::ValueOrExit(
+        gpujoin::RadixPartition(
+            &device,
+            util::ValueOrExit(gpujoin::DeviceRelation::Upload(&device, rel),
+                              "micro_kernels"),
+            pcfg),
+        "micro_kernels");
+  };
+  const auto rp = partition(r);
+  const auto sp = partition(s);
+  const gpujoin::CoPartitionJoinConfig cfg;
+  for (auto _ : state) {
+    auto result = util::ValueOrExit(
+        gpujoin::JoinCoPartitions(&device, rp, sp, cfg), "micro_kernels");
+    benchmark::DoNotOptimize(result.matches);
+    device.ClearProfile();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 5 *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_JoinCoPartitionsAggregate)
+    ->Arg(1 << 18)
+    ->MeasureProcessCPUTime();
+
 /// Materialized-output gate: a shared-hash join of two Zipf(0.5)
 /// relations sharing their popular keys, emitting about three result
 /// pairs per probe tuple into a ring of |S| pairs, so the ring wraps

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <vector>
 
+#include "src/gpujoin/agg_table.h"
 #include "src/util/bits.h"
 #include "src/util/probe_pipeline.h"
 #include "src/util/thread_pool.h"
@@ -29,10 +30,12 @@ constexpr ptrdiff_t kGroupedRun = 32;
 
 /// One unit of probe work: R partition `p` joined against S buckets
 /// [s_from, s_from + s_count) of the flattened per-partition bucket list.
+/// `aggregated` items probe a key-aggregated table on the host.
 struct WorkItem {
   uint32_t p;
   uint32_t s_from;
   uint32_t s_count;
+  bool aggregated;
 };
 
 /// Per-block shared-memory layout for the join kernels.
@@ -130,6 +133,13 @@ void ChargeGathers(sim::Block* block, const CoPartitionJoinConfig& cfg,
   }
 }
 
+/// The calling thread's key-aggregated table, reused across work items
+/// and launches.
+AggTable& ThreadAggTable() {
+  thread_local AggTable table;
+  return table;
+}
+
 }  // namespace
 
 util::Result<CoPartitionJoinResult> JoinCoPartitions(
@@ -197,6 +207,25 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
   // Host-side work-list construction (mirrors the driver-side setup a
   // CUDA implementation performs between kernels): flatten each
   // partition's S chain and slice long chains for load balance.
+  //
+  // Aggregating shared-hash items whose R side fits may be
+  // `aggregated`: instead of building and walking the Listing 2 chains,
+  // the host builds a key-aggregated table (agg_table.h) in the worker
+  // thread's scratch and probes that. Building the table costs more
+  // than gathering R_p and linking its chains, and probing it costs
+  // less than walking them only when the chains are long, so an item is
+  // aggregated only when it probes at least as many S tuples as R_p
+  // holds and R_p fills at least half the hash slots (which also makes
+  // the table's per-slot lengths one per kernel slot); the rest walk
+  // chains. Measured on uniform co-partitions of 2048 slots, four
+  // probes per build tuple: with R_p of 1024 or 2048 tuples tables cut
+  // the join's host time 1.65-1.9x, at 512 they were about even, at
+  // 256 and below up to 2x slower; half a probe per build tuple (the
+  // streaming probe's default chunks) ran about 15% slower with tables.
+  // Both give the same results, and the charges do not depend on the
+  // choice.
+  const bool agg_probe = config.algo == ProbeAlgorithm::kSharedHash &&
+                         config.output == OutputMode::kAggregate;
   std::vector<int32_t> s_buckets_flat;
   std::vector<WorkItem> items;
   std::vector<uint64_t> r_sizes(num_partitions);
@@ -214,9 +243,18 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
     first_item[p] = static_cast<uint32_t>(items.size());
     for (uint32_t from = 0; from < count;
          from += config.max_probe_buckets_per_item) {
-      items.push_back(
-          {p, begin + from,
-           std::min(config.max_probe_buckets_per_item, count - from)});
+      const uint32_t n =
+          std::min(config.max_probe_buckets_per_item, count - from);
+      bool aggregated = false;
+      if (agg_probe && r_sizes[p] <= config.shared_elems) {
+        uint64_t s_tuples = 0;
+        for (uint32_t i = 0; i < n; ++i) {
+          s_tuples += probe.chains.fill()[s_buckets_flat[begin + from + i]];
+        }
+        aggregated = s_tuples >= r_sizes[p] &&
+                     2 * r_sizes[p] >= config.hash_slots;
+      }
+      items.push_back({p, begin + from, n, aggregated});
       ++items_per_partition[p];
     }
   }
@@ -247,6 +285,12 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
   // the per-chunk builds bit for bit, so chain structure — and with it
   // step counts and match emission order — is unchanged.
   //
+  // kMemoChunk counts only the items that walk chains. Aggregated items
+  // rebuild their table per item in hot scratch instead: memoizing
+  // those tables up front, in fresh memory probed cold, measured slower
+  // (2^23 x 2^25 uniform, half the partitions probed by two items:
+  // 0.57-0.62 s per join rebuilding vs 0.72-0.85 s memoized).
+  //
   // kSlotIndex: a shared-hash aggregate over an oversized partition
   // (block-NL fallback) rebuilds one table per chunk and rescans S per
   // chunk. Chunk c's chain for slot s holds exactly chunk c's R tuples
@@ -273,8 +317,11 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
     uint64_t matches = 0;
     uint64_t checksum = 0;
   };
-  std::vector<PrebuiltChunk> prebuilt(num_partitions);
+  // Memo storage exists only for the partitions that use it:
+  // memo_index maps a memoized partition to its PrebuiltChunk.
   std::vector<HostPlan> host_plan(num_partitions, kPerItem);
+  std::vector<uint32_t> memo_index;
+  std::vector<PrebuiltChunk> prebuilt;
   std::vector<ItemTally> tallies;
   std::vector<uint64_t> cell_steps, cell_hits;
   {
@@ -291,17 +338,29 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
           host_plan[p] = kSlotIndex;
           indexed.push_back(p);
         }
-      } else if (items_per_partition[p] >= 2) {
-        host_plan[p] = kMemoChunk;
-        memo.push_back(p);
+      } else {
+        uint32_t walking = 0;
+        for (uint32_t w = first_item[p];
+             w < first_item[p] + items_per_partition[p]; ++w) {
+          walking += !items[w].aggregated;
+        }
+        if (walking >= 2) {
+          host_plan[p] = kMemoChunk;
+          memo.push_back(p);
+        }
       }
     }
+    if (!memo.empty()) {
+      memo_index.assign(num_partitions, 0);
+      for (uint32_t j = 0; j < memo.size(); ++j) memo_index[memo[j]] = j;
+    }
     util::ThreadPool* pool = device->pool();
+    prebuilt.resize(memo.size());
     pool->ParallelForRanges(
         memo.size(), [&](size_t /*worker*/, size_t lo, size_t hi) {
           for (size_t j = lo; j < hi; ++j) {
             const uint32_t p = memo[j];
-            PrebuiltChunk& pre = prebuilt[p];
+            PrebuiltChunk& pre = prebuilt[j];
             const uint32_t r_count = static_cast<uint32_t>(r_sizes[p]);
             pre.keys.resize(r_count);
             pre.pays.resize(r_count);
@@ -559,13 +618,24 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
             r_buckets.push_back(b);
           }
 
-          // Memoized and slot-indexed partitions skip the host gather and
-          // build below; every charge still runs per item and chunk.
-          const PrebuiltChunk* pre =
-              host_plan[item.p] != kPerItem ? &prebuilt[item.p] : nullptr;
-          const ItemTally* tally =
-              host_plan[item.p] == kSlotIndex ? &tallies[w] : nullptr;
+          // Only chain-walking kPerItem items gather and build their
+          // chunk on the host below; the others probe a memo, a slot
+          // index or the key-aggregated table built here. Every charge
+          // still runs per item and chunk.
+          const bool aggregated = item.aggregated;
+          const HostPlan plan = host_plan[item.p];
+          const bool gathered = !aggregated && plan == kPerItem;
+          const PrebuiltChunk* pre = !aggregated && plan == kMemoChunk
+                                         ? &prebuilt[memo_index[item.p]]
+                                         : nullptr;
+          const ItemTally* tally = plan == kSlotIndex ? &tallies[w] : nullptr;
           const bool indexed = tally != nullptr;
+          AggTable* agg = nullptr;
+          if (aggregated) {
+            agg = &ThreadAggTable();
+            agg->Build(build.chains, item.p, static_cast<uint32_t>(r_total),
+                       radix_bits, config.hash_slots);
+          }
           if (indexed) {
             state.matches += tally->matches;
             state.checksum += tally->checksum;
@@ -587,13 +657,15 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
               block.ChargeShared(8ull * r_count);
             }
             // Functional gather of the chunk [r_done, r_done + r_count).
-            const uint32_t* rkeys;
-            const uint32_t* rpays;
+            const uint32_t* rkeys = nullptr;
+            const uint32_t* rpays = nullptr;
             uint32_t* gkeys = nullptr;
             uint32_t* gpays = nullptr;
             if (pre != nullptr) {
               rkeys = pre->keys.data();
               rpays = pre->pays.data();
+            } else if (!gathered) {
+              // Probed through a slot index or an aggregated table.
             } else if (config.algo == ProbeAlgorithm::kDeviceHash) {
               dev_rkeys.resize(std::max<size_t>(dev_rkeys.size(), r_count));
               dev_rpays.resize(std::max<size_t>(dev_rpays.size(), r_count));
@@ -635,8 +707,7 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
                 if (filled == r_count) break;
               }
             }
-            if (pre == nullptr &&
-                config.algo == ProbeAlgorithm::kNestedLoop &&
+            if (gathered && config.algo == ProbeAlgorithm::kNestedLoop &&
                 config.output != OutputMode::kMaterialize) {
               // Functional R-chunk index for the batched NL probe.
               const size_t slots = util::NextPowerOfTwo(
@@ -656,7 +727,7 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
               // functional table resets via the epoch stamp instead.
               block.ChargeShared(2ull * config.hash_slots);
               block.ChargeCycles(config.hash_slots / 32 + 1);
-              if (pre == nullptr) {
+              if (gathered) {
                 ++cur_epoch;
                 for (uint32_t i = 0; i < r_count; ++i) {
                   const uint32_t slot = util::HashTableSlot(
@@ -674,7 +745,7 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
               block.ChargeCycles(r_count * 4 / 32 + 1);
             } else if (config.algo == ProbeAlgorithm::kDeviceHash) {
               block.ChargeCoalescedWrite(4ull * config.hash_slots);
-              if (pre == nullptr) {
+              if (gathered) {
                 ++cur_epoch;
                 dev_nodes.resize(std::max<size_t>(dev_nodes.size(), r_count));
                 util::GroupProbe<uint32_t>(
@@ -793,18 +864,22 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
                 // recovery (~1.25x measured even fully cached). Batches
                 // visit probes in order, so match emission is identical
                 // at every depth. Slot-indexed items tallied this probe
-                // before the launch.
+                // before the launch; aggregating items take their steps
+                // and matches from the aggregated table.
                 uint64_t steps = 0;
+                const uint32_t* skeys = probe.chains.keys() + s_base;
+                const uint32_t* spays = probe.chains.payloads() + s_base;
                 if (indexed) {
                   steps = cell_steps[chunk_row + sb];
+                } else if (aggregated) {
+                  agg->Probe(skeys, spays, s_fill, &steps, &state.matches,
+                             &state.checksum);
                 } else {
                   const uint16_t* h16 =
                       pre != nullptr ? pre->heads16.data() : area.heads;
                   const uint16_t* n16 =
                       pre != nullptr ? pre->next16.data() : area.next;
                   const bool epoch_gated = pre == nullptr;
-                  const uint32_t* skeys = probe.chains.keys() + s_base;
-                  const uint32_t* spays = probe.chains.payloads() + s_base;
                   util::GroupProbe<uint16_t>(
                       s_fill, pipeline_depth,
                       [&](size_t i, uint16_t& e) {

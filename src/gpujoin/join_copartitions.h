@@ -13,10 +13,22 @@
 //     degrades to hash-based *block* nested loops — building the table
 //     over shared-memory-sized chunks of R_p and rescanning S_p per
 //     chunk — which is exactly the skew collapse mechanism of Fig. 17.
-//     In aggregate mode the host executes that fallback from one
-//     slot-sorted index of R_p, probing each S tuple once and charging
-//     the per-chunk builds and rescans from the tallied steps and
-//     matches, so results and stats equal the chunk-by-chunk run.
+//
+//     In aggregate mode the host need not walk chains. For an R_p that
+//     fits and fills at least half the hash slots, a work item probing
+//     at least as many S tuples as R_p holds probes a key-aggregated
+//     table instead (agg_table.h): per slot the chain length, per
+//     distinct key the match count and payload sum, so each probe tuple
+//     costs two O(1) lookups. The chain steps charged per S bucket are
+//     the sum of its tuples' slot lengths, and the matches the sum of
+//     their key counts — exactly what the walks would tally, so results
+//     and stats equal the Listing 2 execution. Items build the table in
+//     per-thread scratch reused across items and launches. Other items
+//     walk the chains, which are cheaper to build and, when short,
+//     about as cheap to walk. An oversized R_p runs the fallback from
+//     one slot-sorted index of R_p, probing each S tuple once and
+//     charging the per-chunk builds and rescans from the tallied steps
+//     and matches.
 //
 //   kNestedLoop — R_p is staged contiguously in shared memory and warps
 //     compare 32 probe values against 32 build values at a time using
@@ -81,10 +93,11 @@ struct CoPartitionJoinConfig {
   /// Probe-pipeline depth for the functional probe loops (0 = process
   /// default, 1 = scalar reference loop). Host wall-clock only; results
   /// and charged stats are identical at every depth. Device-memory
-  /// tables use the out-of-order/ordered pipelines; shared-memory table
-  /// probes use the in-order batched head resolution (their host copy
-  /// is cache-resident, but batching still overlaps the per-probe
-  /// dependence chains).
+  /// tables use the out-of-order/ordered pipelines; shared-memory
+  /// chain walks use the in-order batched head resolution (their host
+  /// copy is cache-resident, but batching still overlaps the per-probe
+  /// dependence chains). Aggregate shared-memory probes that look up a
+  /// key-aggregated table (see the header comment) do not use it.
   int probe_pipeline_depth = 0;
 
   // --- Ablation switches (bench/abl_*) ---

@@ -7,11 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "src/data/generator.h"
 #include "src/data/oracle.h"
 #include "src/gpujoin/partitioned_join.h"
+#include "src/util/rng.h"
 
 namespace gjoin::gpujoin {
 namespace {
@@ -92,6 +96,234 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(Workload::kUnique, Workload::kDuplicates,
                           Workload::kSkewed, Workload::kDisjoint),
         ::testing::Values(0, 3)));
+
+// ---- Aggregate shared-hash joins ----
+// Random co-partition layouts around the key-aggregated probe's edges:
+// duplicate keys (key 0 included), empty and one-tuple sides, 1 to 2048
+// hash slots, build partitions of exactly shared_elems tuples and one
+// fewer, and 1 to 8 S buckets per work item. Work items that probe at
+// least as many tuples as their partition holds, on a partition filling
+// half the hash slots, probe a key-aggregated table; the rest walk
+// Listing 2 chains. Every case must match the oracle, and its launch
+// stats must equal those of the all-chain-walk execution: each case's
+// fingerprint below was recorded before any item probed a table.
+
+/// One random case. Partition p's keys are p + (x << radix_bits) for x
+/// drawn from a small domain, so keys repeat and x = 0 in partition 0
+/// is key 0.
+struct AggregateCase {
+  data::Relation r, s;
+  RadixPartitionConfig partition;
+  CoPartitionJoinConfig join;
+};
+
+AggregateCase MakeAggregateCase(uint64_t seed) {
+  util::Rng rng(seed);
+  AggregateCase c;
+  const int radix_bits = 1 + static_cast<int>(rng.Uniform(4));
+  const uint32_t parts = 1u << radix_bits;
+  c.partition.pass_bits = {radix_bits};
+  c.partition.bucket_capacity = 32u << rng.Uniform(2);
+  c.partition.num_blocks = 1 + static_cast<int>(rng.Uniform(4));
+  c.join.shared_elems = 64u << rng.Uniform(4);
+  c.join.hash_slots = 1u << rng.Uniform(12);
+  c.join.max_probe_buckets_per_item = 1 + static_cast<uint32_t>(rng.Uniform(8));
+  c.join.build_extra_payload_bytes = rng.Uniform(2) != 0 ? 8 : 0;
+  const uint32_t elems = c.join.shared_elems;
+  // Whole-side shapes: 0 = sized per partition, 1 = empty build,
+  // 2 = empty probe, 3 = one build tuple, 4 = one probe tuple.
+  const uint64_t side = rng.Uniform(10) < 6 ? 0 : 1 + rng.Uniform(4);
+  const uint32_t domain = 1 + static_cast<uint32_t>(rng.Uniform(2 * elems));
+  const auto key = [&](uint32_t p, uint32_t dom) {
+    return p + (static_cast<uint32_t>(rng.Uniform(dom)) << radix_bits);
+  };
+  for (uint32_t p = 0; p < parts; ++p) {
+    uint32_t r_size;
+    switch (rng.Uniform(5)) {
+      case 0: r_size = elems; break;
+      case 1: r_size = elems - 1; break;
+      case 2: r_size = static_cast<uint32_t>(rng.Uniform(2)); break;
+      default: r_size = static_cast<uint32_t>(rng.Uniform(elems + 1));
+    }
+    const uint32_t s_size = static_cast<uint32_t>(rng.Uniform(3 * elems));
+    if (side != 1 && side != 3) {
+      for (uint32_t i = 0; i < r_size; ++i) {
+        c.r.Append(key(p, domain), rng.Next32());
+      }
+    }
+    if (side != 2 && side != 4) {
+      // A quarter of the probes miss: their keys lie beyond the domain.
+      for (uint32_t i = 0; i < s_size; ++i) {
+        c.s.Append(key(p, domain + domain / 3 + 1), rng.Next32());
+      }
+    }
+  }
+  if (side == 3) c.r.Append(key(0, domain), rng.Next32());
+  if (side == 4) c.s.Append(key(0, domain), rng.Next32());
+  return c;
+}
+
+constexpr int kAggregateCases = 240;
+
+/// Fingerprints (FNV-1a over matches, payload sum and every launch's
+/// name and KernelStats counters) of the cases, recorded while every
+/// aggregate shared-hash item walked Listing 2 chains.
+constexpr uint64_t kChainWalkFingerprints[kAggregateCases] = {
+    0x150a6602a1f1027eull, 0x2e80ee4dcd06ab00ull, 0x9d097f425ac06df6ull,
+    0xecd8231c8ea1adb2ull, 0x4e13b853738e846dull, 0x1bd448d90fdd5ac3ull,
+    0x219abf99f2aed2aaull, 0x86616a571ea70090ull, 0x6b93e6ab146991b1ull,
+    0x826eb662808871b9ull, 0xb926b5465f1226c8ull, 0x05d8bb1639177502ull,
+    0xeb1ff4012ddb4e8aull, 0x9b57366c35c570b7ull, 0x088539359b5df285ull,
+    0xd5a974ccf6f06460ull, 0x4b3d58eb4fa86872ull, 0xd8e8685317116765ull,
+    0x23bb1144fd323c6full, 0x93960d3ca9755564ull, 0x657b196bcb621c06ull,
+    0x6be5969ad67174f1ull, 0x312dd79bb60d52baull, 0x435427e8e7277e5eull,
+    0x9d19eb2255357d67ull, 0xacca554da6123b68ull, 0x28c34b806b3163fcull,
+    0xe16a881c2cefdb3full, 0x91edccb7d8acad7dull, 0x1d9c94b20d011b5full,
+    0x08c5eef09901069eull, 0xb6180cd6c44d1f40ull, 0x602f46c1c17488bcull,
+    0xadaa5d7159519316ull, 0x7e51fd6236c8307bull, 0x658f17c95acdacb6ull,
+    0xb74b4f6335339c15ull, 0x53c5b3ddb6752f81ull, 0xc4ffd89de75aca16ull,
+    0xd022c1eb1d78df23ull, 0xd24b9922d720c784ull, 0xd080ddc4d3d4b925ull,
+    0x553963626f4ba428ull, 0xc0db8212f8e3dd02ull, 0x33c2474dc2a4091bull,
+    0xf16a43ddfd7be2b7ull, 0xfa920bb82cf34efcull, 0x87948747cced55f5ull,
+    0x56469416aacf74c1ull, 0xa2f2fea1fb9ba017ull, 0xbfe88c3f7a84610cull,
+    0x892d7c9079464399ull, 0x11662daa3cccfcbeull, 0x2885d2a464aeca63ull,
+    0x0e179be6f3cec3d5ull, 0xd323e9f7cef8a895ull, 0xe7764bae31747d95ull,
+    0x858c9b1b46a705dfull, 0x921ba33d32e6c9f3ull, 0x8f53baf779d641d9ull,
+    0x545cee1d06e1b832ull, 0x97cc247977825fc4ull, 0x9f7a3a5dd57a2e77ull,
+    0x146cedbee710878full, 0x3df646f8d57e41ffull, 0xfc95d0e9dcd20eddull,
+    0xaf338fff5b267d3eull, 0x4c4775ee1a061fdcull, 0x742cc88228d03a47ull,
+    0x5a024a20eda43e42ull, 0xdf4c41318f02d557ull, 0x97cadd96a96dffdfull,
+    0xa6d3047ddd2852a0ull, 0x9017244c8f8e9fc6ull, 0x1ffaf2550e45f0fcull,
+    0xb5d30771b9e88135ull, 0xf1f96d1824d54175ull, 0x88e2508f2e63fa84ull,
+    0x587261015b06d663ull, 0x8ac839de38e1428cull, 0x586954ef09c0fca5ull,
+    0x037496c7e60b990bull, 0x207b51e0985a2424ull, 0x7459239be94725ccull,
+    0x8b9dccea9681d5f8ull, 0xe35a32d76f848742ull, 0x4b6ac58de33f8838ull,
+    0x39d3740650265b87ull, 0x6121fbad1f4be935ull, 0x88ee295fe260985bull,
+    0xcbd72a02715a1d2full, 0xc5d21b9f77a6467eull, 0x617253a5728c3c67ull,
+    0xfd434e441789cdecull, 0x6149b289476462aaull, 0x32e2ab8db23f32d7ull,
+    0x96eacbf5aca4602dull, 0x9e3861afc687cc75ull, 0xd7f737a4f2dc96aaull,
+    0x0cf4858b2fd03a46ull, 0x6ede4d1741585139ull, 0x3fe3343c47e910c2ull,
+    0xcf02cab3bdc6b3e6ull, 0xbfd4de83f1999228ull, 0xa30c748590af70a5ull,
+    0x5e83d5c50b010ffeull, 0x8c61f034c5be1441ull, 0x5b9c890673b3dee0ull,
+    0x379e2cea1cefd6b9ull, 0x979dfc0635e970f7ull, 0x4b080dc67d19ea90ull,
+    0x4f8a253aa07bb5f6ull, 0x3d9cdaf9688501a9ull, 0x1e28c8ed2666e0e7ull,
+    0xad01f434278e0871ull, 0x826904d863395811ull, 0x6a8093dc146408eeull,
+    0x3ba535756c7f010cull, 0x5b82569a4d0904daull, 0xc1653d9b260701b7ull,
+    0x53c66680199094e1ull, 0xd61b47f874fd583dull, 0xc6d00d9c4d8fea66ull,
+    0x237c589fd8ea8870ull, 0x72e8d3c78764208dull, 0x0620b45ca6548cd1ull,
+    0x99cd0f92885fbbcbull, 0x6a596d8b7f32520dull, 0x7ba98959697a7967ull,
+    0xc36ae311c7e38705ull, 0x991b758df41d0ceeull, 0xf3d38cd72c2ea2ddull,
+    0x91960980379764c1ull, 0xd5d1752a88e17738ull, 0x6c65c5f9462666ccull,
+    0xe7a539acc5ac6be7ull, 0x9ee19eacb6d2b00bull, 0x01928c8a4b0e038dull,
+    0xe3560c90e042b85bull, 0xc86797fc66830508ull, 0x634cf2003e6c3edbull,
+    0xb548298a3e19f94aull, 0xabec0f4370116549ull, 0x28b8d12ed6cb2311ull,
+    0x8fc1e16b39101012ull, 0xc105746111116e3eull, 0x2b50ab6328998a32ull,
+    0xc8ae51af84423e50ull, 0x4cba6a1a4820e614ull, 0x3a8ac40121abe80aull,
+    0xb07fd8e63b7be063ull, 0x1670b461af271f33ull, 0xb665e4e812445c90ull,
+    0xa1f19a8e8c8b26feull, 0x527934b6ead8ca6eull, 0xdaf456cf837620b6ull,
+    0x151a90df9439b709ull, 0x33a89b952d9271e8ull, 0xbf774e0a75dcc6abull,
+    0x67a1df5767e364f4ull, 0xdced3c089b5d3b65ull, 0x907279d02ae039fdull,
+    0x3eb1b298637329b1ull, 0x145162bc6f2034e7ull, 0xfb40e12627bb4f6full,
+    0xbb8a4c0da1bb3f2aull, 0xab20e232896d4099ull, 0x39bc28a990f2804bull,
+    0xb8c299680a6565adull, 0x209a090a3dc179f6ull, 0xde8309cc30af9ec6ull,
+    0x24f750aaf3dcd7e1ull, 0xe2f527ff391386f0ull, 0x530b8fed711ef2edull,
+    0x6bf1abb6eab53b93ull, 0xc262ed959b9f99efull, 0x758173389a7cd236ull,
+    0x76aeb9e104bc6c4eull, 0x0cd89d275470a857ull, 0x47d72013cd02c4c0ull,
+    0x77804de3ccea775cull, 0xa7d0bae37f812d1dull, 0x1038d02cb57c2da0ull,
+    0xd18d423d0ea65efbull, 0x4073f620650278a7ull, 0xa02d2fc6b363cfdeull,
+    0xfed3bc05b1cb93c9ull, 0xc12873ab9b9a7e1eull, 0x7488136528a5abfbull,
+    0x125e7a343f04860dull, 0x6df0c736fb55a3b3ull, 0xdb2be872d5d24f35ull,
+    0x1c3e1c98975eecbfull, 0x8bc356f855bd4d5aull, 0xe6ee86073ac8ad41ull,
+    0xc6e5822e921ae1a8ull, 0x4d6e1048abf72875ull, 0x9dc02bf6c4eef928ull,
+    0x528776cb0a4d34aaull, 0x7c336e1df5b98f32ull, 0xe0727af365796c1bull,
+    0xb15022e4bceaac1bull, 0x5c491573e2f83361ull, 0xfd4285f76e22de80ull,
+    0xc69e44eb9939e07eull, 0xad56e6acc0aa52ccull, 0x06e4895e4aa0ab6eull,
+    0xaad8e50f67b652cdull, 0xf1275a08bf24ab01ull, 0xc049927ae094ff57ull,
+    0x70a25cca26ca3fffull, 0x73a76213fe7e73a1ull, 0xae75eaabea3caf5full,
+    0xcf56c93cfb49cef7ull, 0x859299ca013692ddull, 0x3424304d6123cb60ull,
+    0x65db7311e37fabdbull, 0x80f2c614740e1fb8ull, 0x498d29357557807eull,
+    0x98fc013563102c7eull, 0xd79db7ac704afb6bull, 0x3dec1466c19e0b35ull,
+    0x486e6c715e9eed35ull, 0xe4ac8a1b79d660efull, 0x812171df9acf8725ull,
+    0xd2f55dc5bb9aef1cull, 0x263c386d45b6e674ull, 0xaeea6f3d93bfb9f4ull,
+    0x3786b092d87f031aull, 0xb17403c9a877fee1ull, 0x852e87b9e479fa9aull,
+    0x1be4ec352b18db91ull, 0xbe5d1412a3fde132ull, 0xb799b530cc099fa4ull,
+    0x15579c5d6115c202ull, 0xbaf3acc9a1baadf6ull, 0xe3e7298bbc8d4bdfull,
+    0xc80c17774b45f596ull, 0x511b8a5eaba27dc6ull, 0x104065b5bd2e3235ull,
+};
+
+/// One aggregate join of a case on a fresh device: its result and the
+/// fingerprint of that result and the launch profile.
+struct AggregateRun {
+  CoPartitionJoinResult result;
+  uint64_t fingerprint = 14695981039346656037ull;
+};
+
+util::Result<AggregateRun> RunAggregateCase(const AggregateCase& c) {
+  sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
+  GJOIN_ASSIGN_OR_RETURN(DeviceRelation rd,
+                         DeviceRelation::Upload(&device, c.r));
+  GJOIN_ASSIGN_OR_RETURN(DeviceRelation sd,
+                         DeviceRelation::Upload(&device, c.s));
+  GJOIN_ASSIGN_OR_RETURN(PartitionedRelation rp,
+                         RadixPartition(&device, rd, c.partition));
+  GJOIN_ASSIGN_OR_RETURN(PartitionedRelation sp,
+                         RadixPartition(&device, sd, c.partition));
+  AggregateRun run;
+  GJOIN_ASSIGN_OR_RETURN(run.result,
+                         JoinCoPartitions(&device, rp, sp, c.join));
+  uint64_t& h = run.fingerprint;
+  const auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((v >> (8 * i)) & 0xFF)) * 1099511628211ull;
+    }
+  };
+  mix(run.result.matches);
+  mix(run.result.payload_sum);
+  for (const sim::ProfileEntry& e : device.profile()) {
+    for (const char ch : e.name) mix(static_cast<unsigned char>(ch));
+    const hw::KernelStats& k = e.stats;
+    for (const uint64_t v :
+         {k.coalesced_read_bytes, k.coalesced_write_bytes,
+          k.scatter_write_bytes, k.random_transactions,
+          k.random_working_set_bytes, k.shared_bytes, k.shared_atomics,
+          k.device_atomics, k.total_cycles, k.max_block_cycles,
+          k.num_blocks}) {
+      mix(v);
+    }
+  }
+  return run;
+}
+
+class AggregateSharedHashPropertyTest
+    : public ::testing::TestWithParam<int> {};
+
+TEST_P(AggregateSharedHashPropertyTest, MatchesOracleAndChainWalkStats) {
+  const uint64_t seed = 0xA66 + static_cast<uint64_t>(GetParam());
+  const AggregateCase c = MakeAggregateCase(seed);
+  SCOPED_TRACE("seed " + std::to_string(seed) + " (repro: " +
+               "gpujoin_property_test --gtest_filter='Seeds/" +
+               "AggregateSharedHashPropertyTest.*/" +
+               std::to_string(GetParam()) + "'): |R| " +
+               std::to_string(c.r.size()) + " |S| " +
+               std::to_string(c.s.size()) + " hash_slots " +
+               std::to_string(c.join.hash_slots) + " shared_elems " +
+               std::to_string(c.join.shared_elems) +
+               " max_probe_buckets_per_item " +
+               std::to_string(c.join.max_probe_buckets_per_item));
+  const data::OracleResult oracle = data::JoinOracle(c.r, c.s);
+  auto run = RunAggregateCase(c);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_EQ(run->result.matches, oracle.matches);
+  EXPECT_EQ(run->result.payload_sum, oracle.payload_sum);
+  char hex[24];
+  std::snprintf(hex, sizeof(hex), "0x%016llxull",
+                static_cast<unsigned long long>(run->fingerprint));
+  EXPECT_EQ(run->fingerprint, kChainWalkFingerprints[GetParam()])
+      << "launch stats differ from the chain walks'; fingerprint " << hex;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AggregateSharedHashPropertyTest,
+                         ::testing::Range(0, kAggregateCases));
 
 }  // namespace
 }  // namespace gjoin::gpujoin

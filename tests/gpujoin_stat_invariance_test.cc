@@ -271,6 +271,141 @@ TEST_F(StatInvarianceTest, OversizedSharedHashAggregate) {
         117675, 640, 130616, 6716, 40, 2.5623703157051281e-05}});
 }
 
+// ---- Duplicate-heavy shared-hash aggregates ----
+// Every build co-partition fits shared memory, so each work item builds
+// one Listing 2 table and probes it. The goldens were captured while the
+// host still walked those 16-bit offset chains per probe tuple; they pin
+// that probing a key-aggregated build table and charging chain steps
+// from slot lengths leaves every charge, match and checksum in place.
+
+/// A replicated build (about four tuples per key) against a Zipf probe,
+/// hashed into only 64 slots so chains mix several keys. 26 of the 32
+/// co-partitions are probed by a single work item, 6 by several.
+util::Result<gpujoin::CoPartitionJoinResult> RunDuplicateSharedHashJoin(
+    sim::Device* device) {
+  const data::Relation r = data::MakeReplicated(40000, 4.0, 61);
+  const data::Relation s = data::MakeZipf(60000, 10000, 0.5, 62);
+  gpujoin::RadixPartitionConfig pc;
+  pc.pass_bits = {5};
+  pc.num_blocks = 2;
+  pc.bucket_capacity = 256;
+  GJOIN_ASSIGN_OR_RETURN(gpujoin::DeviceRelation rd,
+                         gpujoin::DeviceRelation::Upload(device, r));
+  GJOIN_ASSIGN_OR_RETURN(gpujoin::DeviceRelation sd,
+                         gpujoin::DeviceRelation::Upload(device, s));
+  GJOIN_ASSIGN_OR_RETURN(gpujoin::PartitionedRelation rp,
+                         gpujoin::RadixPartition(device, rd, pc));
+  GJOIN_ASSIGN_OR_RETURN(gpujoin::PartitionedRelation sp,
+                         gpujoin::RadixPartition(device, sd, pc));
+  gpujoin::CoPartitionJoinConfig cfg;
+  cfg.shared_elems = 2048;
+  cfg.hash_slots = 64;
+  cfg.max_probe_buckets_per_item = 8;
+  cfg.build_extra_payload_bytes = 8;
+
+  // Guard the workload's shape: everything fits, and both single- and
+  // multi-item co-partitions occur.
+  int single_item = 0, multi_item = 0;
+  for (uint32_t p = 0; p < rp.chains.num_partitions(); ++p) {
+    EXPECT_LE(rp.chains.PartitionSize(p), cfg.shared_elems);
+    uint32_t buckets = 0;
+    for (int32_t b = sp.chains.heads()[p]; b != gpujoin::BucketChains::kNull;
+         b = sp.chains.next()[b]) {
+      ++buckets;
+    }
+    ++(buckets <= cfg.max_probe_buckets_per_item ? single_item : multi_item);
+  }
+  EXPECT_EQ(single_item, 26);
+  EXPECT_EQ(multi_item, 6);
+  return gpujoin::JoinCoPartitions(device, rp, sp, cfg);
+}
+
+TEST_F(StatInvarianceTest, DuplicateSharedHashAggregate) {
+  sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
+  auto st = RunDuplicateSharedHashJoin(&device);
+  ASSERT_TRUE(st.ok()) << st.status();
+  EXPECT_EQ(st->matches, 240349u);
+  EXPECT_EQ(st->payload_sum, 12083777865ull);
+  EXPECT_DOUBLE_EQ(st->seconds, 4.2323760544871792e-05);
+  ExpectProfileMatches(
+      device,
+      {{"radix_partition_pass1", 320000, 0, 320000, 0, 0, 641280, 40000, 256,
+        79006, 39503, 2, 2.9689374999999999e-05},
+       {"radix_partition_pass1", 480000, 0, 480000, 0, 0, 961280, 60000, 329,
+        118506, 59253, 2, 4.2033124999999997e-05},
+       {"join_copartitions_hash", 860152, 0, 0, 481191, 480000, 9039284,
+        47462, 640, 164375, 5306, 40, 4.2323760544871792e-05}});
+}
+
+/// A streamed probe against a prepared build: the build co-partitions
+/// stay resident while nine probe chunks (the last one short), each a
+/// tenth of the build, are partitioned and joined against them, one
+/// work item per S bucket.
+TEST_F(StatInvarianceTest, StreamingProbePreparedBuildAggregate) {
+  sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
+  const data::Relation r = data::MakeReplicated(20000, 2.0, 63);
+  const data::Relation s = data::MakeZipf(17000, 10000, 0.75, 64);
+  outofgpu::StreamingProbeConfig cfg;
+  cfg.chunk_tuples = 2000;
+  cfg.join.partition.pass_bits = {6};
+  cfg.join.join.hash_slots = 256;
+  cfg.join.join.max_probe_buckets_per_item = 1;
+  cfg.join.join.build_extra_payload_bytes = 8;
+  auto prepared = gpujoin::PreparePartitionedBuild(&device, r, cfg.join);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  auto run = outofgpu::StreamingProbeExecute(&device, r, s, cfg, &*prepared);
+  ASSERT_TRUE(run.ok()) << run.status();
+  const gpujoin::JoinStats& st = run->stats;
+  EXPECT_EQ(st.matches, 33246u);
+  EXPECT_EQ(st.payload_sum, 614020298ull);
+  EXPECT_DOUBLE_EQ(st.seconds, 0.00035422804257981554);
+  EXPECT_DOUBLE_EQ(st.partition_s, 5.6961316553544491e-05);
+  EXPECT_DOUBLE_EQ(st.join_s, 0.00027037890269551279);
+  EXPECT_DOUBLE_EQ(st.transfer_s, 0.00012406504065040652);
+  // The prepared build's partitioning, then each chunk's partitioning
+  // and join.
+  ExpectProfileMatches(
+      device,
+      {{"radix_partition_pass1", 160000, 0, 160000, 0, 0, 371200, 20000, 5116,
+        39680, 992, 40, 7.421119758672699e-06},
+       {"radix_partition_pass1", 16000, 0, 16000, 0, 0, 83200, 2000, 2688, 4120,
+        103, 40, 5.5256819758672692e-06},
+       {"join_copartitions_hash", 3394624, 0, 0, 62958, 160000, 6618730, 420312,
+        640, 756629, 19147, 40, 3.0931625910256403e-05},
+       {"radix_partition_pass1", 16000, 0, 16000, 0, 0, 83200, 2000, 2712, 4120,
+        103, 40, 5.5286819758672699e-06},
+       {"join_copartitions_hash", 3426168, 0, 0, 63268, 160000, 6680118, 424237,
+        640, 763411, 19161, 40, 3.115451924038461e-05},
+       {"radix_partition_pass1", 16000, 0, 16000, 0, 0, 83200, 2000, 2690, 4120,
+        103, 40, 5.5259319758672698e-06},
+       {"join_copartitions_hash", 3396876, 0, 0, 62955, 160000, 6624182, 420592,
+        640, 757204, 19153, 40, 3.0946194346153846e-05},
+       {"radix_partition_pass1", 16000, 0, 16000, 0, 0, 83200, 2000, 2708, 4120,
+        103, 40, 5.5281819758672696e-06},
+       {"join_copartitions_hash", 3421896, 0, 0, 63357, 160000, 6671666, 423706,
+        640, 762307, 19158, 40, 3.1132689980769228e-05},
+       {"radix_partition_pass1", 16000, 0, 16000, 0, 0, 83200, 2000, 2674, 4120,
+        103, 40, 5.5239319758672696e-06},
+       {"join_copartitions_hash", 3375884, 0, 0, 62530, 160000, 6582372, 417980,
+        640, 752707, 19155, 40, 3.0783626782051282e-05},
+       {"radix_partition_pass1", 16000, 0, 16000, 0, 0, 83200, 2000, 2728, 4120,
+        103, 40, 5.5306819758672692e-06},
+       {"join_copartitions_hash", 3447832, 0, 0, 63746, 160000, 6721442, 426933,
+        640, 767939, 19713, 40, 3.1324362112179482e-05},
+       {"radix_partition_pass1", 16000, 0, 16000, 0, 0, 83200, 2000, 2774, 4120,
+        103, 40, 5.5364319758672699e-06},
+       {"join_copartitions_hash", 3502004, 0, 0, 64672, 160000, 6828226, 433670,
+        640, 780791, 19717, 40, 3.1732622993589741e-05},
+       {"radix_partition_pass1", 16000, 0, 16000, 0, 0, 83200, 2000, 2738, 4120,
+        103, 40, 5.5319319758672694e-06},
+       {"join_copartitions_hash", 3455820, 0, 0, 63761, 160000, 6737966, 427924,
+        640, 770668, 19706, 40, 3.1376940692307692e-05},
+       {"radix_partition_pass1", 8000, 0, 8000, 0, 0, 67200, 1000, 1660, 2160,
+        54, 40, 5.3087409879336347e-06},
+       {"join_copartitions_hash", 2097968, 0, 0, 37915, 160000, 4087698, 260001,
+        640, 467342, 11837, 40, 2.0996320637820511e-05}});
+}
+
 TEST_F(StatInvarianceTest, CoProcessPlanOversizedWorkingSets) {
   // Working sets of five CPU partitions, each GPU co-partition merging
   // them: ~7800 build tuples against the default 4096-tuple budget, as

@@ -179,6 +179,45 @@ TEST_F(LaunchDeterminismTest, OversizedSharedHashAggregateIdentical) {
   }
 }
 
+TEST_F(LaunchDeterminismTest, AggregatedSharedHashProbeIdentical) {
+  // Every co-partition fits (about 1250 build tuples against a
+  // 2048-tuple budget), so the aggregate join's work items probe
+  // key-aggregated tables, each built in its host worker's scratch.
+  gpujoin::RadixPartitionConfig pc;
+  pc.pass_bits = {5};
+  gpujoin::CoPartitionJoinConfig cfg;
+  cfg.shared_elems = 2048;
+  cfg.hash_slots = 256;
+  cfg.build_extra_payload_bytes = 8;
+  const auto run = [&](sim::Device* dev,
+                       gpujoin::CoPartitionJoinResult* result) {
+    auto rp = gpujoin::RadixPartition(
+        dev, std::move(gpujoin::DeviceRelation::Upload(dev, r_)).ValueOrDie(),
+        pc);
+    ASSERT_TRUE(rp.ok()) << rp.status();
+    auto sp = gpujoin::RadixPartition(
+        dev, std::move(gpujoin::DeviceRelation::Upload(dev, s_)).ValueOrDie(),
+        pc);
+    ASSERT_TRUE(sp.ok()) << sp.status();
+    auto joined = gpujoin::JoinCoPartitions(dev, *rp, *sp, cfg);
+    ASSERT_TRUE(joined.ok()) << joined.status();
+    *result = *joined;
+  };
+  sim::Device d1{hw::HardwareSpec::Icde2019Testbed(), &pool1_};
+  gpujoin::CoPartitionJoinResult ref;
+  run(&d1, &ref);
+  for (util::ThreadPool* pool : {&pool1_, &pool2_, &pool8_, &pool8_}) {
+    SCOPED_TRACE("pool width " + std::to_string(pool->num_threads()));
+    sim::Device dev{hw::HardwareSpec::Icde2019Testbed(), pool};
+    gpujoin::CoPartitionJoinResult got;
+    run(&dev, &got);
+    EXPECT_EQ(got.matches, ref.matches);
+    EXPECT_EQ(got.payload_sum, ref.payload_sum);
+    EXPECT_DOUBLE_EQ(got.seconds, ref.seconds);
+    ExpectSameProfile(d1, dev);
+  }
+}
+
 TEST_F(LaunchDeterminismTest, PartitionAtATimeSecondPassIdentical) {
   // The default (bucket-at-a-time) second pass runs in the test above
   // through the GlobalChains ordered plan; this covers the
