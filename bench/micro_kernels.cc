@@ -202,11 +202,12 @@ BENCHMARK(BM_RadixPartitionReplay)->Arg(1 << 18)->MeasureProcessCPUTime();
 
 /// Block-nested-loop fallback gate: an aggregate shared-hash join whose
 /// co-partitions (8192 build tuples) are about 3x shared_elems, as in
-/// co-processing working sets. The host runs it through one slot-sorted
-/// build index per partition instead of a table and an S rescan per
-/// chunk; regressing toward the rescans shows here. Inputs are
-/// partitioned once outside the loop. Registered with
-/// MeasureProcessCPUTime: the index build runs on pool workers.
+/// co-processing working sets. The host runs it through one
+/// chunk-resolved key-aggregated table per partition instead of a table
+/// and an S rescan per chunk; regressing toward the rescans shows here.
+/// Inputs are partitioned once outside the loop. Registered with
+/// MeasureProcessCPUTime: the tables are built and probed on pool
+/// workers.
 void BM_JoinCoPartitionsOversized(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
@@ -240,6 +241,50 @@ void BM_JoinCoPartitionsOversized(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_JoinCoPartitionsOversized)
+    ->Arg(1 << 18)
+    ->MeasureProcessCPUTime();
+
+/// Skewed block-nested-loop gate: the aggregate join above over Zipf(1.0)
+/// inputs sharing their popular keys (abl_assignment's shape). The hot
+/// co-partitions span a dozen shared_elems chunks, and their hottest
+/// slots hold build tuples in most of them, so every probe of a hot key
+/// would walk all of its slot's build tuples; regressing toward that
+/// walk shows here. Inputs are partitioned once outside the loop.
+/// Registered with MeasureProcessCPUTime: the tallies run on pool
+/// workers.
+void BM_JoinCoPartitionsOversizedSkewed(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
+  const auto r = data::MakeZipf(n, n, 1.0, 19, 239);
+  const auto s = data::MakeZipf(2 * n, n, 1.0, 20, 239);
+  gpujoin::RadixPartitionConfig pcfg;
+  pcfg.pass_bits = {5};
+  const auto rp = util::ValueOrExit(
+      gpujoin::RadixPartition(
+          &device,
+          util::ValueOrExit(gpujoin::DeviceRelation::Upload(&device, r),
+                            "micro_kernels"),
+          pcfg),
+      "micro_kernels");
+  const auto sp = util::ValueOrExit(
+      gpujoin::RadixPartition(
+          &device,
+          util::ValueOrExit(gpujoin::DeviceRelation::Upload(&device, s),
+                            "micro_kernels"),
+          pcfg),
+      "micro_kernels");
+  gpujoin::CoPartitionJoinConfig cfg;
+  cfg.shared_elems = 2048;
+  for (auto _ : state) {
+    auto result = util::ValueOrExit(
+        gpujoin::JoinCoPartitions(&device, rp, sp, cfg), "micro_kernels");
+    benchmark::DoNotOptimize(result.matches);
+    device.ClearProfile();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 3 *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_JoinCoPartitionsOversizedSkewed)
     ->Arg(1 << 18)
     ->MeasureProcessCPUTime();
 

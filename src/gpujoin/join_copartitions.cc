@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <numeric>
 #include <vector>
 
 #include "src/gpujoin/agg_table.h"
@@ -20,13 +19,6 @@ using util::CeilDiv;
 /// Empty-slot sentinel of the 16-bit-offset hash table ("the limited size
 /// of shared memory allows us to trim the offsets to 16 bits").
 constexpr uint16_t kEmpty16 = 0xFFFF;
-
-/// Slot-index probes of slots holding at least this many build tuples
-/// tally per chunk group; shorter ones per tuple, where group exits
-/// mispredict. Measured: grouping every slot costs uniform inputs about
-/// a fifth of their speed, tallying every slot per tuple halves skewed
-/// ones; 32 was the best of 4-64.
-constexpr ptrdiff_t kGroupedRun = 32;
 
 /// One unit of probe work: R partition `p` joined against S buckets
 /// [s_from, s_from + s_count) of the flattened per-partition bucket list.
@@ -291,17 +283,21 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
   // (2^23 x 2^25 uniform, half the partitions probed by two items:
   // 0.57-0.62 s per join rebuilding vs 0.72-0.85 s memoized).
   //
-  // kSlotIndex: a shared-hash aggregate over an oversized partition
+  // kTallied: a shared-hash aggregate over an oversized partition
   // (block-NL fallback) rebuilds one table per chunk and rescans S per
   // chunk. Chunk c's chain for slot s holds exactly chunk c's R tuples
-  // of slot s, so a probe's steps in chunk c are the slot's tuples
-  // tagged c, and its matches those with an equal key. Counting-sorting
-  // R by slot, tagged with chunk ids, lets each item walk its S buckets
-  // once, against all chunks, before the launch; the chunk loop then
-  // charges the tallied steps and matches. Aggregation is
+  // of slot s, so a probe's steps in chunk c are the slot's tuples in
+  // chunk c, and its matches those of them with an equal key. Before the
+  // launch, each item probes its S buckets once, against every chunk,
+  // through a chunk-resolved key-aggregated table of R_p (agg_table.h):
+  // a probe tuple adds its slot's dense row of per-chunk chain lengths
+  // to its S bucket's per-chunk steps and makes one key lookup, whose
+  // per-chunk runs give its matches. The chunk loop then charges the
+  // tallied steps and matches. A chunk's row entries number hash_slots,
+  // the size of the chunk's own shared-memory slot table. Aggregation is
   // order-independent, so results are unchanged; materialization keeps
   // the chunk-major path for its emission order.
-  enum HostPlan : uint8_t { kPerItem, kMemoChunk, kSlotIndex };
+  enum HostPlan : uint8_t { kPerItem, kMemoChunk, kTallied };
   struct PrebuiltChunk {
     std::vector<uint32_t> keys, pays;
     std::vector<uint16_t> heads16, next16;        // kSharedHash
@@ -309,7 +305,7 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
     std::vector<util::PackedHashNode> nodes;      // kDeviceHash
     std::vector<int32_t> nl_heads, nl_next;       // kNestedLoop aggregate
   };
-  /// A kSlotIndex item's probe outcome. Its steps and matches per
+  /// A kTallied item's probe outcome. Its steps and matches per
   /// (chunk, S bucket) start at `cells` in cell_steps/cell_hits,
   /// row-major by chunk.
   struct ItemTally {
@@ -328,15 +324,16 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
     const uint64_t max_chunk = config.algo == ProbeAlgorithm::kDeviceHash
                                    ? UINT32_MAX
                                    : config.shared_elems;
-    const bool slot_index = config.algo == ProbeAlgorithm::kSharedHash &&
-                            config.output != OutputMode::kMaterialize;
-    std::vector<uint32_t> memo, indexed;
+    const bool tally_oversized =
+        config.algo == ProbeAlgorithm::kSharedHash &&
+        config.output != OutputMode::kMaterialize;
+    std::vector<uint32_t> memo, tallied;
     for (uint32_t p = 0; p < num_partitions; ++p) {
       if (items_per_partition[p] == 0) continue;
       if (r_sizes[p] > max_chunk) {
-        if (slot_index) {
-          host_plan[p] = kSlotIndex;
-          indexed.push_back(p);
+        if (tally_oversized) {
+          host_plan[p] = kTallied;
+          tallied.push_back(p);
         }
       } else {
         uint32_t walking = 0;
@@ -408,130 +405,53 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
           }
         });
 
-    // kSlotIndex: one pool pass over the indexed partitions' items. A
-    // worker builds a partition's index when its range reaches the
+    // kTallied: one pool pass over the tallied partitions' items. A
+    // worker builds a partition's table when its range reaches the
     // partition, then probes it for each of the partition's items while
     // it is cache-resident. A skewed partition's many items still split
-    // over the workers, each building the index once.
-    std::vector<uint32_t> indexed_items;
+    // over the workers, each building the table once.
+    std::vector<uint32_t> tallied_items;
     size_t cells = 0;
-    for (const uint32_t p : indexed) {
+    for (const uint32_t p : tallied) {
       if (tallies.empty()) tallies.resize(items.size());
       for (uint32_t w = first_item[p];
            w < first_item[p] + items_per_partition[p]; ++w) {
         tallies[w].cells = cells;
         cells += CeilDiv(r_sizes[p], config.shared_elems) * items[w].s_count;
-        indexed_items.push_back(w);
+        tallied_items.push_back(w);
       }
     }
     cell_steps.assign(cells, 0);
     cell_hits.assign(cells, 0);
 
-    struct SlotTuple {
-      uint32_t key, pay, chunk;
-    };
-    /// Slot s owns by_slot[slot_begin[s], slot_begin[s + 1]).
-    struct SlotIndex {
-      std::vector<SlotTuple> by_slot;
-      std::vector<uint32_t> slot_begin;
-    };
-    const auto build_index = [&](uint32_t p, SlotIndex& index) {
-      // Visits R_p in chain order as (slot, chunk, key, payload).
-      const auto for_each_r = [&](auto&& fn) {
-        uint32_t chunk = 0, room = config.shared_elems;
-        for (int32_t b = build.chains.heads()[p]; b != BucketChains::kNull;
-             b = build.chains.next()[b]) {
-          const size_t base = static_cast<size_t>(b) * r_cap;
-          const uint32_t* keys = build.chains.keys() + base;
-          const uint32_t* pays = build.chains.payloads() + base;
-          for (uint32_t i = 0; i < build.chains.fill()[b]; ++i) {
-            fn(util::HashTableSlot(keys[i], radix_bits, config.hash_slots),
-               chunk, keys[i], pays[i]);
-            if (--room == 0) {
-              ++chunk;
-              room = config.shared_elems;
-            }
-          }
-        }
-      };
-      index.slot_begin.assign(config.hash_slots + 1, 0);
-      for_each_r([&](uint32_t slot, uint32_t, uint32_t, uint32_t) {
-        ++index.slot_begin[slot + 1];
-      });
-      std::partial_sum(index.slot_begin.begin(), index.slot_begin.end(),
-                       index.slot_begin.begin());
-      index.by_slot.resize(r_sizes[p]);
-      for_each_r([&](uint32_t slot, uint32_t chunk, uint32_t key,
-                     uint32_t pay) {
-        index.by_slot[index.slot_begin[slot]++] = {key, pay, chunk};
-      });
-      // The scatter advanced each start to the next slot's.
-      std::copy_backward(index.slot_begin.begin(), index.slot_begin.end() - 1,
-                         index.slot_begin.end());
-      index.slot_begin[0] = 0;
-    };
-    const auto tally_item = [&](uint32_t w, const SlotIndex& index) {
+    const auto probe_table = [&](uint32_t w, ChunkAggTable& table) {
       const WorkItem& item = items[w];
-      uint64_t* steps = cell_steps.data() + tallies[w].cells;
-      uint64_t* hits = cell_hits.data() + tallies[w].cells;
       uint64_t matches = 0, checksum = 0;
       for (uint32_t sb = 0; sb < item.s_count; ++sb) {
         const int32_t b = s_buckets_flat[item.s_from + sb];
         const size_t s_base = static_cast<size_t>(b) * s_cap;
-        const uint32_t* skeys = probe.chains.keys() + s_base;
-        const uint32_t* spays = probe.chains.payloads() + s_base;
-        for (uint32_t i = 0; i < probe.chains.fill()[b]; ++i) {
-          const uint32_t skey = skeys[i];
-          const uint32_t slot =
-              util::HashTableSlot(skey, radix_bits, config.hash_slots);
-          const SlotTuple* t = index.by_slot.data() + index.slot_begin[slot];
-          const SlotTuple* const end =
-              index.by_slot.data() + index.slot_begin[slot + 1];
-          if (end - t < kGroupedRun) {
-            for (; t < end; ++t) {
-              const size_t cell =
-                  static_cast<size_t>(t->chunk) * item.s_count + sb;
-              const bool hit = t->key == skey;
-              ++steps[cell];
-              hits[cell] += hit;
-              matches += hit;
-              checksum += hit ? static_cast<uint64_t>(t->pay) + spays[i] : 0;
-            }
-            continue;
-          }
-          // Long (skewed) slots: the tuples ascend by chunk, so tally each
-          // chunk's group in registers instead of a memory add per tuple.
-          while (t < end) {
-            const uint32_t chunk = t->chunk;
-            const SlotTuple* const group = t;
-            uint64_t group_hits = 0, group_pays = 0;
-            for (; t < end && t->chunk == chunk; ++t) {
-              const bool hit = t->key == skey;
-              group_hits += hit;
-              group_pays += hit ? t->pay : 0;
-            }
-            const size_t cell = static_cast<size_t>(chunk) * item.s_count + sb;
-            steps[cell] += static_cast<uint64_t>(t - group);
-            hits[cell] += group_hits;
-            matches += group_hits;
-            checksum += group_pays + group_hits * spays[i];
-          }
-        }
+        table.Probe(probe.chains.keys() + s_base,
+                    probe.chains.payloads() + s_base, probe.chains.fill()[b],
+                    cell_steps.data() + tallies[w].cells + sb,
+                    cell_hits.data() + tallies[w].cells + sb, item.s_count,
+                    &matches, &checksum);
       }
       tallies[w].matches = matches;
       tallies[w].checksum = checksum;
     };
     pool->ParallelForRanges(
-        indexed_items.size(), [&](size_t /*worker*/, size_t lo, size_t hi) {
-          SlotIndex index;
-          uint32_t indexed_p = UINT32_MAX;
+        tallied_items.size(), [&](size_t /*worker*/, size_t lo, size_t hi) {
+          ChunkAggTable table;
+          uint32_t built_p = UINT32_MAX;
           for (size_t j = lo; j < hi; ++j) {
-            const uint32_t w = indexed_items[j];
-            if (items[w].p != indexed_p) {
-              indexed_p = items[w].p;
-              build_index(indexed_p, index);
+            const uint32_t w = tallied_items[j];
+            if (items[w].p != built_p) {
+              built_p = items[w].p;
+              table.Build(build.chains, built_p,
+                          static_cast<uint32_t>(r_sizes[built_p]),
+                          config.shared_elems, radix_bits, config.hash_slots);
             }
-            tally_item(w, index);
+            probe_table(w, table);
           }
         });
   }
@@ -619,24 +539,25 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
           }
 
           // Only chain-walking kPerItem items gather and build their
-          // chunk on the host below; the others probe a memo, a slot
-          // index or the key-aggregated table built here. Every charge
-          // still runs per item and chunk.
+          // chunk on the host below; the others probe a memo, take the
+          // tally made before the launch, or probe the key-aggregated
+          // table built here. Every charge still runs per item and
+          // chunk.
           const bool aggregated = item.aggregated;
           const HostPlan plan = host_plan[item.p];
           const bool gathered = !aggregated && plan == kPerItem;
           const PrebuiltChunk* pre = !aggregated && plan == kMemoChunk
                                          ? &prebuilt[memo_index[item.p]]
                                          : nullptr;
-          const ItemTally* tally = plan == kSlotIndex ? &tallies[w] : nullptr;
-          const bool indexed = tally != nullptr;
+          const ItemTally* tally = plan == kTallied ? &tallies[w] : nullptr;
+          const bool tallied = tally != nullptr;
           AggTable* agg = nullptr;
           if (aggregated) {
             agg = &ThreadAggTable();
             agg->Build(build.chains, item.p, static_cast<uint32_t>(r_total),
                        radix_bits, config.hash_slots);
           }
-          if (indexed) {
+          if (tallied) {
             state.matches += tally->matches;
             state.checksum += tally->checksum;
           }
@@ -665,7 +586,8 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
               rkeys = pre->keys.data();
               rpays = pre->pays.data();
             } else if (!gathered) {
-              // Probed through a slot index or an aggregated table.
+              // Tallied before the launch, or probed through an
+              // aggregated table.
             } else if (config.algo == ProbeAlgorithm::kDeviceHash) {
               dev_rkeys.resize(std::max<size_t>(dev_rkeys.size(), r_count));
               dev_rpays.resize(std::max<size_t>(dev_rpays.size(), r_count));
@@ -769,11 +691,11 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
 
             // ---- Probe the item's S bucket slice ----
             const size_t chunk_row =
-                indexed ? tally->cells + r_done / chunk_elems * item.s_count
+                tallied ? tally->cells + r_done / chunk_elems * item.s_count
                         : 0;
             for (uint32_t sb = 0; sb < item.s_count; ++sb) {
               const int32_t b = s_buckets_flat[item.s_from + sb];
-              if (!indexed && sb + 1 < item.s_count) {
+              if (!tallied && sb + 1 < item.s_count) {
                 util::PrefetchRead(
                     probe.chains.keys() +
                     static_cast<size_t>(s_buckets_flat[item.s_from + sb + 1]) *
@@ -863,13 +785,13 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
                 // chain overlaps those chains' L2 latencies and branch
                 // recovery (~1.25x measured even fully cached). Batches
                 // visit probes in order, so match emission is identical
-                // at every depth. Slot-indexed items tallied this probe
+                // at every depth. Tallied items counted this probe
                 // before the launch; aggregating items take their steps
                 // and matches from the aggregated table.
                 uint64_t steps = 0;
                 const uint32_t* skeys = probe.chains.keys() + s_base;
                 const uint32_t* spays = probe.chains.payloads() + s_base;
-                if (indexed) {
+                if (tallied) {
                   steps = cell_steps[chunk_row + sb];
                 } else if (aggregated) {
                   agg->Probe(skeys, spays, s_fill, &steps, &state.matches,
@@ -1004,7 +926,7 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
               }
 
               ChargeGathers(&block, config,
-                            indexed ? cell_hits[chunk_row + sb]
+                            tallied ? cell_hits[chunk_row + sb]
                                     : state.matches - matches_before,
                             build.tuples, probe.tuples);
             }

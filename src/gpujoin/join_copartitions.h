@@ -25,10 +25,18 @@
 //     and stats equal the Listing 2 execution. Items build the table in
 //     per-thread scratch reused across items and launches. Other items
 //     walk the chains, which are cheaper to build and, when short,
-//     about as cheap to walk. An oversized R_p runs the fallback from
-//     one slot-sorted index of R_p, probing each S tuple once and
-//     charging the per-chunk builds and rescans from the tallied steps
-//     and matches.
+//     about as cheap to walk.
+//
+//     An oversized R_p in aggregate mode runs the block-nested-loop
+//     fallback from one chunk-resolved key-aggregated table of R_p
+//     (agg_table.h), built once per partition before the launch: per
+//     hash slot a dense row of its chain length in every chunk, per
+//     distinct key its (chunk, match count, payload sum) runs. Each S
+//     tuple is probed once, against every chunk: it adds its slot's row
+//     to its S bucket's per-chunk steps and makes one key lookup for its
+//     per-chunk matches. The launch then charges every chunk's build
+//     and rescan from those tallies, with the same calls as the literal
+//     execution.
 //
 //   kNestedLoop — R_p is staged contiguously in shared memory and warps
 //     compare 32 probe values against 32 build values at a time using

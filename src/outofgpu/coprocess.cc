@@ -1,6 +1,7 @@
 #include "src/outofgpu/coprocess.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "src/hw/numa.h"
@@ -15,6 +16,22 @@ using gjoin::gpujoin::JoinStats;
 using gjoin::gpujoin::OutputMode;
 
 namespace {
+
+/// Rejects pipeline parameters the timing model cannot use: a zero chunk
+/// size divides by zero, and a far-socket fraction outside [0, 1] makes
+/// a socket's share of the bytes negative.
+util::Status ValidatePipelineConfig(const CoProcessConfig& config) {
+  if (config.chunk_tuples == 0) {
+    return util::Status::Invalid("chunk_tuples must be positive");
+  }
+  if (!(config.far_socket_fraction >= 0.0 &&
+        config.far_socket_fraction <= 1.0)) {
+    return util::Status::Invalid(
+        "far_socket_fraction must lie in [0, 1], got " +
+        std::to_string(config.far_socket_fraction));
+  }
+  return util::Status::OK();
+}
 
 /// Stages partitions `which` of `parts` as the chunks of one working
 /// set's GPU input, in that order. With `owned` (aliasing `parts`) the
@@ -199,6 +216,7 @@ util::Result<CoProcessPlan> PlanCoProcessJoinConsuming(
 util::Result<CoProcessRun> CoProcessExecutePlanned(
     sim::Device* device, const CoProcessPlan& plan,
     const CoProcessConfig& config) {
+  GJOIN_RETURN_NOT_OK(ValidatePipelineConfig(config));
   const hw::HardwareSpec& spec = device->spec();
   const hw::CpuCostModel cpu_model(spec.cpu);
   const hw::NumaModel numa(spec.cpu);
@@ -344,6 +362,8 @@ util::Result<JoinStats> CoProcessJoin(sim::Device* device,
                                       const data::Relation& build,
                                       const data::Relation& probe,
                                       const CoProcessConfig& config) {
+  // Fail before planning, which partitions and joins both inputs.
+  GJOIN_RETURN_NOT_OK(ValidatePipelineConfig(config));
   GJOIN_ASSIGN_OR_RETURN(CoProcessPlan plan,
                          PlanCoProcessJoin(device, build, probe, config));
   return CoProcessJoinPlanned(device, plan, config);

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -294,22 +296,25 @@ util::Result<AggregateRun> RunAggregateCase(const AggregateCase& c) {
   return run;
 }
 
+std::string CaseTrace(const char* suite, int index, uint64_t seed,
+                      const AggregateCase& c) {
+  return "seed " + std::to_string(seed) + " (repro: " +
+         "gpujoin_property_test --gtest_filter='Seeds/" + suite + ".*/" +
+         std::to_string(index) + "'): |R| " + std::to_string(c.r.size()) +
+         " |S| " + std::to_string(c.s.size()) + " hash_slots " +
+         std::to_string(c.join.hash_slots) + " shared_elems " +
+         std::to_string(c.join.shared_elems) + " max_probe_buckets_per_item " +
+         std::to_string(c.join.max_probe_buckets_per_item);
+}
+
 class AggregateSharedHashPropertyTest
     : public ::testing::TestWithParam<int> {};
 
 TEST_P(AggregateSharedHashPropertyTest, MatchesOracleAndChainWalkStats) {
   const uint64_t seed = 0xA66 + static_cast<uint64_t>(GetParam());
   const AggregateCase c = MakeAggregateCase(seed);
-  SCOPED_TRACE("seed " + std::to_string(seed) + " (repro: " +
-               "gpujoin_property_test --gtest_filter='Seeds/" +
-               "AggregateSharedHashPropertyTest.*/" +
-               std::to_string(GetParam()) + "'): |R| " +
-               std::to_string(c.r.size()) + " |S| " +
-               std::to_string(c.s.size()) + " hash_slots " +
-               std::to_string(c.join.hash_slots) + " shared_elems " +
-               std::to_string(c.join.shared_elems) +
-               " max_probe_buckets_per_item " +
-               std::to_string(c.join.max_probe_buckets_per_item));
+  SCOPED_TRACE(
+      CaseTrace("AggregateSharedHashPropertyTest", GetParam(), seed, c));
   const data::OracleResult oracle = data::JoinOracle(c.r, c.s);
   auto run = RunAggregateCase(c);
   ASSERT_TRUE(run.ok()) << run.status();
@@ -324,6 +329,251 @@ TEST_P(AggregateSharedHashPropertyTest, MatchesOracleAndChainWalkStats) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AggregateSharedHashPropertyTest,
                          ::testing::Range(0, kAggregateCases));
+
+// ---- Oversized aggregate shared-hash joins ----
+// Build partitions beyond shared_elems run the kernel's block-nested-loop
+// fallback: one table per shared_elems chunk of R_p, S rescanned per
+// chunk. Random cases around the host's chunk-resolved probe of it:
+// R_p from shared_elems + 1 to 8 x shared_elems next to partitions that
+// fit, duplicate keys (key 0 included) whose copies land in different
+// chunks, wide payloads on either side (so per-chunk hits reach the
+// gather charges), and 1 to 8 S buckets per work item. Every fifth case
+// has hash_slots = 8 x shared_elems, so the table's slot rows outnumber
+// the build tuples and are mostly empty; every eighth case gives one
+// partition a hot key with more than 65535 copies (each chunk holds
+// fewer). Each case's fingerprint was recorded from
+// the slot-sorted-index implementation that preceded the chunk-resolved
+// table.
+
+constexpr int kOversizedCases = 64;
+/// Hot keys carry at least this many copies: more than a 16-bit count.
+constexpr uint32_t kHotCopies = 1u << 16;
+
+bool OversizedCaseHasWideSlotTable(int index) { return index % 5 == 4; }
+bool OversizedCaseHasHotKey(int index) { return index % 8 == 7; }
+
+AggregateCase MakeOversizedCase(int index) {
+  util::Rng rng(0x0F5A + static_cast<uint64_t>(index));
+  AggregateCase c;
+  const int radix_bits = 1 + static_cast<int>(rng.Uniform(3));
+  const uint32_t parts = 1u << radix_bits;
+  c.partition.pass_bits = {radix_bits};
+  c.partition.bucket_capacity = 32u << rng.Uniform(2);
+  c.partition.num_blocks = 1 + static_cast<int>(rng.Uniform(4));
+  const int elems_log2 = 6 + static_cast<int>(rng.Uniform(3));
+  c.join.shared_elems = 1u << elems_log2;
+  c.join.hash_slots =
+      OversizedCaseHasWideSlotTable(index)
+          ? 8 * c.join.shared_elems
+          : 1u << rng.Uniform(static_cast<uint64_t>(elems_log2) + 3);
+  c.join.max_probe_buckets_per_item = 1 + static_cast<uint32_t>(rng.Uniform(8));
+  switch (rng.Uniform(4)) {
+    case 0: c.join.build_extra_payload_bytes = 8; break;
+    case 1: c.join.probe_extra_payload_bytes = 40; break;
+    case 2:
+      c.join.build_extra_payload_bytes = 4;
+      c.join.probe_extra_payload_bytes = 64;
+      break;
+    default: break;
+  }
+  const uint32_t elems = c.join.shared_elems;
+  const uint32_t domain = 1 + static_cast<uint32_t>(rng.Uniform(2 * elems));
+  const auto key = [&](uint32_t p, uint32_t dom) {
+    // Partition 0 draws key 0 a sixteenth of the time, so its copies
+    // spread over every chunk.
+    const uint32_t x = p == 0 && rng.Uniform(16) == 0
+                           ? 0
+                           : static_cast<uint32_t>(rng.Uniform(dom));
+    return p + (x << radix_bits);
+  };
+  const uint32_t hot_p = OversizedCaseHasHotKey(index)
+                             ? static_cast<uint32_t>(rng.Uniform(parts))
+                             : parts;
+  for (uint32_t p = 0; p < parts; ++p) {
+    // Mostly oversized partitions, some that fit, a few empty.
+    uint32_t r_size;
+    switch (rng.Uniform(8)) {
+      case 0: r_size = 0; break;
+      case 1: r_size = static_cast<uint32_t>(rng.Uniform(elems + 1)); break;
+      case 2: r_size = elems + 1; break;
+      default:
+        r_size = elems + 1 + static_cast<uint32_t>(rng.Uniform(7 * elems));
+    }
+    const uint32_t s_size = static_cast<uint32_t>(rng.Uniform(3 * elems));
+    for (uint32_t i = 0; i < r_size; ++i) {
+      c.r.Append(key(p, domain), rng.Next32());
+    }
+    if (p == hot_p) {
+      const uint32_t hot = p + (1u << radix_bits);
+      const uint32_t copies =
+          kHotCopies + static_cast<uint32_t>(rng.Uniform(elems));
+      for (uint32_t i = 0; i < copies; ++i) c.r.Append(hot, rng.Next32());
+      // Make sure the hot key is probed.
+      c.s.Append(hot, rng.Next32());
+    }
+    // A quarter of the probes miss: their keys lie beyond the domain.
+    for (uint32_t i = 0; i < s_size; ++i) {
+      c.s.Append(key(p, domain + domain / 3 + 1), rng.Next32());
+    }
+  }
+  return c;
+}
+
+/// Fingerprints (as kChainWalkFingerprints) of the oversized cases,
+/// recorded from the slot-sorted-index implementation.
+constexpr uint64_t kSlotIndexFingerprints[kOversizedCases] = {
+    0xf0d81f80a10d153cull, 0x2e27e253d3a599d1ull, 0x5ea03058b33f30afull,
+    0x92da1f13ef09bae3ull, 0x697768791177ee24ull, 0x060d996b83bf3055ull,
+    0xba8489b9378d127full, 0x512959186eb0ac07ull, 0xbd8c1d5215d5f4b6ull,
+    0x58e758f23bf494e9ull, 0x64001006f6c8153dull, 0x3402214bbfcb3be3ull,
+    0xa9d457f4d21e4aabull, 0xc39f98dd7dbd9286ull, 0xf30ce15321d56002ull,
+    0x1a205466c41d0746ull, 0x9fd6a80a1a31fc11ull, 0x2b2cf569094d1f80ull,
+    0x1049c8ca12eb1643ull, 0x47a3bd33f87c3dfdull, 0x384eb9b89f2c0bc0ull,
+    0x6f28247234bce62aull, 0x6e656016b7eb918bull, 0xe32accb695750822ull,
+    0xcec1b5604eef98a0ull, 0xcd457a5a0ad70442ull, 0x6cd2f7fcdfa11c30ull,
+    0xc08ad98f4138076eull, 0x6d00c6d0fd06c087ull, 0xd5f8c09261b30fb1ull,
+    0x1cb53527e4fb3733ull, 0x136aa54f71c8b141ull, 0x2b186f66f04ff056ull,
+    0x95a72ed8ce9467f4ull, 0x973a4c99c84098dcull, 0xc3e8ad8ef0b968daull,
+    0xe00e636d9c0898b4ull, 0x051311e92b1ea2a6ull, 0xe3db27dac753f196ull,
+    0xa3723cdab2b01936ull, 0x9f2baa65f961eed8ull, 0x58ea0adc51b84b00ull,
+    0x0641a2200d88af6cull, 0xcea159a55c4dae9bull, 0xf28980ef0c113358ull,
+    0xd133aa560629a30cull, 0xfc0083e4f36d3505ull, 0x4daa518f181781a1ull,
+    0xeab5d0173951d4eeull, 0xd85e037ab7e4b6f4ull, 0x0127c663f48378e2ull,
+    0x1a7c6fbf4544dec1ull, 0x9b1fdd8a3df967deull, 0x41b3e3d4ff4241bfull,
+    0xad94220ee03db7daull, 0xbfed94bf6e3d3787ull, 0x91797ae7fd3e50dfull,
+    0x3a2dff914f15cebcull, 0x4d7b60800af47a88ull, 0xef89bd564f0cda11ull,
+    0x75175d77ec03ecf7ull, 0xee45cfede122254eull, 0xe0716d52e028952aull,
+    0x87068728d79f51beull,
+};
+
+/// Fingerprint of MakeManyDistinctKeysCase(), recorded likewise.
+constexpr uint64_t kManyDistinctKeysFingerprint = 0x173c7f15bef44423ull;
+
+class OversizedAggregatePropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(OversizedAggregatePropertyTest, MatchesOracleAndSlotIndexStats) {
+  const int index = GetParam();
+  const AggregateCase c = MakeOversizedCase(index);
+  SCOPED_TRACE(CaseTrace("OversizedAggregatePropertyTest", index,
+                         0x0F5A + static_cast<uint64_t>(index), c));
+  const data::OracleResult oracle = data::JoinOracle(c.r, c.s);
+  auto run = RunAggregateCase(c);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_EQ(run->result.matches, oracle.matches);
+  EXPECT_EQ(run->result.payload_sum, oracle.payload_sum);
+  char hex[24];
+  std::snprintf(hex, sizeof(hex), "0x%016llxull",
+                static_cast<unsigned long long>(run->fingerprint));
+  EXPECT_EQ(run->fingerprint, kSlotIndexFingerprints[index])
+      << "launch stats differ from the slot index's; fingerprint " << hex;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OversizedAggregatePropertyTest,
+                         ::testing::Range(0, kOversizedCases));
+
+/// Builds the case of ManyDistinctKeys: each of two partitions holds 160
+/// shared_elems chunks of distinct keys, more than a chunk-resolved
+/// table's key table holds before it grows, then duplicates of them
+/// (key 0 included) in later chunks.
+AggregateCase MakeManyDistinctKeysCase() {
+  util::Rng rng(0x6A0);
+  AggregateCase c;
+  c.partition.pass_bits = {1};
+  c.join.shared_elems = 64;
+  c.join.hash_slots = 128;
+  c.join.build_extra_payload_bytes = 8;
+  constexpr uint32_t kKeys = 2 * 160 * 64;
+  // Distinct keys scattered over the key space (an odd multiplier is a
+  // bijection on 32 bits).
+  const auto key = [](uint32_t i) { return i * 2654435761u; };
+  for (uint32_t i = 0; i < kKeys; ++i) c.r.Append(key(i), rng.Next32());
+  for (uint32_t i = 0; i < kKeys / 4; ++i) {
+    const uint32_t k =
+        i % 64 == 0 ? 0 : key(static_cast<uint32_t>(rng.Uniform(kKeys)));
+    c.r.Append(k, rng.Next32());
+  }
+  for (uint32_t i = 0; i < 2 * kKeys; ++i) {
+    c.s.Append(key(static_cast<uint32_t>(rng.Uniform(kKeys + kKeys / 4))),
+               rng.Next32());
+  }
+  return c;
+}
+
+/// The key table's growth path: the join matches the oracle, and its
+/// fingerprint was recorded from the slot-sorted-index implementation.
+TEST(OversizedAggregateCasesTest, ManyDistinctKeysMatchSlotIndexStats) {
+  const AggregateCase c = MakeManyDistinctKeysCase();
+  const data::OracleResult oracle = data::JoinOracle(c.r, c.s);
+  auto run = RunAggregateCase(c);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_EQ(run->result.matches, oracle.matches);
+  EXPECT_EQ(run->result.payload_sum, oracle.payload_sum);
+  char hex[24];
+  std::snprintf(hex, sizeof(hex), "0x%016llxull",
+                static_cast<unsigned long long>(run->fingerprint));
+  EXPECT_EQ(run->fingerprint, kManyDistinctKeysFingerprint)
+      << "launch stats differ from the slot index's; fingerprint " << hex;
+}
+
+/// Guards the oversized cases' shapes: without them the suite above
+/// would pass vacuously on the paths it exists for.
+TEST(OversizedAggregateCasesTest, CoverTheirShapes) {
+  int wide_slots = 0, hot = 0, key0_spans_chunks = 0, wide = 0;
+  for (int index = 0; index < kOversizedCases; ++index) {
+    SCOPED_TRACE("case " + std::to_string(index));
+    const AggregateCase c = MakeOversizedCase(index);
+    sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
+    auto rd = DeviceRelation::Upload(&device, c.r);
+    ASSERT_TRUE(rd.ok()) << rd.status();
+    auto rp = RadixPartition(&device, *std::move(rd), c.partition);
+    ASSERT_TRUE(rp.ok()) << rp.status();
+    const uint32_t elems = c.join.shared_elems;
+    uint64_t largest = 0;
+    bool oversized = false;
+    for (uint32_t p = 0; p < rp->chains.num_partitions(); ++p) {
+      const uint64_t size = rp->chains.PartitionSize(p);
+      oversized |= size > elems;
+      largest = std::max(largest, size);
+      // Copies of one key per chunk, in chain order.
+      std::map<uint32_t, std::map<uint64_t, uint32_t>> per_chunk;
+      uint64_t pos = 0;
+      for (int32_t b = rp->chains.heads()[p]; b != BucketChains::kNull;
+           b = rp->chains.next()[b]) {
+        const uint32_t* keys = rp->chains.keys() +
+                               static_cast<size_t>(b) *
+                                   rp->chains.bucket_capacity();
+        for (uint32_t i = 0; i < rp->chains.fill()[b]; ++i, ++pos) {
+          ++per_chunk[keys[i]][pos / elems];
+        }
+      }
+      if (per_chunk.count(0) != 0 && per_chunk[0].size() >= 2) {
+        ++key0_spans_chunks;
+      }
+      for (const auto& [k, chunks] : per_chunk) {
+        uint64_t copies = 0;
+        for (const auto& [chunk, n] : chunks) {
+          copies += n;
+          ASSERT_LT(n, 65535u) << "key " << k << " chunk " << chunk;
+        }
+        if (copies >= kHotCopies) {
+          ASSERT_TRUE(OversizedCaseHasHotKey(index));
+          ++hot;
+        }
+      }
+    }
+    EXPECT_TRUE(oversized);
+    if (!OversizedCaseHasHotKey(index)) {
+      EXPECT_LE(largest, 8u * elems);
+    }
+    wide_slots += c.join.hash_slots > 4 * elems;
+    wide += c.join.build_extra_payload_bytes > 0 ||
+            c.join.probe_extra_payload_bytes > 0;
+  }
+  EXPECT_EQ(wide_slots, kOversizedCases / 5);
+  EXPECT_EQ(hot, kOversizedCases / 8);
+  EXPECT_GE(key0_spans_chunks, kOversizedCases / 2);
+  EXPECT_GE(wide, kOversizedCases / 2);
+}
 
 }  // namespace
 }  // namespace gjoin::gpujoin

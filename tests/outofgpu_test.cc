@@ -5,6 +5,7 @@
 
 #include <numeric>
 #include <set>
+#include <string>
 
 #include "src/data/generator.h"
 #include "src/data/oracle.h"
@@ -286,6 +287,59 @@ TEST_F(CoProcessTest, MaterializationOverheadIsBounded) {
   ASSERT_TRUE(mat.ok());
   EXPECT_GE(mat->seconds, agg->seconds);
   EXPECT_LT(mat->seconds, agg->seconds * 1.5);
+}
+
+TEST_F(CoProcessTest, RejectsZeroChunkTuples) {
+  const auto r = data::MakeUniqueUniform(4096, 21);
+  const auto s = data::MakeUniformProbe(8192, 4096, 22);
+  auto cfg = BaseConfig();
+  cfg.chunk_tuples = 0;
+  auto stats = CoProcessJoin(&device_, r, s, cfg);
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), util::StatusCode::kInvalid);
+  EXPECT_NE(stats.status().message().find("chunk_tuples"), std::string::npos)
+      << stats.status();
+}
+
+TEST_F(CoProcessTest, RejectsFarSocketFractionOutsideUnitInterval) {
+  const auto r = data::MakeUniqueUniform(4096, 23);
+  const auto s = data::MakeUniformProbe(8192, 4096, 24);
+  for (const double fraction : {-0.25, 1.5}) {
+    for (const bool staging : {true, false}) {
+      SCOPED_TRACE("far_socket_fraction " + std::to_string(fraction) +
+                   (staging ? " staged" : " direct"));
+      auto cfg = BaseConfig();
+      cfg.far_socket_fraction = fraction;
+      cfg.staging = staging;
+      auto stats = CoProcessJoin(&device_, r, s, cfg);
+      ASSERT_FALSE(stats.ok());
+      EXPECT_EQ(stats.status().code(), util::StatusCode::kInvalid);
+      EXPECT_NE(stats.status().message().find("far_socket_fraction"),
+                std::string::npos)
+          << stats.status();
+    }
+  }
+  // The interval's ends are valid.
+  for (const double fraction : {0.0, 1.0}) {
+    auto cfg = BaseConfig();
+    cfg.far_socket_fraction = fraction;
+    cfg.staging = false;
+    auto stats = CoProcessJoin(&device_, r, s, cfg);
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    EXPECT_EQ(stats->matches, data::JoinOracle(r, s).matches);
+  }
+}
+
+TEST_F(CoProcessTest, ExecutePlannedRejectsBadPipelineConfig) {
+  const auto r = data::MakeUniqueUniform(4096, 25);
+  const auto s = data::MakeUniformProbe(8192, 4096, 26);
+  auto plan = PlanCoProcessJoin(&device_, r, s, BaseConfig());
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  auto cfg = BaseConfig();
+  cfg.chunk_tuples = 0;
+  auto run = CoProcessJoinPlanned(&device_, *plan, cfg);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), util::StatusCode::kInvalid);
 }
 
 // ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/data/generator.h"
+#include "src/data/oracle.h"
 #include "src/gpujoin/nonpartitioned.h"
 #include "src/gpujoin/output_ring.h"
 #include "src/gpujoin/partitioned_join.h"
@@ -159,7 +160,7 @@ TEST_F(LaunchDeterminismTest, PartitionedJoinIdenticalAcrossPoolWidths) {
 TEST_F(LaunchDeterminismTest, OversizedSharedHashAggregateIdentical) {
   // Every co-partition exceeds the 1024-tuple budget (~2500 build tuples
   // each), so the aggregate join runs the block-NL fallback, whose host
-  // index is built on the device's pool before the launch.
+  // tables are built and probed on the device's pool before the launch.
   gpujoin::PartitionedJoinConfig cfg;
   cfg.partition.pass_bits = {4};
   cfg.join.shared_elems = 1024;
@@ -175,6 +176,72 @@ TEST_F(LaunchDeterminismTest, OversizedSharedHashAggregateIdentical) {
     EXPECT_EQ(got->matches, ref->matches);
     EXPECT_EQ(got->payload_sum, ref->payload_sum);
     EXPECT_DOUBLE_EQ(got->seconds, ref->seconds);
+    ExpectSameProfile(d1, dev);
+  }
+}
+
+TEST_F(LaunchDeterminismTest, OversizedSkewedSharedHashAggregateIdentical) {
+  // Zipf(1.0) on both sides, same popular keys: the hot co-partitions
+  // hold many 256-tuple chunks, their hottest slots hold build tuples in
+  // most of those chunks, and their long S chains split over many
+  // one-bucket work items, which land on different host workers — each
+  // building the partition's chunk-resolved table itself before the
+  // launch.
+  const data::Relation r = data::MakeZipf(60000, 6000, 1.0, 33, 7);
+  const data::Relation s = data::MakeZipf(120000, 6000, 1.0, 34, 7);
+  gpujoin::RadixPartitionConfig pc;
+  pc.pass_bits = {3};
+  pc.bucket_capacity = 512;
+  gpujoin::CoPartitionJoinConfig cfg;
+  cfg.shared_elems = 256;
+  cfg.hash_slots = 128;
+  cfg.max_probe_buckets_per_item = 1;
+  cfg.probe_extra_payload_bytes = 16;
+  const auto run = [&](sim::Device* dev, bool check_shape,
+                       gpujoin::CoPartitionJoinResult* result) {
+    auto rp = gpujoin::RadixPartition(
+        dev, std::move(gpujoin::DeviceRelation::Upload(dev, r)).ValueOrDie(),
+        pc);
+    ASSERT_TRUE(rp.ok()) << rp.status();
+    auto sp = gpujoin::RadixPartition(
+        dev, std::move(gpujoin::DeviceRelation::Upload(dev, s)).ValueOrDie(),
+        pc);
+    ASSERT_TRUE(sp.ok()) << sp.status();
+    if (check_shape) {
+      // Guard the skew: a partition spans many chunks, and its S chain
+      // many work items.
+      uint64_t most_r = 0;
+      uint32_t most_s_buckets = 0;
+      for (uint32_t p = 0; p < rp->chains.num_partitions(); ++p) {
+        most_r = std::max<uint64_t>(most_r, rp->chains.PartitionSize(p));
+        uint32_t buckets = 0;
+        for (int32_t b = sp->chains.heads()[p];
+             b != gpujoin::BucketChains::kNull; b = sp->chains.next()[b]) {
+          ++buckets;
+        }
+        most_s_buckets = std::max(most_s_buckets, buckets);
+      }
+      EXPECT_GE(most_r, 16u * cfg.shared_elems);
+      EXPECT_GE(most_s_buckets, 16u);
+    }
+    auto joined = gpujoin::JoinCoPartitions(dev, *rp, *sp, cfg);
+    ASSERT_TRUE(joined.ok()) << joined.status();
+    *result = *joined;
+  };
+  sim::Device d1{hw::HardwareSpec::Icde2019Testbed(), &pool1_};
+  gpujoin::CoPartitionJoinResult ref;
+  run(&d1, /*check_shape=*/true, &ref);
+  const data::OracleResult oracle = data::JoinOracle(r, s);
+  EXPECT_EQ(ref.matches, oracle.matches);
+  EXPECT_EQ(ref.payload_sum, oracle.payload_sum);
+  for (util::ThreadPool* pool : {&pool2_, &pool8_, &pool8_}) {
+    SCOPED_TRACE("pool width " + std::to_string(pool->num_threads()));
+    sim::Device dev{hw::HardwareSpec::Icde2019Testbed(), pool};
+    gpujoin::CoPartitionJoinResult got;
+    run(&dev, /*check_shape=*/false, &got);
+    EXPECT_EQ(got.matches, ref.matches);
+    EXPECT_EQ(got.payload_sum, ref.payload_sum);
+    EXPECT_DOUBLE_EQ(got.seconds, ref.seconds);
     ExpectSameProfile(d1, dev);
   }
 }
