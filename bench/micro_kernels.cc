@@ -171,15 +171,14 @@ void BM_StreamingGenerate(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamingGenerate)->Arg(1 << 20)->MeasureProcessCPUTime();
 
-/// Bucket-at-a-time publish gate: RadixPartition on a device over an
-/// explicit 2-worker pool, so the second pass records each block's runs,
-/// plans their buckets in the launch epilogue and copies them in
-/// parallel afterwards. A 1-worker pool (what a 1-CPU machine builds by
-/// default) would take the direct-pack path and never exercise it.
-/// pass_bits {3,7} over 256K tuples leaves runs of a few tuples per
-/// child, the sub-line regime where partial-line non-temporal stores
-/// used to dominate. Registered with MeasureProcessCPUTime: the blocks
-/// and the copies run on pool workers.
+/// Bucket-at-a-time sweep gate: RadixPartition on a device over an
+/// explicit 2-worker pool, so the second pass's 8 parents are swept by
+/// two workers at once, each moving its parents' tuples straight into
+/// the child chains and reusing the buckets it recycled, before one
+/// charge-only launch. pass_bits {3,7} over 256K tuples leaves each
+/// (block, child) cell a few tuples, the regime where per-run
+/// bookkeeping would dominate. Registered with MeasureProcessCPUTime:
+/// the sweep and the blocks run on pool workers.
 void BM_RadixPartitionReplay(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   util::ThreadPool pool(2);

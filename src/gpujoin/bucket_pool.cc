@@ -53,6 +53,11 @@ void BucketPool::FreeBucket(int32_t bucket) {
   free_list_.push_back(bucket);
 }
 
+void BucketPool::FreeBuckets(const std::vector<int32_t>& buckets) {
+  util::MutexLock lock(&free_mu_);
+  free_list_.insert(free_list_.end(), buckets.begin(), buckets.end());
+}
+
 uint32_t BucketPool::free_buckets() const {
   util::MutexLock lock(&free_mu_);
   return static_cast<uint32_t>(free_list_.size());

@@ -44,6 +44,9 @@ class BucketPool {
   /// Returns a consumed bucket to the free list.
   void FreeBucket(int32_t bucket);
 
+  /// Returns several consumed buckets under one lock acquisition.
+  void FreeBuckets(const std::vector<int32_t>& buckets);
+
   // --- Geometry ---
   uint32_t num_buckets() const { return num_buckets_; }
   uint32_t bucket_capacity() const { return bucket_capacity_; }

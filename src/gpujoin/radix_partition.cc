@@ -1,6 +1,7 @@
 #include "src/gpujoin/radix_partition.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "src/obs/metrics.h"
 #include "src/util/bits.h"
@@ -60,15 +61,59 @@ void PublishScatterCounters(
 }
 
 /// A chain segment recorded during a block's body and spliced onto the
-/// global partition lists in the launch epilogue. Deferring the splice
-/// makes the published chain order a function of block id, not of how
-/// host workers interleave — the head-exchange charge is still paid at
-/// record time, where the kernel performs it.
+/// global partition lists after the launch, in ascending block id.
+/// Deferring the splice makes the published chain order a function of
+/// block id, not of how host workers interleave — the head-exchange
+/// charge is still paid at record time, where the kernel performs it.
 struct PendingSegment {
   uint32_t partition;
   int32_t first;
   int32_t last;
 };
+
+/// Publishes every block's recorded segments in ascending block id: the
+/// order serialized block execution would splice them in. Charge-free.
+void SpliceSegments(BucketChains* chains,
+                    const std::vector<std::vector<PendingSegment>>& pending) {
+  for (const std::vector<PendingSegment>& segments : pending) {
+    for (const PendingSegment& seg : segments) {
+      chains->PublishSegment(seg.partition, seg.first, seg.last);
+    }
+  }
+}
+
+/// Checks one pass's radix field [shift, shift + bits) and the config
+/// fields every pass divides or indexes by, naming the offending
+/// RadixPartitionConfig field.
+util::Status ValidatePass(const RadixPartitionConfig& config, int shift,
+                          int bits) {
+  if (bits <= 0 || bits > 12) {
+    return util::Status::Invalid(
+        "RadixPartitionConfig.pass_bits: pass bits out of range [1, 12]: " +
+        std::to_string(bits));
+  }
+  if (shift < 0) {
+    return util::Status::Invalid(
+        "RadixPartitionConfig.base_shift: negative shift " +
+        std::to_string(shift));
+  }
+  if (shift + bits > 32) {
+    return util::Status::Invalid(
+        "RadixPartitionConfig.base_shift + pass_bits: radix bits [" +
+        std::to_string(shift) + ", " + std::to_string(shift + bits) +
+        ") exceed the 32-bit key");
+  }
+  if (config.stage_elems == 0) {
+    return util::Status::Invalid(
+        "RadixPartitionConfig.stage_elems must be positive");
+  }
+  if (config.num_blocks < 0) {
+    return util::Status::Invalid(
+        "RadixPartitionConfig.num_blocks must not be negative: " +
+        std::to_string(config.num_blocks));
+  }
+  return util::Status::OK();
+}
 
 /// Per-block partitioning state for block-private chains (pass 1 and
 /// partition-at-a-time later passes): current bucket, fill, staging, and
@@ -131,8 +176,8 @@ struct BlockLocalChains {
   /// write per tuple, and one device atomic per bucket drawn from the
   /// pool. Bucket boundaries are identical to the tuple-at-a-time path
   /// because chains fill each bucket to capacity before allocating. The
-  /// host copy is non-temporal (the caller's block body / epilogue ends
-  /// with StreamFence before other threads may read the pool).
+  /// host copy is non-temporal (the caller's block body ends with
+  /// StreamFence before other threads may read the pool).
   void AppendRun(sim::Block* block, BucketChains* out, uint32_t lp,
                  const uint32_t* keys, const uint32_t* pays, uint32_t count) {
     block->ChargeStagePush(count);
@@ -171,8 +216,8 @@ struct BlockLocalChains {
     }
   }
 
-  /// Closes every non-empty segment and records it for the epilogue's
-  /// deterministic publish. Local partition lp publishes as global
+  /// Closes every non-empty segment and records it for the ordered
+  /// splice after the launch. Local partition lp publishes as global
   /// partition gp_base + lp.
   void Finish(sim::Block* block, BucketChains* out, uint32_t gp_base,
               std::vector<PendingSegment>* pending) {
@@ -193,228 +238,203 @@ size_t BlockLocalSharedBytes(uint32_t fanout, uint32_t stage_elems) {
   return static_cast<size_t>(fanout) * (5 * 4 + stage_elems * 8) + 7 * 16;
 }
 
-/// Device-memory-resident per-child-partition chain metadata, shared by
-/// all producing blocks (the bucket-at-a-time mode of later passes:
-/// several blocks feed the same children concurrently, so their current-
-/// bucket state cannot live in block-local shared memory — the paper's
-/// "accessing data in the GPU memory" cost).
+/// Reserves a bucket-at-a-time block's shared-memory staging (stage
+/// fill counters plus the staged keys and payloads per child). The host
+/// stages in ScatterBuffers instead; the allocation keeps the block's
+/// simulated footprint, and its limit, those of the kernel.
+bool AllocStageOnly(sim::Block* block, uint32_t fanout, uint32_t stage_elems) {
+  auto& shared = block->shared();
+  return shared.Alloc<uint32_t>(fanout) != nullptr &&
+         shared.Alloc<uint32_t>(fanout * stage_elems) != nullptr &&
+         shared.Alloc<uint32_t>(fanout * stage_elems) != nullptr;
+}
+
+/// One block's share of a bucket-at-a-time pass, tallied by the sweep
+/// and charged by the launch. Each field is a plain sum over the
+/// block's items, so the order workers add them in does not matter.
+struct BlockTally {
+  uint64_t tuples = 0;        ///< Scanned, staged and flushed tuples.
+  uint64_t buckets = 0;       ///< Input buckets scanned and recycled.
+  uint64_t flush_events = 0;  ///< Simulated stage flushes.
+  uint64_t draws = 0;         ///< Output buckets drawn from the pool.
+  uint64_t cycles = 0;        ///< Scan cycles plus parent-visit resets.
+
+  void Add(const BlockTally& o) {
+    tuples += o.tuples;
+    buckets += o.buckets;
+    flush_events += o.flush_events;
+    draws += o.draws;
+    cycles += o.cycles;
+  }
+};
+
+/// One pool worker's sweep over whole parents of a bucket-at-a-time
+/// pass (later passes, paper's default assignment).
 ///
-/// Concurrent appends to a shared chain would land in host-scheduling
-/// order, so each block instead records its runs into a private buffer
-/// (AppendBulk, lock-free) and publishes them in two steps:
+/// The kernel deals parent p's i-th chain bucket to block
+/// (r0_p + i) mod B, and blocks publish onto the shared child chains in
+/// ascending block id, so a child's chain is its parent's tuples in
+/// "ascending block id, then chain order", packed to capacity with each
+/// new bucket prepended. A child depends on its parent alone: one worker
+/// per parent moves every tuple once — scatter buffer, then straight
+/// into the child's current bucket — and recycles each input bucket as
+/// soon as it has read it. It reuses the buckets it freed before drawing
+/// from the shared free list, so the pool lock is taken only for a
+/// parent's extra partial buckets (at most one per child, which
+/// RadixPartitionImpl reserves).
 ///
-///  - Plan, the launch epilogue, walks the block's runs in block order
-///    and does only the bookkeeping: it draws and prepends buckets,
-///    advances fills and charges the block one device atomic per bucket
-///    exactly as serialized block-order execution would, and records
-///    where each piece of each run lands. Chain structure and the
-///    per-block bucket-allocation atomics are thereby bit-identical from
-///    1 host thread to N.
-///  - Copy, after the launch, moves the recorded tuples to their planned
-///    slots for all blocks in parallel on the device's pool. Planned
-///    slots never overlap, so the copies need no ordering; it is
-///    charge-free host work. Pieces of different blocks may share a
-///    cache line at their ends, but StreamCopyU32 writes only whole
-///    lines non-temporally, so a shared line only takes plain stores.
-///
-/// Order-independent charges (stage flushes and their metadata atomics)
-/// are paid at record time, where the kernel performs them.
-///
-/// With a single host worker the record/plan/copy detour is pure
-/// overhead: ParallelForRanges hands all blocks to one worker in
-/// ascending id, so inline appends already happen in canonical block
-/// order. `direct` mode packs straight into the chains from the block
-/// body — same run sequence per child, same packing, same per-block
-/// charges (the bucket-allocation atomic moves from epilogue to body but
-/// stays on the same block's stats) — and skips a full buffered copy of
-/// every tuple. Byte-identity between the two modes is pinned by the
-/// 1-vs-8-thread cases of gpujoin_stat_invariance_test and, down to the
-/// chain contents at pool widths 1, 2 and 8, by thread_pool_stress_test.
-class GlobalChains {
+/// While sweeping it tallies what each block's visit of the parent
+/// charges inline, from per-child counts n (with g tuples of the child
+/// already routed by lower blocks):
+///  - stage push and flush: n tuples;
+///  - stage flush events: ceil(n / stage_elems) (every stage_elems-th
+///    tuple plus the drain at the parent switch);
+///  - output bucket draws: ceil((g + n) / cap) - ceil(g / cap);
+///  - per input bucket: its scan (cycles truncated per bucket) and the
+///    recycle atomic;
+///  - per parent visit: the stage-metadata reset, fanout / 32 + 1
+///    cycles.
+class ParentSweeper {
  public:
-  GlobalChains(BucketChains* out, int num_blocks, bool direct)
-      : out_(out),
-        direct_(direct),
-        cur_(out->num_partitions(), BucketChains::kNull),
-        per_block_(direct ? 0 : static_cast<size_t>(num_blocks)) {}
+  ParentSweeper(BucketChains* in, BucketChains* out, int shift, int bits,
+                uint32_t num_blocks, uint32_t stage_elems, int scatter_tuples)
+      : in_(in),
+        out_(out),
+        shift_(shift),
+        bits_(bits),
+        fanout_(1u << bits),
+        num_blocks_(num_blocks),
+        stage_elems_(stage_elems),
+        scatter_tuples_(scatter_tuples),
+        routed_(fanout_),
+        group_(fanout_),
+        tallies_(num_blocks) {}
 
-  /// Appends a staged run of `count` tuples to child partition `child`.
-  /// `flush_events` is how many stage flushes the tuple-at-a-time path
-  /// would have performed while staging this run (each flush pays one
-  /// device atomic plus one uncoalesced metadata transaction); the
-  /// caller tracks stage occupancy and passes the exact count, keeping
-  /// charged stats bit-identical.
-  void AppendBulk(sim::Block* block, uint32_t child, const uint32_t* keys,
-                  const uint32_t* pays, uint32_t count,
-                  uint32_t flush_events) {
-    if (count == 0 && flush_events == 0) return;
-    block->ChargeDeviceAtomic(flush_events);
-    block->ChargeRandomAccess(flush_events, 16ull * out_->num_partitions());
-    block->ChargeStageFlush(count);
+  /// Sweeps `parent`, whose chain buckets are `buckets[0, count)` and
+  /// whose first bucket the deal gives to block `r0`.
+  void Sweep(uint32_t parent, const int32_t* buckets, uint32_t count,
+             uint32_t r0) {
     if (count == 0) return;
-    if (direct_) {
-      PackFrom(block, child, count,
-               [&](uint32_t done, size_t dst, uint32_t batch) {
-                 util::StreamCopyU32(keys + done, out_->keys() + dst, batch);
-                 util::StreamCopyU32(pays + done, out_->payloads() + dst,
-                                     batch);
-               });
-      return;
+    std::fill(routed_.begin(), routed_.end(), 0);
+    child_base_ = parent << bits_;
+    sb_ = &ScatterScratch();
+    sb_->Init(fanout_, scatter_tuples_);
+    // Bucket i belongs to block (r0 + i) mod B: visit the owners in
+    // ascending id, each starting at its first bucket.
+    for (uint32_t b = 0; b < num_blocks_; ++b) {
+      const uint32_t i0 = (b + num_blocks_ - r0) % num_blocks_;
+      if (i0 < count) Visit(b, buckets, count, i0);
     }
-    PerBlock& pb = per_block_[static_cast<size_t>(block->block_id())];
-    pb.runs.push_back({child, count});
-    pb.keys.insert(pb.keys.end(), keys, keys + count);
-    pb.pays.insert(pb.pays.end(), pays, pays + count);
+    sb_->DrainAll(
+        [&](uint32_t c, util::ScatterBuffers::RunView run) { Pack(c, run); });
   }
 
-  /// Epilogue half: places this block's recorded runs on the shared
-  /// chains, charging it one device atomic per bucket it draws from the
-  /// pool — the same allocations it would have performed inline under
-  /// serialized block-order execution — and records one Piece per
-  /// bucket a run lands in, for Copy(). No-op in direct mode (everything was packed in
-  /// the body).
-  void Plan(sim::Block* block) {
-    if (direct_) return;
-    PerBlock& pb = per_block_[static_cast<size_t>(block->block_id())];
-    for (const Run& run : pb.runs) {
-      PackFrom(block, run.child, run.count,
-               [&](uint32_t /*done*/, size_t dst, uint32_t batch) {
-                 pb.pieces.push_back({dst, batch});
-               });
-    }
-    std::vector<Run>().swap(pb.runs);  // planned; release before Copy
+  /// Returns the unused recycled buckets to the shared pool and fences
+  /// the non-temporal copies. Call once after the worker's last parent.
+  void Finish() {
+    out_->pool()->FreeBuckets(free_);
+    free_.clear();
+    util::StreamFence();
+    counters_ = ScatterScratch().TakeCounters();
   }
 
-  /// Moves every block's recorded tuples to the slots Plan chose, blocks
-  /// spread over `pool`, releasing each block's buffers as it goes. Call
-  /// once after the launch returns. No-op in direct mode.
-  void Copy(util::ThreadPool* pool) {
-    if (direct_) return;
-    pool->ParallelForRanges(
-        per_block_.size(), [&](size_t /*worker*/, size_t begin, size_t end) {
-          for (size_t b = begin; b < end; ++b) {
-            PerBlock& pb = per_block_[b];
-            size_t src = 0;
-            for (const Piece& piece : pb.pieces) {
-              util::StreamCopyU32(pb.keys.data() + src,
-                                  out_->keys() + piece.dst, piece.count);
-              util::StreamCopyU32(pb.pays.data() + src,
-                                  out_->payloads() + piece.dst, piece.count);
-              src += piece.count;
-            }
-            pb = PerBlock();  // the buffered copy is dead weight from here
-          }
-          util::StreamFence();
-        });
-  }
+  const BlockTally& tally(size_t block) const { return tallies_[block]; }
+  const util::ScatterBuffers::Counters& counters() const { return counters_; }
 
  private:
-  /// Packs a run of `count` tuples into `child`'s chain: fills the
-  /// child's current bucket to capacity before drawing a fresh one (one
-  /// device atomic each), prepending new buckets to the child's list.
-  /// `place(done, dst, batch)` receives each piece: tuples
-  /// [done, done + batch) of the run belong at pool slot `dst`.
-  template <typename Place>
-  void PackFrom(sim::Block* block, uint32_t child, uint32_t count,
-                Place&& place) {
-    const uint32_t cap = out_->bucket_capacity();
-    uint32_t done = 0;
-    while (done < count) {
-      int32_t b = cur_[child];
-      if (b == BucketChains::kNull || out_->fill()[b] == cap) {
-        const int32_t nb = out_->AllocateBucket();
-        block->ChargeDeviceAtomic(1);
-        if (nb == BucketChains::kNull) {
-          // Pool exhausted: an internal sizing bug; make it loud.
-          std::fprintf(stderr, "gjoin: bucket pool exhausted\n");
-          std::abort();
+  /// Block b's visit: scans its buckets of the parent (i0, i0 + B, ...
+  /// in chain order), routes every tuple, then tallies the visit.
+  void Visit(uint32_t b, const int32_t* buckets, uint32_t count, uint32_t i0) {
+    BlockTally& t = tallies_[b];
+    const uint32_t cap = in_->bucket_capacity();
+    for (uint32_t i = i0; i < count; i += num_blocks_) {
+      const int32_t bucket = buckets[i];
+      const uint32_t n = in_->fill()[bucket];
+      t.tuples += n;
+      ++t.buckets;
+      t.cycles += static_cast<uint64_t>(static_cast<double>(n) *
+                                        kCyclesPerElement);
+      const uint32_t* keys = in_->keys() + static_cast<size_t>(bucket) * cap;
+      const uint32_t* pays =
+          in_->payloads() + static_cast<size_t>(bucket) * cap;
+      for (uint32_t j = 0; j < n; ++j) {
+        const uint32_t c = util::RadixOf(keys[j], shift_, bits_);
+        if (group_[c]++ == 0) dirty_.push_back(c);
+        if (sb_->Push(c, keys[j], pays[j])) {
+          Pack(c, sb_->Run(c));
+          sb_->Clear(c);
         }
-        // Prepend to the child's list (runs arrive in ascending block
-        // order — inline in direct mode, via Plan otherwise — so the
-        // order is canonical).
-        out_->next()[nb] = out_->heads()[child];
-        out_->heads()[child] = nb;
-        cur_[child] = nb;
-        b = nb;
       }
-      const uint32_t room = cap - out_->fill()[b];
-      const uint32_t batch = std::min(room, count - done);
-      place(done, static_cast<size_t>(b) * cap + out_->fill()[b], batch);
-      out_->fill()[b] += batch;
+      free_.push_back(bucket);  // read in full; its tuples are staged
+    }
+    t.cycles += fanout_ / 32 + 1;
+    for (const uint32_t c : dirty_) {
+      const uint64_t n = group_[c];
+      const uint64_t g = routed_[c];
+      t.flush_events += CeilDiv(n, stage_elems_);
+      t.draws += CeilDiv(g + n, cap) - CeilDiv(g, cap);
+      routed_[c] = g + n;
+      group_[c] = 0;
+    }
+    dirty_.clear();
+  }
+
+  /// Appends a flushed run to child c's chain: fills the head bucket to
+  /// capacity, then prepends a fresh one (this worker owns the child).
+  void Pack(uint32_t c, util::ScatterBuffers::RunView run) {
+    const uint32_t cap = out_->bucket_capacity();
+    int32_t& head = out_->heads()[child_base_ + c];
+    uint32_t done = 0;
+    while (done < run.count) {
+      if (head == BucketChains::kNull || out_->fill()[head] == cap) {
+        const int32_t b = Draw();
+        out_->next()[b] = head;
+        head = b;
+      }
+      const int32_t b = head;
+      const uint32_t fill = out_->fill()[b];
+      const uint32_t batch = std::min(cap - fill, run.count - done);
+      const size_t dst = static_cast<size_t>(b) * cap + fill;
+      util::StreamCopyU32(run.keys + done, out_->keys() + dst, batch);
+      util::StreamCopyU32(run.pays + done, out_->payloads() + dst, batch);
+      out_->fill()[b] = fill + batch;
       done += batch;
     }
   }
 
-  struct Run {
-    uint32_t child;
-    uint32_t count;
-  };
-  /// One planned copy: the next `count` recorded tuples of the block go
-  /// to pool slot `dst` (sources are consumed in recording order).
-  struct Piece {
-    size_t dst;
-    uint32_t count;
-  };
-  struct PerBlock {
-    std::vector<Run> runs;
-    std::vector<Piece> pieces;
-    std::vector<uint32_t> keys, pays;
-  };
-  BucketChains* out_;
-  bool direct_ = false;
-  std::vector<int32_t> cur_;
-  std::vector<PerBlock> per_block_;
-};
-
-/// Block-local staging only (no chain metadata) for producers that feed
-/// GlobalChains. The host appends staged runs; the stage-fill counters
-/// are kept exact so the number of simulated stage flushes (and their
-/// metadata charges) matches tuple-at-a-time execution bit for bit.
-struct StageOnly {
-  uint32_t fanout = 0;
-  uint32_t stage_elems = 0;
-  uint32_t* stage_fill = nullptr;
-  uint32_t* stage_keys = nullptr;
-  uint32_t* stage_pays = nullptr;
-
-  bool Alloc(sim::Block* block, uint32_t fanout_in, uint32_t stage_in) {
-    fanout = fanout_in;
-    stage_elems = stage_in;
-    auto& shared = block->shared();
-    stage_fill = shared.Alloc<uint32_t>(fanout);
-    stage_keys = shared.Alloc<uint32_t>(fanout * stage_elems);
-    stage_pays = shared.Alloc<uint32_t>(fanout * stage_elems);
-    return stage_fill != nullptr && stage_keys != nullptr &&
-           stage_pays != nullptr;
-  }
-
-  /// Appends a run of `count` tuples of sub-partition `sub`. The run is
-  /// written through the simulated stage: each tuple pays the stage push,
-  /// and every stage_elems-th tuple (relative to the current occupancy)
-  /// triggers one flush worth of metadata charges.
-  void AppendRun(sim::Block* block, GlobalChains* out, uint32_t gp_base,
-                 uint32_t sub, const uint32_t* keys, const uint32_t* pays,
-                 uint32_t count) {
-    block->ChargeStagePush(count);
-    const uint32_t occupied = stage_fill[sub] + count;
-    const uint32_t flushes = occupied / stage_elems;
-    stage_fill[sub] = occupied % stage_elems;
-    out->AppendBulk(block, gp_base + sub, keys, pays, count, flushes);
-  }
-
-  /// Drains all non-empty stages to children of gp_base (call before a
-  /// parent switch and at block end). Tuples were already appended by
-  /// AppendRun; this pays the final flush metadata per dirty stage.
-  void FlushAll(sim::Block* block, GlobalChains* out, uint32_t gp_base) {
-    for (uint32_t sub = 0; sub < fanout; ++sub) {
-      if (stage_fill[sub] > 0) {
-        out->AppendBulk(block, gp_base + sub, nullptr, nullptr, 0,
-                        /*flush_events=*/1);
-        stage_fill[sub] = 0;
+  /// An empty bucket: one this worker recycled, else one from the pool.
+  int32_t Draw() {
+    if (free_.empty()) {
+      const int32_t b = out_->AllocateBucket();
+      if (b == BucketChains::kNull) {
+        // Pool exhausted: an internal sizing bug; make it loud.
+        std::fprintf(stderr, "gjoin: bucket pool exhausted\n");
+        std::abort();
       }
+      return b;
     }
-    block->ChargeCycles(fanout / 32 + 1);
+    const int32_t b = free_.back();
+    free_.pop_back();
+    out_->fill()[b] = 0;
+    return b;
   }
+
+  BucketChains* in_;
+  BucketChains* out_;
+  int shift_;
+  int bits_;
+  uint32_t fanout_;
+  uint32_t num_blocks_;
+  uint32_t stage_elems_;
+  int scatter_tuples_;
+  uint32_t child_base_ = 0;
+  util::ScatterBuffers* sb_ = nullptr;
+  std::vector<uint64_t> routed_;  ///< Child's tuples from lower blocks.
+  std::vector<uint32_t> group_;   ///< Child's tuples in this visit.
+  std::vector<uint32_t> dirty_;   ///< Children with group_ > 0.
+  std::vector<int32_t> free_;     ///< Recycled buckets, reused first.
+  std::vector<BlockTally> tallies_;
+  util::ScatterBuffers::Counters counters_;
 };
 
 }  // namespace
@@ -543,10 +563,7 @@ template <typename Source>
 util::Result<PartitionedRelation> FirstPassOverSource(
     sim::Device* device, Source src, size_t input_size, int shift, int bits,
     const RadixPartitionConfig& config, PartitionedRelation* append_to) {
-  if (bits <= 0 || bits > 12) {
-    return util::Status::Invalid("first pass bits out of range: " +
-                                 std::to_string(bits));
-  }
+  GJOIN_RETURN_NOT_OK(ValidatePass(config, shift, bits));
   const uint32_t fanout = 1u << bits;
   const size_t smem_needed =
       BlockLocalSharedBytes(fanout, config.stage_elems);
@@ -648,13 +665,8 @@ util::Result<PartitionedRelation> FirstPassOverSource(
                 sb.TakeCounters();
             util::StreamFence();
             src.BlockDone(begin, end);
-          },
-          [&](sim::Block& block) {
-            for (const PendingSegment& seg :
-                 pending[static_cast<size_t>(block.block_id())]) {
-              chains.PublishSegment(seg.partition, seg.first, seg.last);
-            }
           }));
+  SpliceSegments(&chains, pending);
   PublishScatterCounters(config, scatter_counters);
 
   out.tuples += n;
@@ -677,13 +689,173 @@ util::Result<PartitionedRelation> RadixPartitionFirstPass(
       input.size, shift, bits, config, append_to);
 }
 
+namespace {
+
+/// Bucket-at-a-time: one ParentSweeper per pool worker moves the tuples
+/// parent by parent (largest parents claimed first, so a hot parent
+/// starts at once and the other workers share the rest), then a
+/// single-phase launch charges every block its tallied share.
+util::Result<sim::LaunchResult> BucketAtATimePass(
+    sim::Device* device, BucketChains* in, BucketChains* out,
+    uint64_t in_tuples, int shift, int bits,
+    const RadixPartitionConfig& config, const sim::LaunchConfig& launch) {
+  const uint32_t parents = in->num_partitions();
+  const uint32_t num_blocks = static_cast<uint32_t>(launch.num_blocks);
+  // Each parent's buckets in chain order, parents in ascending order:
+  // the kernel's deal order, so parent p's first bucket goes to block
+  // first[p] mod B.
+  std::vector<size_t> first(parents + 1);
+  std::vector<int32_t> buckets;
+  for (uint32_t p = 0; p < parents; ++p) {
+    first[p] = buckets.size();
+    for (int32_t b = in->heads()[p]; b != BucketChains::kNull;
+         b = in->next()[b]) {
+      buckets.push_back(b);
+    }
+  }
+  first[parents] = buckets.size();
+  std::vector<uint32_t> order(parents);
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
+    return first[x + 1] - first[x] > first[y + 1] - first[y];
+  });
+
+  util::ThreadPool* pool = device->pool();
+  const size_t workers = std::min<size_t>(pool->num_threads(), parents);
+  const int scatter_tuples =
+      util::ResolveScatterBufferTuples(config.scatter_buffer_tuples);
+  std::vector<ParentSweeper> sweepers;
+  sweepers.reserve(workers);
+  for (size_t w = 0; w < workers; ++w) {
+    sweepers.emplace_back(in, out, shift, bits, num_blocks, config.stage_elems,
+                          scatter_tuples);
+  }
+  std::atomic<uint32_t> next_parent{0};
+  pool->ParallelForRanges(
+      workers, [&](size_t worker, size_t /*begin*/, size_t /*end*/) {
+        ParentSweeper& sweeper = sweepers[worker];
+        for (uint32_t k = next_parent.fetch_add(1, std::memory_order_relaxed);
+             k < parents;
+             k = next_parent.fetch_add(1, std::memory_order_relaxed)) {
+          const uint32_t p = order[k];
+          sweeper.Sweep(p, buckets.data() + first[p],
+                        static_cast<uint32_t>(first[p + 1] - first[p]),
+                        static_cast<uint32_t>(first[p] % num_blocks));
+        }
+        sweeper.Finish();
+      });
+  std::vector<util::ScatterBuffers::Counters> scatter_counters;
+  for (const ParentSweeper& sweeper : sweepers) {
+    scatter_counters.push_back(sweeper.counters());
+  }
+  PublishScatterCounters(config, scatter_counters);
+
+  const uint32_t subfanout = 1u << bits;
+  const uint64_t children = out->num_partitions();
+  return device->Launch(launch, [&](sim::Block& block) {
+    BlockTally t;
+    for (const ParentSweeper& sweeper : sweepers) {
+      t.Add(sweeper.tally(static_cast<size_t>(block.block_id())));
+    }
+    if (t.buckets == 0) return;
+    if (!AllocStageOnly(&block, subfanout, config.stage_elems)) return;
+    // Chain hop + coalesced scan per input bucket, then its recycle.
+    block.ChargeRandomAccess(t.buckets, 8ull * in_tuples);
+    block.ChargeCoalescedRead(8ull * t.tuples);
+    block.ChargeStagePush(t.tuples);
+    block.ChargeStageFlush(t.tuples);
+    // Each stage flush pays a device atomic and an uncoalesced access to
+    // the shared chain metadata; each drawn bucket the pool atomic.
+    if (t.tuples > 0) {
+      block.ChargeRandomAccess(t.flush_events, 16 * children);
+    }
+    block.ChargeDeviceAtomic(t.buckets + t.flush_events + t.draws);
+    block.ChargeCycles(t.cycles);
+  });
+}
+
+/// Partition-at-a-time: whole parent chains are dealt round-robin, so a
+/// block is the sole producer of its parents' children and keeps their
+/// metadata in fast shared memory; the price is load imbalance under
+/// skew (max_block_cycles). Segments are spliced after the launch.
+util::Result<sim::LaunchResult> PartitionAtATimePass(
+    sim::Device* device, BucketChains* in_chains, BucketChains* out,
+    uint64_t in_tuples, int shift, int bits,
+    const RadixPartitionConfig& config, const sim::LaunchConfig& launch) {
+  BucketChains& in = *in_chains;
+  const uint32_t parents = in.num_partitions();
+  const uint32_t subfanout = 1u << bits;
+  const uint32_t capacity = in.bucket_capacity();
+  const size_t num_blocks = static_cast<size_t>(launch.num_blocks);
+  const int scatter_tuples =
+      util::ResolveScatterBufferTuples(config.scatter_buffer_tuples);
+  std::vector<std::vector<uint32_t>> block_parents(num_blocks);
+  for (uint32_t p = 0; p < parents; ++p) {
+    if (in.heads()[p] != BucketChains::kNull) {
+      block_parents[p % num_blocks].push_back(p);
+    }
+  }
+  std::vector<std::vector<PendingSegment>> pending(num_blocks);
+  std::vector<util::ScatterBuffers::Counters> scatter_counters(num_blocks);
+
+  GJOIN_ASSIGN_OR_RETURN(
+      sim::LaunchResult result,
+      device->Launch(launch, [&](sim::Block& block) {
+        const size_t id = static_cast<size_t>(block.block_id());
+        if (block_parents[id].empty()) return;
+        util::ScatterBuffers& sb = ScatterScratch();
+        sb.Init(subfanout, scatter_tuples);
+        BlockLocalChains local;
+        if (!local.Alloc(&block, subfanout, config.stage_elems)) return;
+        for (const uint32_t parent : block_parents[id]) {
+          local.ResetMeta(&block);
+          int32_t b = in.heads()[parent];
+          while (b != BucketChains::kNull) {
+            const int32_t next_b = in.next()[b];  // before recycling b
+            const size_t base = static_cast<size_t>(b) * capacity;
+            const uint32_t count = in.fill()[b];
+            // Chain hop + coalesced scan of the bucket's tuples.
+            block.ChargeRandomAccess(1, 8ull * in_tuples);
+            block.ChargeCoalescedRead(8ull * count);
+            block.ChargeCycles(static_cast<uint64_t>(
+                static_cast<double>(count) * kCyclesPerElement));
+            const uint32_t* bkeys = in.keys() + base;
+            const uint32_t* bpays = in.payloads() + base;
+            for (uint32_t t = 0; t < count; ++t) {
+              const uint32_t sub = util::RadixOf(bkeys[t], shift, bits);
+              if (sb.Push(sub, bkeys[t], bpays[t])) {
+                const util::ScatterBuffers::RunView run = sb.Run(sub);
+                local.AppendRun(&block, out, sub, run.keys, run.pays,
+                                run.count);
+                sb.Clear(sub);
+              }
+            }
+            // Staged copies make later pool reuse safe; free only after
+            // the bucket's tuples are read.
+            in.FreeBucket(b);
+            block.ChargeDeviceAtomic(1);
+            b = next_b;
+          }
+          sb.DrainAll([&](uint32_t sub, util::ScatterBuffers::RunView run) {
+            local.AppendRun(&block, out, sub, run.keys, run.pays,
+                            run.count);
+          });
+          local.Finish(&block, out, parent << bits, &pending[id]);
+        }
+        scatter_counters[id] = sb.TakeCounters();
+        util::StreamFence();
+      }));
+  SpliceSegments(out, pending);
+  PublishScatterCounters(config, scatter_counters);
+  return result;
+}
+
+}  // namespace
+
 util::Result<PartitionedRelation> RadixPartitionNextPass(
     sim::Device* device, PartitionedRelation prev, int shift, int bits,
     const RadixPartitionConfig& config) {
-  if (bits <= 0 || bits > 12) {
-    return util::Status::Invalid("pass bits out of range: " +
-                                 std::to_string(bits));
-  }
+  GJOIN_RETURN_NOT_OK(ValidatePass(config, shift, bits));
   const uint32_t subfanout = 1u << bits;
   const size_t smem_needed =
       BlockLocalSharedBytes(subfanout, config.stage_elems);
@@ -693,195 +865,32 @@ util::Result<PartitionedRelation> RadixPartitionNextPass(
 
   // The pass owns `prev`, so recycling consumed input buckets back into
   // the shared pool is a sanctioned mutation (no caller can observe the
-  // drained input chains afterwards).
+  // drained input chains afterwards). Output chains share the input's
+  // pool: consumed input buckets are recycled into output buckets,
+  // keeping the footprint near the data size. The pool must still have
+  // headroom for one partial bucket per child plus in-flight buckets;
+  // RadixPartition sizes it accordingly.
   BucketChains& in = prev.chains;
-  const uint32_t parents = in.num_partitions();
-  const uint32_t children = parents << bits;
-  const uint32_t capacity = in.bucket_capacity();
-  const int num_blocks =
-      config.num_blocks != 0
-          ? config.num_blocks
-          : device->spec().gpu.num_sms * device->spec().gpu.blocks_per_sm;
-  const int scatter_tuples =
-      util::ResolveScatterBufferTuples(config.scatter_buffer_tuples);
-  // Output chains share the input's pool: consumed input buckets are
-  // recycled into output buckets, keeping the footprint near the data
-  // size. The pool must still have headroom for one partial bucket per
-  // child plus in-flight buckets; RadixPartition sizes it accordingly.
   GJOIN_ASSIGN_OR_RETURN(
       BucketChains chains,
-      BucketChains::Allocate(&device->memory(), children, in.pool()));
-
-  // Build per-block work lists. Bucket-at-a-time deals individual buckets
-  // round-robin (skew-robust); partition-at-a-time deals whole parent
-  // chains (block becomes the sole producer of its children). In both
-  // modes a block's items are grouped by parent so metadata is
-  // initialized once per parent visit.
-  struct WorkItem {
-    uint32_t parent;
-    int32_t bucket;  // kNull in partition-at-a-time mode (whole chain)
-  };
-  std::vector<std::vector<WorkItem>> block_items(
-      static_cast<size_t>(num_blocks));
-  if (config.assignment == WorkAssignment::kBucketAtATime) {
-    size_t rr = 0;
-    for (uint32_t p = 0; p < parents; ++p) {
-      for (int32_t b = in.heads()[p]; b != BucketChains::kNull;
-           b = in.next()[b]) {
-        block_items[rr % num_blocks].push_back({p, b});
-        ++rr;
-      }
-    }
-    for (auto& items : block_items) {
-      std::stable_sort(items.begin(), items.end(),
-                       [](const WorkItem& a, const WorkItem& b) {
-                         return a.parent < b.parent;
-                       });
-    }
-  } else {
-    for (uint32_t p = 0; p < parents; ++p) {
-      if (in.heads()[p] != BucketChains::kNull) {
-        block_items[p % num_blocks].push_back({p, BucketChains::kNull});
-      }
-    }
-  }
+      BucketChains::Allocate(&device->memory(), in.num_partitions() << bits,
+                             in.pool()));
 
   sim::LaunchConfig launch;
   launch.name = "radix_partition_pass2";
-  launch.num_blocks = num_blocks;
+  launch.num_blocks =
+      config.num_blocks != 0
+          ? config.num_blocks
+          : device->spec().gpu.num_sms * device->spec().gpu.blocks_per_sm;
   launch.threads_per_block = config.threads_per_block;
   launch.shared_mem_bytes = device->spec().gpu.shared_mem_per_block;
-
-  GlobalChains global(&chains, num_blocks,
-                      /*direct=*/device->functional_parallelism() == 1);
-  const bool bucket_mode =
-      config.assignment == WorkAssignment::kBucketAtATime;
-  std::vector<std::vector<PendingSegment>> pending(
-      static_cast<size_t>(num_blocks));
-  std::vector<util::ScatterBuffers::Counters> scatter_counters(
-      static_cast<size_t>(num_blocks));
-
   GJOIN_ASSIGN_OR_RETURN(
       sim::LaunchResult result,
-      device->Launch(launch, [&](sim::Block& block) {
-        const auto& items = block_items[static_cast<size_t>(block.block_id())];
-        if (items.empty()) return;
-
-        auto charge_bucket_scan = [&](uint32_t count) {
-          // Chain hop + coalesced scan of the bucket's tuples.
-          block.ChargeRandomAccess(1, 8ull * prev.tuples);
-          block.ChargeCoalescedRead(8ull * count);
-          block.ChargeCycles(static_cast<uint64_t>(
-              static_cast<double>(count) * kCyclesPerElement));
-        };
-
-        util::ScatterBuffers& sb = ScatterScratch();
-        sb.Init(subfanout, scatter_tuples);
-
-        if (bucket_mode) {
-          // Bucket-at-a-time: blocks share the children, so chain
-          // metadata lives in device memory (GlobalChains); only the
-          // staging buffers are block-local. Tuples route through the
-          // scatter buffers straight off each input bucket's scan; a
-          // parent's stage drains when its last item has been consumed.
-          StageOnly stage;
-          if (!stage.Alloc(&block, subfanout, config.stage_elems)) return;
-          for (uint32_t s = 0; s < subfanout; ++s) stage.stage_fill[s] = 0;
-
-          uint32_t open_parent = 0;
-          bool has_open = false;
-          auto close_parent = [&] {
-            if (!has_open) return;
-            sb.DrainAll([&](uint32_t sub, util::ScatterBuffers::RunView run) {
-              stage.AppendRun(&block, &global, open_parent << bits, sub,
-                              run.keys, run.pays, run.count);
-            });
-            stage.FlushAll(&block, &global, open_parent << bits);
-            has_open = false;
-          };
-
-          for (const WorkItem& item : items) {
-            if (!has_open || item.parent != open_parent) {
-              close_parent();
-              open_parent = item.parent;
-              has_open = true;
-            }
-            const size_t base =
-                static_cast<size_t>(item.bucket) * capacity;
-            const uint32_t count = in.fill()[item.bucket];
-            charge_bucket_scan(count);
-            const uint32_t* bkeys = in.keys() + base;
-            const uint32_t* bpays = in.payloads() + base;
-            for (uint32_t t = 0; t < count; ++t) {
-              const uint32_t sub = util::RadixOf(bkeys[t], shift, bits);
-              if (sb.Push(sub, bkeys[t], bpays[t])) {
-                const util::ScatterBuffers::RunView run = sb.Run(sub);
-                stage.AppendRun(&block, &global, open_parent << bits, sub,
-                                run.keys, run.pays, run.count);
-                sb.Clear(sub);
-              }
-            }
-            // The input bucket is fully consumed (its tuples are staged
-            // or recorded): recycle it.
-            in.FreeBucket(item.bucket);
-            block.ChargeDeviceAtomic(1);
-          }
-          close_parent();
-        } else {
-          // Partition-at-a-time: the block is the sole producer of its
-          // parents' children, so metadata stays in fast shared memory;
-          // the price is load imbalance under skew (max_block_cycles).
-          BlockLocalChains local;
-          if (!local.Alloc(&block, subfanout, config.stage_elems)) return;
-          for (const WorkItem& item : items) {
-            local.ResetMeta(&block);
-            int32_t b = in.heads()[item.parent];
-            while (b != BucketChains::kNull) {
-              const int32_t next_b = in.next()[b];  // before recycling b
-              const size_t base = static_cast<size_t>(b) * capacity;
-              const uint32_t count = in.fill()[b];
-              charge_bucket_scan(count);
-              const uint32_t* bkeys = in.keys() + base;
-              const uint32_t* bpays = in.payloads() + base;
-              for (uint32_t t = 0; t < count; ++t) {
-                const uint32_t sub = util::RadixOf(bkeys[t], shift, bits);
-                if (sb.Push(sub, bkeys[t], bpays[t])) {
-                  const util::ScatterBuffers::RunView run = sb.Run(sub);
-                  local.AppendRun(&block, &chains, sub, run.keys, run.pays,
-                                  run.count);
-                  sb.Clear(sub);
-                }
-              }
-              // Staged copies make later pool reuse safe; free only
-              // after the bucket's tuples are read.
-              in.FreeBucket(b);
-              block.ChargeDeviceAtomic(1);
-              b = next_b;
-            }
-            sb.DrainAll([&](uint32_t sub, util::ScatterBuffers::RunView run) {
-              local.AppendRun(&block, &chains, sub, run.keys, run.pays,
-                              run.count);
-            });
-            local.Finish(&block, &chains, item.parent << bits,
-                         &pending[static_cast<size_t>(block.block_id())]);
-          }
-        }
-        scatter_counters[static_cast<size_t>(block.block_id())] =
-            sb.TakeCounters();
-        util::StreamFence();
-      },
-      [&](sim::Block& block) {
-        if (bucket_mode) {
-          global.Plan(&block);
-        } else {
-          for (const PendingSegment& seg :
-               pending[static_cast<size_t>(block.block_id())]) {
-            chains.PublishSegment(seg.partition, seg.first, seg.last);
-          }
-        }
-      }));
-  global.Copy(device->pool());
-  PublishScatterCounters(config, scatter_counters);
+      config.assignment == WorkAssignment::kBucketAtATime
+          ? BucketAtATimePass(device, &in, &chains, prev.tuples, shift, bits,
+                              config, launch)
+          : PartitionAtATimePass(device, &in, &chains, prev.tuples, shift,
+                                 bits, config, launch));
 
   PartitionedRelation out;
   out.chains = std::move(chains);
@@ -905,6 +914,17 @@ util::Result<PartitionedRelation> RadixPartitionImpl(
     ChunkedDeviceInput* chunked, const RadixPartitionConfig& config) {
   if (config.pass_bits.empty()) {
     return util::Status::Invalid("RadixPartition: no passes configured");
+  }
+  int pass_shift = config.base_shift;
+  for (const int bits : config.pass_bits) {
+    GJOIN_RETURN_NOT_OK(ValidatePass(config, pass_shift, bits));
+    pass_shift += bits;
+  }
+  if (config.total_bits() > 31) {
+    return util::Status::Invalid(
+        "RadixPartitionConfig.pass_bits: " +
+        std::to_string(config.total_bits()) +
+        " total bits exceed the 31 a partition count holds");
   }
   const uint64_t n = host_input != nullptr ? host_input->size()
                      : chunked != nullptr ? chunked->size()

@@ -15,6 +15,14 @@
 // CUDA block defines the total execution time"). Both assignments are
 // implemented; WorkAssignment selects them, and bench/abl_assignment
 // measures the trade-off.
+//
+// The host executes a bucket-at-a-time pass by parent, not by block: a
+// child's chain depends only on its parent's tuples in the order the
+// deal hands them to blocks, so each pool worker sweeps whole parents,
+// moving every tuple once, and a single charge-only launch then charges
+// each block its share of the deal in closed form from per-block,
+// per-child counts. Chains and every charged counter are those of
+// block-by-block execution at any pool width.
 
 #ifndef GJOIN_GPUJOIN_RADIX_PARTITION_H_
 #define GJOIN_GPUJOIN_RADIX_PARTITION_H_
@@ -78,8 +86,10 @@ struct RadixPartitionConfig {
   int scatter_buffer_tuples = 0;
 
   /// Optional sink for host-scatter throughput counters
-  /// (gjoin_partition_scatter_bytes_total / _flushes_total). Observes
-  /// only — attaching a registry never changes results or charges.
+  /// (gjoin_partition_scatter_bytes_total / _flushes_total; a
+  /// bucket-at-a-time pass drains its buffers once per parent, so its
+  /// flush count is per parent, not per block). Observes only —
+  /// attaching a registry never changes results or charges.
   obs::MetricsRegistry* metrics = nullptr;
 
   /// Total radix bits across all passes.

@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "src/data/generator.h"
 #include "src/gpujoin/types.h"
@@ -230,6 +232,59 @@ TEST_F(RadixPartitionTest, RejectsEmptyPassList) {
   RadixPartitionConfig cfg;
   cfg.pass_bits = {};
   EXPECT_FALSE(RadixPartition(&device_, Upload(rel), cfg).ok());
+}
+
+TEST_F(RadixPartitionTest, RejectsInvalidConfigFields) {
+  // Each bad field returns a typed kInvalid naming it instead of
+  // dividing by zero (stage_elems) or shifting past the key width.
+  const data::Relation rel = data::MakeUniqueUniform(1 << 16, 15);
+  struct BadConfig {
+    const char* field;
+    RadixPartitionConfig cfg;
+  };
+  std::vector<BadConfig> cases(4);
+  cases[0].field = "stage_elems";
+  cases[0].cfg.pass_bits = {4, 4};
+  cases[0].cfg.stage_elems = 0;
+  cases[1].field = "base_shift";
+  cases[1].cfg.base_shift = -1;
+  cases[2].field = "base_shift";
+  cases[2].cfg.base_shift = 30;
+  cases[3].field = "pass_bits";
+  cases[3].cfg.pass_bits = {12, 12, 8};
+  for (const BadConfig& bad : cases) {
+    SCOPED_TRACE(bad.field);
+    for (const WorkAssignment assignment :
+         {WorkAssignment::kBucketAtATime, WorkAssignment::kPartitionAtATime}) {
+      RadixPartitionConfig cfg = bad.cfg;
+      cfg.assignment = assignment;
+      auto parted = RadixPartition(&device_, Upload(rel), cfg);
+      ASSERT_FALSE(parted.ok());
+      EXPECT_EQ(parted.status().code(), util::StatusCode::kInvalid);
+      EXPECT_NE(parted.status().message().find(bad.field), std::string::npos)
+          << parted.status();
+    }
+  }
+}
+
+TEST_F(RadixPartitionTest, SinglePassesRejectInvalidFields) {
+  const data::Relation rel = data::MakeUniqueUniform(4096, 16);
+  RadixPartitionConfig cfg;
+  cfg.stage_elems = 0;
+  auto first = RadixPartitionFirstPass(&device_, Upload(rel), 0, 4, cfg);
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.status().code(), util::StatusCode::kInvalid);
+  EXPECT_FALSE(
+      RadixPartitionFirstPass(&device_, Upload(rel), -1, 4, {}).ok());
+  EXPECT_FALSE(
+      RadixPartitionFirstPass(&device_, Upload(rel), 30, 4, {}).ok());
+
+  auto parted = RadixPartitionFirstPass(&device_, Upload(rel), 0, 4, {});
+  ASSERT_TRUE(parted.ok()) << parted.status();
+  auto next = RadixPartitionNextPass(&device_, std::move(parted).ValueOrDie(),
+                                     29, 4, {});
+  ASSERT_FALSE(next.ok());
+  EXPECT_EQ(next.status().code(), util::StatusCode::kInvalid);
 }
 
 TEST_F(RadixPartitionTest, AutoBucketCapacityBounds) {

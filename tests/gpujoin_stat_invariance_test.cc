@@ -14,7 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
+#include <string>
 #include <vector>
 
 #include "src/cpu/cpu_joins.h"
@@ -26,6 +28,7 @@
 #include "src/gpujoin/radix_partition.h"
 #include "src/outofgpu/coprocess.h"
 #include "src/outofgpu/streaming_probe.h"
+#include "src/util/bits.h"
 #include "src/util/probe_pipeline.h"
 #include "src/util/thread_pool.h"
 
@@ -928,6 +931,161 @@ TEST_F(StatInvarianceTest, WrappedNonPartitionedPerfectHashMaterialize) {
         2840, 71, 40, 7.8815384615384609e-06},
        {"nonpartitioned_probe_perfect", 480000, 480000, 0, 60000, 120004,
         960000, 60000, 1520, 5640, 141, 40, 1.4053653846153844e-05}});
+}
+
+// ---- Bucket-at-a-time sweep edge cases ----
+// Later bucket-at-a-time passes deal parent p's i-th chain bucket to
+// block (r0_p + i) mod B. These shapes reach corners of that deal the
+// join goldens above do not: a block owning several buckets of one
+// parent, deals that start mid-grid, empty parents and children, a
+// third pass and one hot parent. The goldens, chain hashes included,
+// were captured while each block still recorded its runs and the launch
+// epilogue placed them on the shared chains in block order; they pin
+// that sweeping whole parents leaves every charge and every chain where
+// the recorded runs put them, at any pool width.
+
+/// FNV-1a over every partition's bucket fills and tuples in chain order.
+uint64_t ChainHash(const gpujoin::BucketChains& chains) {
+  uint64_t hash = 14695981039346656037ull;
+  auto mix = [&hash](uint32_t word) {
+    for (int byte = 0; byte < 4; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xFF;
+      hash *= 1099511628211ull;
+    }
+  };
+  const uint32_t cap = chains.bucket_capacity();
+  for (uint32_t p = 0; p < chains.num_partitions(); ++p) {
+    mix(p);
+    for (int32_t b = chains.heads()[p]; b != gpujoin::BucketChains::kNull;
+         b = chains.next()[b]) {
+      const uint32_t fill = chains.fill()[b];
+      const size_t base = static_cast<size_t>(b) * cap;
+      mix(fill);
+      for (uint32_t i = 0; i < fill; ++i) mix(chains.keys()[base + i]);
+      for (uint32_t i = 0; i < fill; ++i) mix(chains.payloads()[base + i]);
+    }
+  }
+  return hash;
+}
+
+/// Partitions `rel` at pool widths 1 and 4 and checks each run against
+/// the golden chain hash and launch profile.
+void ExpectSweepGolden(const data::Relation& rel,
+                       const gpujoin::RadixPartitionConfig& cfg,
+                       uint64_t chain_hash,
+                       const std::vector<GoldenLaunch>& golden) {
+  for (const size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    util::ThreadPool pool(threads);
+    sim::Device device{hw::HardwareSpec::Icde2019Testbed(), &pool};
+    auto input = gpujoin::DeviceRelation::Upload(&device, rel);
+    ASSERT_TRUE(input.ok()) << input.status();
+    auto parted = gpujoin::RadixPartition(&device, *input, cfg);
+    ASSERT_TRUE(parted.ok()) << parted.status();
+    EXPECT_EQ(parted->chains.TotalElements(), rel.size());
+    EXPECT_EQ(ChainHash(parted->chains), chain_hash);
+    ExpectProfileMatches(device, golden);
+  }
+}
+
+/// Tuples per pass-1 partition of `rel`'s low `bits` key bits.
+std::vector<size_t> ParentSizes(const data::Relation& rel, int bits) {
+  std::vector<size_t> sizes(size_t{1} << bits);
+  for (uint32_t key : rel.keys) ++sizes[util::RadixOf(key, 0, bits)];
+  return sizes;
+}
+
+TEST_F(StatInvarianceTest, SweepParentWiderThanGrid) {
+  // Two blocks: every parent's ~13 buckets alternate between them, so
+  // each block owns several buckets of one parent.
+  gpujoin::RadixPartitionConfig cfg;
+  cfg.pass_bits = {4, 5};
+  cfg.num_blocks = 2;
+  ExpectSweepGolden(
+      r_, cfg, 10407830203124139346ull,
+      {{"radix_partition_pass1", 800000, 0, 800000, 0, 0, 1600640, 100000,
+        255, 197504, 98752, 2, 6.6719999999999998e-05},
+       {"radix_partition_pass2", 800000, 0, 800000, 6959, 800000, 1600000,
+        100000, 7471, 197511, 99153, 2, 6.6970625000000001e-05}});
+}
+
+TEST_F(StatInvarianceTest, SweepDealStartsMidGrid) {
+  // Seven blocks and 2^5 parents of about 50 buckets each: the deal's
+  // first bucket of most parents lands on a block other than 0.
+  gpujoin::RadixPartitionConfig cfg;
+  cfg.pass_bits = {5, 4};
+  cfg.num_blocks = 7;
+  cfg.bucket_capacity = 64;
+  {
+    // Guard the deal: replay pass 1 and count, per parent, the buckets
+    // dealt before it.
+    sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
+    auto input = gpujoin::DeviceRelation::Upload(&device, r_);
+    ASSERT_TRUE(input.ok()) << input.status();
+    auto first = gpujoin::RadixPartitionFirstPass(&device, *input, 0, 5, cfg);
+    ASSERT_TRUE(first.ok()) << first.status();
+    size_t dealt = 0;
+    int mid_grid = 0;
+    for (uint32_t p = 0; p < first->chains.num_partitions(); ++p) {
+      mid_grid += dealt % 7 != 0;
+      dealt += first->chains.PartitionBuckets(p).size();
+    }
+    EXPECT_GE(mid_grid, 16);
+  }
+  ExpectSweepGolden(
+      r_, cfg, 3834395929886304926ull,
+      {{"radix_partition_pass1", 800000, 0, 800000, 0, 0, 1604480, 100000,
+        1894, 197515, 28217, 7, 2.2635624999999999e-05},
+       {"radix_partition_pass2", 800000, 0, 800000, 9447, 800000, 1600000,
+        100000, 11495, 197010, 28551, 7, 2.2844374999999999e-05}});
+}
+
+TEST_F(StatInvarianceTest, SweepEmptyParentsAndChildren) {
+  // Pass-1 digits {0, 5} only and even pass-2 digits only: six of eight
+  // parents are empty, and so is every odd child of the other two.
+  data::Relation rel;
+  for (uint32_t i = 0; i < 50000; ++i) {
+    const uint32_t parent = (i % 2) * 5;
+    const uint32_t child = ((i / 2) % 8) * 2;
+    rel.Append(parent | (child << 3) | ((i / 16) << 7), i);
+  }
+  gpujoin::RadixPartitionConfig cfg;
+  cfg.pass_bits = {3, 4};
+  ExpectSweepGolden(
+      rel, cfg, 4865897210470447673ull,
+      {{"radix_partition_pass1", 400000, 0, 400000, 0, 0, 806400, 50000, 320,
+        98760, 2469, 40, 9.4636493966817475e-06},
+       {"radix_partition_pass2", 400000, 0, 400000, 3440, 400000, 800000,
+        50000, 3648, 98720, 2468, 40, 1.0098209396681749e-05}});
+}
+
+TEST_F(StatInvarianceTest, SweepThreePasses) {
+  gpujoin::RadixPartitionConfig cfg;
+  cfg.pass_bits = {3, 3, 3};
+  ExpectSweepGolden(
+      s_, cfg, 6866738845438247879ull,
+      {{"radix_partition_pass1", 1600000, 0, 1600000, 0, 0, 3206400, 200000,
+        640, 395040, 9876, 40, 2.2769797586726995e-05},
+       {"radix_partition_pass2", 1600000, 0, 1600000, 14043, 1600000,
+        3200000, 200000, 14287, 395163, 9881, 40, 2.5372824586726998e-05},
+       {"radix_partition_pass2", 1600000, 0, 1600000, 13693, 1600000,
+        3200000, 200000, 14205, 395141, 14161, 40, 2.5340174586726994e-05}});
+}
+
+TEST_F(StatInvarianceTest, SweepZipfHotParent) {
+  const data::Relation rel = data::MakeZipf(200000, 100000, 1.2, 23, 5);
+  const std::vector<size_t> sizes = ParentSizes(rel, 5);
+  // Guard the skew: one parent holds several times its fair share.
+  EXPECT_GE(*std::max_element(sizes.begin(), sizes.end()),
+            4 * rel.size() / sizes.size());
+  gpujoin::RadixPartitionConfig cfg;
+  cfg.pass_bits = {5, 5};
+  ExpectSweepGolden(
+      rel, cfg, 8927807407396720618ull,
+      {{"radix_partition_pass1", 1600000, 0, 1600000, 0, 0, 3225600, 200000,
+        2884, 395120, 9878, 40, 2.3055097586726994e-05},
+       {"radix_partition_pass2", 1600000, 0, 1600000, 37614, 1600000,
+        3200000, 200000, 39165, 396720, 10898, 40, 2.9991118586726994e-05}});
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "src/gpujoin/output_ring.h"
 #include "src/gpujoin/partitioned_join.h"
 #include "src/gpujoin/radix_partition.h"
+#include "src/util/bits.h"
 #include "src/util/thread_pool.h"
 
 namespace gjoin {
@@ -287,9 +288,9 @@ TEST_F(LaunchDeterminismTest, AggregatedSharedHashProbeIdentical) {
 
 TEST_F(LaunchDeterminismTest, PartitionAtATimeSecondPassIdentical) {
   // The default (bucket-at-a-time) second pass runs in the test above
-  // through the GlobalChains ordered plan; this covers the
-  // partition-at-a-time assignment, whose deferred segment publishes
-  // replay through the same epilogue.
+  // as a per-parent sweep; this covers the partition-at-a-time
+  // assignment, whose recorded segments are spliced after the launch in
+  // ascending block id.
   gpujoin::PartitionedJoinConfig cfg;
   cfg.partition.pass_bits = {4, 4};
   cfg.partition.assignment = gpujoin::WorkAssignment::kPartitionAtATime;
@@ -344,17 +345,16 @@ ChainContents PartitionAndRead(sim::Device* dev, const data::Relation& rel,
   return out;
 }
 
-/// With more than one worker, bucket-at-a-time passes record each
-/// block's runs, plan their buckets in the ordered epilogue and copy the
-/// tuples in parallel after the launch; with one worker they pack
-/// directly from the block body. Every width must leave the same tuples
-/// in the same chain order, in buckets of the same fills, with the same
-/// charges — stats alone would not notice two runs swapped in a chain.
+/// Bucket-at-a-time passes sweep whole parents on the pool's workers, in
+/// whatever order the workers claim them. Every width must leave the
+/// same tuples in the same chain order, in buckets of the same fills,
+/// with the same charges — stats alone would not notice two runs
+/// swapped in a chain.
 void ExpectChainsIdenticalAcrossWidths(
     const data::Relation& rel, const gpujoin::RadixPartitionConfig& cfg,
     std::initializer_list<util::ThreadPool*> pools) {
   sim::Device ref_dev{hw::HardwareSpec::Icde2019Testbed(), *pools.begin()};
-  ASSERT_EQ(ref_dev.functional_parallelism(), 1u);  // the direct path
+  ASSERT_EQ(ref_dev.functional_parallelism(), 1u);
   const ChainContents ref = PartitionAndRead(&ref_dev, rel, cfg);
   size_t tuples = 0;
   for (const auto& keys : ref.keys) tuples += keys.size();
@@ -397,6 +397,19 @@ TEST_F(LaunchDeterminismTest, ChainContentsIdenticalWithZipfRuns) {
   }
   ASSERT_GE(longest, 8u);  // some child spans many buckets
   ExpectChainsIdenticalAcrossWidths(s_, cfg, {&pool1_, &pool2_, &pool8_});
+}
+
+TEST_F(LaunchDeterminismTest, ChainContentsIdenticalWithHotParent) {
+  // Zipf(1.2) puts about a fifth of the tuples in one pass-1 parent, so
+  // one worker sweeps that parent while the others share the rest.
+  const data::Relation rel = data::MakeZipf(100000, 50000, 1.2, 43, 9);
+  std::vector<size_t> parents(32);
+  for (uint32_t key : rel.keys) ++parents[util::RadixOf(key, 0, 5)];
+  ASSERT_GE(*std::max_element(parents.begin(), parents.end()),
+            4 * rel.size() / parents.size());
+  gpujoin::RadixPartitionConfig cfg;
+  cfg.pass_bits = {5, 5};
+  ExpectChainsIdenticalAcrossWidths(rel, cfg, {&pool1_, &pool2_, &pool8_});
 }
 
 TEST_F(LaunchDeterminismTest, MaterializedRingBytesIdenticalEvenWrapped) {
