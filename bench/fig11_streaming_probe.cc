@@ -56,13 +56,14 @@ int Run(int argc, char** argv) {
       outofgpu::StreamingProbeConfig cfg;
       cfg.join = bench::ScaledJoinConfig(ctx);
       cfg.materialize_to_host = materialize;
-      auto stats = outofgpu::StreamingProbeJoin(&device, r, s, cfg);
-      util::ExitOnError(stats.status(), "fig11");
-      if (stats->matches != oracle.matches) {
+      auto run = outofgpu::StreamingProbeExecute(&device, r, s, cfg);
+      util::ExitOnError(run.status(), "fig11");
+      const gpujoin::JoinStats& stats = run->stats;
+      if (stats.matches != oracle.matches) {
         std::fprintf(stderr, "fig11: result mismatch\n");
         return 1;
       }
-      const double t = bench::Tput(build_n, probe_n, stats->seconds);
+      const double t = bench::Tput(build_n, probe_n, stats.seconds);
       const std::string series = materialize
                                      ? "GPU Partitioned - Materialization"
                                      : "GPU Partitioned - Aggregation";

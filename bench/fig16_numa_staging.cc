@@ -31,16 +31,17 @@ int Run(int argc, char** argv) {
     outofgpu::CoProcessConfig base_cfg;
     base_cfg.join = bench::ScaledJoinConfig(ctx);
     base_cfg.chunk_tuples = std::max<size_t>(ctx.Scale(4 * bench::kM), 4096);
-    auto plan = outofgpu::PlanCoProcessJoin(&device, r, s, base_cfg);
+    auto plan = outofgpu::PlanCoProcessJoinShared(&device, r, s, base_cfg);
     util::ExitOnError(plan.status(), "fig16");
     for (bool staging : {true, false}) {
       outofgpu::CoProcessConfig cfg = base_cfg;
       cfg.staging = staging;
-      auto stats = outofgpu::CoProcessJoinPlanned(&device, *plan, cfg);
-      util::ExitOnError(stats.status(), "fig16");
+      auto run = outofgpu::CoProcessExecutePlanned(&device, *plan, cfg);
+      util::ExitOnError(run.status(), "fig16");
+      const gpujoin::JoinStats& stats = run->stats;
       // Effective end-to-end data rate: all input bytes over total time.
       const double rate =
-          static_cast<double>(r.bytes() + s.bytes()) / stats->seconds / 1e9;
+          static_cast<double>(r.bytes() + s.bytes()) / stats.seconds / 1e9;
       ctx.Emit(staging ? "Staging" : "Direct copy", x, rate);
       gbps[{staging, nominal}] = rate;
     }

@@ -38,15 +38,16 @@ int main(int argc, char** argv) {
   {
     outofgpu::StreamingProbeConfig cfg;
     cfg.join.partition.pass_bits = {6, 5};  // sized for a few M tuples
-    auto stats = outofgpu::StreamingProbeJoin(&device, r, s, cfg);
-    util::ExitOnError(stats.status(), "out_of_gpu_pipeline");
+    auto run = outofgpu::StreamingProbeExecute(&device, r, s, cfg);
+    util::ExitOnError(run.status(), "out_of_gpu_pipeline");
+    const gpujoin::JoinStats& stats = run->stats;
     std::printf("streaming probe (build resident, Section IV-A):\n");
     std::printf("  %.2f ms, %.2f Btps, transfers busy %.0f%% of makespan, "
                 "%s\n\n",
-                stats->seconds * 1e3,
-                stats->Throughput(build_n, probe_n) / 1e9,
-                100.0 * stats->transfer_s / stats->seconds,
-                stats->matches == oracle.matches ? "verified" : "MISMATCH");
+                stats.seconds * 1e3,
+                stats.Throughput(build_n, probe_n) / 1e9,
+                100.0 * stats.transfer_s / stats.seconds,
+                stats.matches == oracle.matches ? "verified" : "MISMATCH");
   }
   {
     outofgpu::CoProcessConfig cfg;

@@ -4,7 +4,7 @@
 Usage:
   scripts/run_figures.py [--build-dir BUILD] [--out-dir OUT]
                          [--only REGEX] [--divisor N] [--strict]
-                         [--timings] [--trace-dir DIR]
+                         [--timings] [--trace-dir DIR] [--compare DIR]
 
 Discovers bench binaries from bench/*.cc (fig*, abl_*) and runs the
 same-named executables from --build-dir sequentially (the benches are
@@ -22,8 +22,19 @@ flag only controls writing the JSON.
 dump Chrome-trace JSON timelines there (viewable at ui.perfetto.dev).
 Tracing is charge-free — CSV rows are byte-identical with or without it.
 
+--compare DIR byte-compares each bench's OUT/<name>.csv against
+DIR/<name>.csv (the --out-dir of an earlier run, e.g. at the parent
+commit) and prints every figure whose CSV differs or is missing on
+either side. This is the check a change that must not move the model
+runs: every figure CSV at the default divisors stays byte-identical.
+
+  git archive HEAD~1 | tar -x -C /tmp/parent   # build it into /tmp/parent/build
+  scripts/run_figures.py --build-dir /tmp/parent/build --out-dir /tmp/fig_parent
+  scripts/run_figures.py --compare /tmp/fig_parent
+
 Exit status: 1 if any bench exited non-zero (with --strict, benches
-themselves exit non-zero when a shape check fails), else 0.
+themselves exit non-zero when a shape check fails) or, with --compare,
+any figure's CSV differs; else 0.
 """
 
 import argparse
@@ -49,6 +60,19 @@ def discover_benches(only: str) -> list[str]:
     return names
 
 
+def differing_csvs(names: list[str], out_dir: pathlib.Path,
+                   ref_dir: pathlib.Path) -> list[str]:
+    """Benches whose CSV in out_dir is missing from either directory or
+    differs byte for byte from the one in ref_dir."""
+    differ = []
+    for name in names:
+        got, ref = out_dir / f"{name}.csv", ref_dir / f"{name}.csv"
+        if not (got.exists() and ref.exists()) or \
+                got.read_bytes() != ref.read_bytes():
+            differ.append(name)
+    return differ
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--build-dir", default="build",
@@ -68,6 +92,9 @@ def main() -> int:
     parser.add_argument("--trace-dir", default="",
                         help="dump Chrome-trace JSON session timelines "
                              "into this directory")
+    parser.add_argument("--compare", default="",
+                        help="byte-compare every bench's CSV against "
+                             "DIR/<name>.csv and fail if any differs")
     parser.add_argument("--timeout", type=int, default=3600,
                         help="per-bench timeout in seconds")
     args = parser.parse_args()
@@ -164,10 +191,20 @@ def main() -> int:
     print(f"\n{len(benches) - len(failures)}/{len(benches)} benches ok, "
           f"{len(all_rows)} rows, {checks_failed} shape-check failures "
           f"-> {out_dir}/all_figures.csv")
+    status = 0
     if failures:
         print("failed: " + ", ".join(failures), file=sys.stderr)
-        return 1
-    return 0
+        status = 1
+    if args.compare:
+        differ = differing_csvs(benches, out_dir, pathlib.Path(args.compare))
+        for name in differ:
+            print(f"DIFF {name}: {out_dir / name}.csv vs "
+                  f"{pathlib.Path(args.compare) / name}.csv", file=sys.stderr)
+        print(f"{len(benches) - len(differ)}/{len(benches)} figure CSVs "
+              f"byte-identical to {args.compare}")
+        if differ:
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

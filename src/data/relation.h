@@ -34,6 +34,10 @@ struct Relation {
   size_t size() const { return keys.size(); }
   /// True iff the relation has no tuples.
   bool empty() const { return keys.empty(); }
+  /// True iff the payload column holds size() entries, as Append keeps
+  /// it; joins read size() payloads, so entry points reject relations
+  /// where this is false.
+  bool ColumnsMatch() const { return payloads.size() == keys.size(); }
 
   /// Physical bytes per tuple as stored and moved by the join (4-byte key
   /// + 4-byte row id).

@@ -7,8 +7,6 @@
 #include <vector>
 
 #include "src/cpu/cpu_joins.h"
-#include "src/gpujoin/join_copartitions.h"
-#include "src/gpujoin/output_ring.h"
 #include "src/hw/cpu_cost.h"
 #include "src/hw/numa.h"
 #include "src/hw/pcie.h"
@@ -80,6 +78,22 @@ api::Strategy NextRung(api::Strategy strategy) {
   return api::Strategy::kAuto;
 }
 
+/// Rejects a relation whose payload column differs in length from its
+/// key column: every upload copies size() = keys.size() payloads.
+util::Status ValidateColumns(const data::Relation& rel, const char* side) {
+  if (rel.ColumnsMatch()) return util::Status::OK();
+  return util::Status::Invalid(
+      std::string(side) + " relation has " + std::to_string(rel.keys.size()) +
+      " keys but " + std::to_string(rel.payloads.size()) + " payloads");
+}
+
+/// ValidateColumns over both join inputs.
+util::Status ValidateInputs(const data::Relation& build,
+                            const data::Relation& probe) {
+  GJOIN_RETURN_NOT_OK(ValidateColumns(build, "build"));
+  return ValidateColumns(probe, "probe");
+}
+
 /// Releases every cache lease it holds when the attempt scope ends —
 /// error returns included, so a failed attempt never leaves an artifact
 /// pinned in its device's cache.
@@ -125,7 +139,9 @@ QueryHandle Session::Submit(const data::Relation& build,
   query.build = &build;
   query.probe = &probe;
   query.config = config;
-  query.shed = !AdmitOne(build.bytes() + probe.bytes(), config.deadline_s).ok();
+  query.invalid = !ValidateInputs(build, probe).ok();
+  query.shed = !query.invalid &&
+               !AdmitOne(build.bytes() + probe.bytes(), config.deadline_s).ok();
   queries_.push_back(query);
   return static_cast<QueryHandle>(queries_.size()) - 1;
 }
@@ -133,6 +149,7 @@ QueryHandle Session::Submit(const data::Relation& build,
 util::Result<QueryHandle> Session::TrySubmit(const data::Relation& build,
                                              const data::Relation& probe,
                                              const api::JoinConfig& config) {
+  GJOIN_RETURN_NOT_OK(ValidateInputs(build, probe));
   const util::Status admitted =
       AdmitOne(build.bytes() + probe.bytes(), config.deadline_s);
   if (!admitted.ok()) {
@@ -187,7 +204,7 @@ util::Status Session::AdmitOne(uint64_t bytes, double deadline_s) {
     size_t queued = 0;
     uint64_t queued_bytes = 0;
     for (const Query& q : queries_) {
-      if (q.shed) continue;
+      if (!q.admitted()) continue;
       ++queued;
       queued_bytes += q.build->bytes() + q.probe->bytes();
     }
@@ -205,7 +222,7 @@ util::Status Session::AdmitOne(uint64_t bytes, double deadline_s) {
     const double n = static_cast<double>(std::max(device_count(), 1));
     double est_s = 0;
     for (Query& q : queries_) {
-      if (q.shed) continue;
+      if (!q.admitted()) continue;
       est_s += EstimateCost(q.build->bytes() + q.probe->bytes()) / n;
       if (q.config.deadline_s > 0 && est_s > q.config.deadline_s) {
         q.shed = true;
@@ -228,7 +245,7 @@ std::vector<int> Session::AdmissionOrder() const {
   std::vector<int> order;
   order.reserve(queries_.size());
   for (size_t i = 0; i < queries_.size(); ++i) {
-    if (!queries_[i].shed) order.push_back(static_cast<int>(i));
+    if (queries_[i].admitted()) order.push_back(static_cast<int>(i));
   }
   if (config_.admission == api::AdmissionPolicy::kShortestJobFirst) {
     std::stable_sort(order.begin(), order.end(), [this](int a, int b) {
@@ -572,7 +589,9 @@ util::Status Session::Run() {
     health_.assign(devices_.size(), DeviceHealth());
     est_clock_s_ = 0;
     for (Query& query : queries_) {
-      if (query.shed) continue;  // Never planned, never charged.
+      // The columns are read from here on: check them again.
+      query.invalid = !ValidateInputs(*query.build, *query.probe).ok();
+      if (!query.admitted()) continue;  // Never planned, never charged.
       query.strategy = query.config.strategy;
       if (query.strategy == api::Strategy::kAuto) {
         query.strategy = api::ChooseStrategy(
@@ -633,9 +652,16 @@ util::Status Session::Run() {
         result.solo_seconds = 0;
       }
     }
-    // Shed submissions surface their typed refusal as the per-query
-    // status (TrySubmit refusals were never enqueued; they only count).
+    // Rejected and shed submissions surface their typed refusal as the
+    // per-query status (TrySubmit refusals were never enqueued; shed ones
+    // only count).
     for (size_t i = 0; i < queries_.size(); ++i) {
+      if (queries_[i].invalid) {
+        results_[i].status =
+            ValidateInputs(*queries_[i].build, *queries_[i].probe);
+        ++stats_.failed_queries;
+        continue;
+      }
       if (!queries_[i].shed) continue;
       results_[i].status = util::Status::Overloaded(
           "query shed by session admission limits");
@@ -1124,40 +1150,51 @@ util::Status Session::ExecuteAttempt(int index, api::Strategy strategy,
     }
   };
 
+  // Acquires the partitioned form of `build` under `cfg` from this
+  // device's cache (one partitioned build serves every probe against
+  // it), or prepares it into `local_build` and offers it to the cache;
+  // an artifact over the whole budget stays private unless the budget is
+  // strict. A fresh upload is charged its transfer faults.
+  PreparedBuild local_build;
+  std::string build_key;
+  bool build_shared = false;
+  uint64_t build_artifact_bytes = 0;
+  auto acquire_build = [&](const PartitionedJoinConfig& cfg)
+      -> util::Result<const PreparedBuild*> {
+    build_key = UploadCache::BuildKey(build, cfg.partition);
+    leases.Add(build_key);
+    const PreparedBuild* prepared = dcache.AcquireBuild(build_key);
+    build_shared = prepared != nullptr;
+    if (build_shared) {
+      ++stats_.shared_build_hits;
+      return prepared;
+    }
+    const uint64_t before = dev->memory().used();
+    GJOIN_ASSIGN_OR_RETURN(
+        local_build, gjoin::gpujoin::PreparePartitionedBuild(dev, build, cfg));
+    build_artifact_bytes = dev->memory().used() - before;
+    util::Result<const PreparedBuild*> cached =
+        dcache.InsertBuild(build_key, &local_build, build_artifact_bytes);
+    if (!cached.ok()) {
+      if (config_.strict_cache_budget) return cached.status();
+      prepared = &local_build;
+    } else {
+      prepared = *cached != nullptr ? *cached : &local_build;
+    }
+    GJOIN_RETURN_NOT_OK(ChargeTransferFaults(query.device, injector,
+                                             pcie.DmaSeconds(build.bytes()),
+                                             "build", result));
+    return prepared;
+  };
+
   switch (strategy) {
     case api::Strategy::kInGpu: {
       PartitionedJoinConfig cfg = join_cfg;
       cfg.join.output = query.config.materialize ? OutputMode::kMaterialize
                                                  : OutputMode::kAggregate;
 
-      // Build side: one partitioned form serves every probe against it.
-      const std::string build_key =
-          UploadCache::BuildKey(build, cfg.partition);
-      leases.Add(build_key);
-      PreparedBuild local_build;
-      const PreparedBuild* prepared = dcache.AcquireBuild(build_key);
-      const bool build_shared = prepared != nullptr;
-      uint64_t build_artifact_bytes = 0;
-      if (build_shared) {
-        ++stats_.shared_build_hits;
-      } else {
-        const uint64_t before = dev->memory().used();
-        GJOIN_ASSIGN_OR_RETURN(
-            local_build,
-            gjoin::gpujoin::PreparePartitionedBuild(dev, build, cfg));
-        build_artifact_bytes = dev->memory().used() - before;
-        util::Result<const PreparedBuild*> cached = dcache.InsertBuild(
-            build_key, &local_build, build_artifact_bytes);
-        if (!cached.ok()) {
-          if (config_.strict_cache_budget) return cached.status();
-          prepared = &local_build;  // over-budget artifact stays private
-        } else {
-          prepared = *cached != nullptr ? *cached : &local_build;
-        }
-        GJOIN_RETURN_NOT_OK(ChargeTransferFaults(
-            query.device, injector, pcie.DmaSeconds(build.bytes()), "build",
-            result));
-      }
+      GJOIN_ASSIGN_OR_RETURN(const PreparedBuild* prepared,
+                             acquire_build(cfg));
       if (cfg.join.key_bits == 0) cfg.join.key_bits = prepared->key_bits;
 
       // Probe side: deduplicated raw upload, partitioned per query.
@@ -1190,27 +1227,9 @@ util::Status Session::ExecuteAttempt(int index, api::Strategy strategy,
           PartitionedRelation s_parted,
           gjoin::gpujoin::RadixPartition(dev, *s_dev, cfg.partition));
 
-      gjoin::gpujoin::OutputRing ring;
-      gjoin::gpujoin::OutputRing* ring_ptr = nullptr;
-      if (cfg.join.output == OutputMode::kMaterialize) {
-        const size_t capacity =
-            cfg.out_capacity != 0 ? cfg.out_capacity
-                                  : std::max<size_t>(probe.size(), 1);
-        GJOIN_ASSIGN_OR_RETURN(
-            ring, gjoin::gpujoin::OutputRing::Allocate(&dev->memory(),
-                                                       capacity));
-        ring_ptr = &ring;
-      }
       GJOIN_ASSIGN_OR_RETURN(
-          gjoin::gpujoin::CoPartitionJoinResult join_result,
-          gjoin::gpujoin::JoinCoPartitions(dev, prepared->parted,
-                                           s_parted, cfg.join, ring_ptr));
-
-      stats.matches = join_result.matches;
-      stats.payload_sum = join_result.payload_sum;
-      stats.partition_s = prepared->parted.seconds + s_parted.seconds;
-      stats.join_s = join_result.seconds;
-      stats.seconds = stats.partition_s + stats.join_s;
+          stats, gjoin::gpujoin::JoinPartitioned(dev, prepared->parted,
+                                                 s_parted, cfg, probe.size()));
       // The one-time input transfer (the paper's in-GPU numbers assume
       // resident data; end-to-end reporting charges it separately).
       stats.transfer_s =
@@ -1227,12 +1246,12 @@ util::Status Session::ExecuteAttempt(int index, api::Strategy strategy,
           sim::Engine::kCopyH2D, pcie.DmaSeconds(probe.bytes()), {}, "h2d:S");
       const sim::OpId part_s = solo.Add(
           sim::Engine::kComputeGpu, s_parted.seconds, {h2d_s}, "part:S");
-      solo.Add(sim::Engine::kComputeGpu, join_result.seconds,
-               {part_r, part_s}, "join");
+      solo.Add(sim::Engine::kComputeGpu, stats.join_s, {part_r, part_s},
+               "join");
 
       if (split) {
         EmitSplitInGpu(index, graph, prepared->parted.seconds,
-                       s_parted.seconds, join_result.seconds, build_shared,
+                       s_parted.seconds, stats.join_s, build_shared,
                        dcache.Contains(build_key), probe_shared,
                        dcache.Contains(probe_key));
         split_emitted = true;
@@ -1259,36 +1278,9 @@ util::Status Session::ExecuteAttempt(int index, api::Strategy strategy,
       stream_cfg.join = join_cfg;
       stream_cfg.materialize_to_host = query.config.materialize;
 
-      PreparedBuild local_build;
       const PreparedBuild* prepared = nullptr;
-      std::string build_key;
-      bool build_shared = false;
-      uint64_t build_artifact_bytes = 0;
       if (!build.empty()) {
-        build_key = UploadCache::BuildKey(build, stream_cfg.join.partition);
-        leases.Add(build_key);
-        prepared = dcache.AcquireBuild(build_key);
-        build_shared = prepared != nullptr;
-        if (build_shared) {
-          ++stats_.shared_build_hits;
-        } else {
-          const uint64_t before = dev->memory().used();
-          GJOIN_ASSIGN_OR_RETURN(local_build,
-                                 gjoin::gpujoin::PreparePartitionedBuild(
-                                     dev, build, stream_cfg.join));
-          build_artifact_bytes = dev->memory().used() - before;
-          util::Result<const PreparedBuild*> cached = dcache.InsertBuild(
-              build_key, &local_build, build_artifact_bytes);
-          if (!cached.ok()) {
-            if (config_.strict_cache_budget) return cached.status();
-            prepared = &local_build;  // over-budget artifact stays private
-          } else {
-            prepared = *cached != nullptr ? *cached : &local_build;
-          }
-          GJOIN_RETURN_NOT_OK(ChargeTransferFaults(
-              query.device, injector, pcie.DmaSeconds(build.bytes()), "build",
-              result));
-        }
+        GJOIN_ASSIGN_OR_RETURN(prepared, acquire_build(stream_cfg.join));
       }
 
       GJOIN_ASSIGN_OR_RETURN(

@@ -259,17 +259,21 @@ class Session {
 
   /// Enqueues a join of `build` and `probe` (host-resident; both must
   /// outlive Run — relation identity, for upload sharing, is the
-  /// Relation object itself). Returns the query's handle.
+  /// Relation object itself). Returns the query's handle. A query whose
+  /// relations have key and payload columns of different lengths, here
+  /// or when Run() starts, is not executed: its result reports the
+  /// kInvalid TrySubmit would return.
   QueryHandle Submit(const data::Relation& build, const data::Relation& probe,
                      const api::JoinConfig& config = {});
 
-  /// Admission-checked Submit: refuses the query with a typed
-  /// kOverloaded — without enqueuing it — when the session's queue
-  /// limits (max_queued_queries / max_queued_bytes) are exceeded and
-  /// admission-policy shedding cannot make room. Submit() accepts the
-  /// same overload by enqueuing the query pre-shed instead: its result
-  /// reports kOverloaded after Run(). With no limits configured both
-  /// behave identically.
+  /// Checked Submit: refuses the query without enqueuing it, with a
+  /// typed kInvalid naming the side and both lengths when a relation's
+  /// key and payload columns differ in length, or with a typed
+  /// kOverloaded when the session's queue limits (max_queued_queries /
+  /// max_queued_bytes) are exceeded and admission-policy shedding cannot
+  /// make room. Submit() accepts the same overload by enqueuing the query
+  /// pre-shed instead: its result reports kOverloaded after Run(). With
+  /// valid inputs and no limits configured both behave identically.
   [[nodiscard]]
   util::Result<QueryHandle> TrySubmit(const data::Relation& build,
                                       const data::Relation& probe,
@@ -329,6 +333,13 @@ class Session {
                          ///< recovery off): fails cleanly at execution.
     bool shed = false;   ///< Refused by admission limits: reports a typed
                          ///< kOverloaded at Run() without executing.
+    /// Key and payload columns of different lengths (checked at Submit
+    /// and again when Run() starts): reports ValidateInputs' kInvalid
+    /// at Run() without executing.
+    bool invalid = false;
+
+    /// True iff the query is queued for planning and execution.
+    bool admitted() const { return !shed && !invalid; }
   };
 
   /// Circuit-breaker state of one device (engaged only when

@@ -6,22 +6,24 @@
 
 namespace gjoin::gpujoin {
 
-namespace {
+int KeyBitsFor(uint32_t max_key) {
+  // Keys start at 1 in the paper's workloads, so an empty side's floor
+  // is max_key = 1.
+  max_key = std::max<uint32_t>(max_key, 1);
+  return util::Log2Floor(max_key) + 1;
+}
 
-/// Join phase shared by all entry points: optional output ring sized to
-/// the probe cardinality, the co-partition join pass, and the stats
-/// roll-up over both partitioned inputs.
-util::Result<JoinStats> JoinPartedPair(sim::Device* device,
-                                       const PartitionedRelation& r_parted,
-                                       const PartitionedRelation& s_parted,
-                                       const PartitionedJoinConfig& cfg,
-                                       size_t probe_size) {
+util::Result<JoinStats> JoinPartitioned(sim::Device* device,
+                                        const PartitionedRelation& r_parted,
+                                        const PartitionedRelation& s_parted,
+                                        const PartitionedJoinConfig& config,
+                                        size_t probe_tuples) {
   OutputRing ring;
   OutputRing* ring_ptr = nullptr;
-  if (cfg.join.output == OutputMode::kMaterialize) {
+  if (config.join.output == OutputMode::kMaterialize) {
     const size_t capacity =
-        cfg.out_capacity != 0 ? cfg.out_capacity
-                              : std::max<size_t>(probe_size, 1);
+        config.out_capacity != 0 ? config.out_capacity
+                                 : std::max<size_t>(probe_tuples, 1);
     GJOIN_ASSIGN_OR_RETURN(ring,
                            OutputRing::Allocate(&device->memory(), capacity));
     ring_ptr = &ring;
@@ -29,7 +31,7 @@ util::Result<JoinStats> JoinPartedPair(sim::Device* device,
 
   GJOIN_ASSIGN_OR_RETURN(
       CoPartitionJoinResult join_result,
-      JoinCoPartitions(device, r_parted, s_parted, cfg.join, ring_ptr));
+      JoinCoPartitions(device, r_parted, s_parted, config.join, ring_ptr));
 
   JoinStats stats;
   stats.matches = join_result.matches;
@@ -40,62 +42,25 @@ util::Result<JoinStats> JoinPartedPair(sim::Device* device,
   return stats;
 }
 
-/// Shared implementation; when `consume` is set, each input's columns
-/// are released right after that relation is partitioned.
-util::Result<JoinStats> PartitionedJoinImpl(sim::Device* device,
-                                            const DeviceRelation& build,
-                                            const DeviceRelation& probe,
-                                            DeviceRelation* owned_build,
-                                            DeviceRelation* owned_probe,
-                                            const PartitionedJoinConfig& config) {
-  PartitionedJoinConfig cfg = config;
-  const size_t probe_size = probe.size;
-  if (cfg.join.key_bits == 0) {
-    // Keys are positive and bounded by the relation sizes in the paper's
-    // workloads; derive the significant bit count for the ballot loop.
-    uint32_t max_key = 1;
-    for (size_t i = 0; i < build.size; ++i) {
-      max_key = std::max(max_key, build.keys[i]);
-    }
-    cfg.join.key_bits = util::Log2Floor(max_key) + 1;
-  }
-
-  PartitionedRelation r_parted, s_parted;
-  if (owned_build != nullptr) {
-    GJOIN_ASSIGN_OR_RETURN(
-        r_parted,
-        RadixPartitionConsuming(device, std::move(*owned_build),
-                                cfg.partition));
-  } else {
-    GJOIN_ASSIGN_OR_RETURN(r_parted,
-                           RadixPartition(device, build, cfg.partition));
-  }
-  if (owned_probe != nullptr) {
-    GJOIN_ASSIGN_OR_RETURN(
-        s_parted,
-        RadixPartitionConsuming(device, std::move(*owned_probe),
-                                cfg.partition));
-  } else {
-    GJOIN_ASSIGN_OR_RETURN(s_parted,
-                           RadixPartition(device, probe, cfg.partition));
-  }
-
-  return JoinPartedPair(device, r_parted, s_parted, cfg, probe_size);
-}
-
-}  // namespace
-
 util::Result<JoinStats> PartitionedJoin(sim::Device* device,
                                         const DeviceRelation& build,
                                         const DeviceRelation& probe,
                                         const PartitionedJoinConfig& config) {
-  return PartitionedJoinImpl(device, build, probe, nullptr, nullptr, config);
-}
-
-util::Result<JoinStats> PartitionedJoinConsuming(
-    sim::Device* device, DeviceRelation build, DeviceRelation probe,
-    const PartitionedJoinConfig& config) {
-  return PartitionedJoinImpl(device, build, probe, &build, &probe, config);
+  PartitionedJoinConfig cfg = config;
+  if (cfg.join.key_bits == 0) {
+    // Keys are positive and bounded by the relation sizes in the paper's
+    // workloads; derive the significant bit count for the ballot loop.
+    uint32_t max_key = 0;
+    for (size_t i = 0; i < build.size; ++i) {
+      max_key = std::max(max_key, build.keys[i]);
+    }
+    cfg.join.key_bits = KeyBitsFor(max_key);
+  }
+  GJOIN_ASSIGN_OR_RETURN(PartitionedRelation r_parted,
+                         RadixPartition(device, build, cfg.partition));
+  GJOIN_ASSIGN_OR_RETURN(PartitionedRelation s_parted,
+                         RadixPartition(device, probe, cfg.partition));
+  return JoinPartitioned(device, r_parted, s_parted, cfg, probe.size);
 }
 
 util::Result<JoinStats> PartitionedJoinChunkedConsuming(
@@ -104,10 +69,8 @@ util::Result<JoinStats> PartitionedJoinChunkedConsuming(
   PartitionedJoinConfig cfg = config;
   const size_t probe_size = probe.size();
   if (cfg.join.key_bits == 0) {
-    // Same derivation as the contiguous path: scan before the input is
-    // consumed (keys start at 1, so the empty floor is max_key = 1).
-    const uint32_t max_key = std::max<uint32_t>(1, build.MaxKey());
-    cfg.join.key_bits = util::Log2Floor(max_key) + 1;
+    // Scanned before the input is consumed.
+    cfg.join.key_bits = KeyBitsFor(build.MaxKey());
   }
 
   GJOIN_ASSIGN_OR_RETURN(
@@ -119,7 +82,7 @@ util::Result<JoinStats> PartitionedJoinChunkedConsuming(
       RadixPartitionChunkedConsuming(device, std::move(probe),
                                      cfg.partition));
 
-  return JoinPartedPair(device, r_parted, s_parted, cfg, probe_size);
+  return JoinPartitioned(device, r_parted, s_parted, cfg, probe_size);
 }
 
 util::Result<PreparedBuild> PreparePartitionedBuild(
@@ -128,9 +91,9 @@ util::Result<PreparedBuild> PreparePartitionedBuild(
   PreparedBuild prepared;
   prepared.key_bits = config.join.key_bits;
   if (prepared.key_bits == 0) {
-    uint32_t max_key = 1;
+    uint32_t max_key = 0;
     for (uint32_t k : build.keys) max_key = std::max(max_key, k);
-    prepared.key_bits = util::Log2Floor(max_key) + 1;
+    prepared.key_bits = KeyBitsFor(max_key);
   }
   GJOIN_ASSIGN_OR_RETURN(DeviceRelation r_dev,
                          DeviceRelation::Upload(device, build));
@@ -173,7 +136,7 @@ util::Result<JoinStats> PartitionedJoinFromHostWithBuild(
       PartitionedRelation s_parted,
       RadixPartitionSegmented(device, probe, cfg.partition, probe_segments));
 
-  return JoinPartedPair(device, r_parted, s_parted, cfg, probe.size());
+  return JoinPartitioned(device, r_parted, s_parted, cfg, probe.size());
 }
 
 }  // namespace gjoin::gpujoin

@@ -33,20 +33,12 @@ util::Result<JoinStats> PartitionedJoin(sim::Device* device,
                                         const DeviceRelation& probe,
                                         const PartitionedJoinConfig& config);
 
-/// Like PartitionedJoin but takes ownership of the inputs and frees each
-/// relation's raw columns as soon as its partitioned form exists — the
-/// standard device-memory discipline of real implementations, and what
-/// lets the larger build:probe ratios of Fig. 8 fit in device memory.
-[[nodiscard]]
-util::Result<JoinStats> PartitionedJoinConsuming(
-    sim::Device* device, DeviceRelation build, DeviceRelation probe,
-    const PartitionedJoinConfig& config);
-
-/// Like PartitionedJoinConsuming over the concatenation of each input's
-/// chunks (see ChunkedDeviceInput): the first partitioning pass walks
-/// and releases the staged chunks in place, so peak residency never
-/// holds raw input plus partitioned form. Stats are bit-identical to
-/// PartitionedJoin over contiguous copies of the same tuples.
+/// Like PartitionedJoin, but takes ownership of the inputs, each the
+/// concatenation of its chunks (see ChunkedDeviceInput): the first
+/// partitioning pass walks and releases the staged chunks in place, so
+/// peak residency never holds raw input plus partitioned form. Stats are
+/// bit-identical to PartitionedJoin over contiguous copies of the same
+/// tuples.
 [[nodiscard]]
 util::Result<JoinStats> PartitionedJoinChunkedConsuming(
     sim::Device* device, ChunkedDeviceInput build, ChunkedDeviceInput probe,
@@ -72,6 +64,11 @@ struct PreparedBuild {
   int key_bits = 0;  ///< Derived from the build keys when config left 0.
 };
 
+/// The join's key_bits for keys no larger than `max_key`: the significant
+/// bit count of the key domain (at least 1), which the ballot loop walks
+/// when a config leaves key_bits 0.
+int KeyBitsFor(uint32_t max_key);
+
 /// Uploads and partitions `build` as PartitionedJoinFromHost would.
 [[nodiscard]]
 util::Result<PreparedBuild> PreparePartitionedBuild(
@@ -87,6 +84,20 @@ util::Result<JoinStats> PartitionedJoinFromHostWithBuild(
     sim::Device* device, const PreparedBuild& build,
     const data::Relation& probe, const PartitionedJoinConfig& config,
     int probe_segments = 0);
+
+/// The join phase every in-GPU partitioned join ends in: allocates the
+/// materialized-output ring (config.out_capacity pairs, else
+/// max(probe_tuples, 1)) when config.join.output materializes, joins the
+/// co-partitions, and rolls up JoinStats over both partitioned inputs
+/// (partition_s = both sides' partitioning seconds; seconds = partition_s
+/// + join_s). config.join.key_bits is used as given (0 = full 32-bit
+/// keys); the entry points above derive it with KeyBitsFor first.
+[[nodiscard]]
+util::Result<JoinStats> JoinPartitioned(sim::Device* device,
+                                        const PartitionedRelation& r_parted,
+                                        const PartitionedRelation& s_parted,
+                                        const PartitionedJoinConfig& config,
+                                        size_t probe_tuples);
 
 }  // namespace gjoin::gpujoin
 

@@ -33,6 +33,33 @@ util::Status ValidatePipelineConfig(const CoProcessConfig& config) {
   return util::Status::OK();
 }
 
+/// Rejects host partitions the working-set planner cannot read: StageSet
+/// takes partition p of both sides for every build partition p, so each
+/// side needs 2^config.cpu.radix_bits of them, and a join uploads
+/// size() = keys.size() payloads of each.
+util::Status ValidateHostPartitions(const cpu::HostPartitions& parts,
+                                    const CoProcessConfig& config,
+                                    const std::string& side) {
+  const int bits = config.cpu.radix_bits;
+  if (parts.radix_bits != bits || bits < 0 || bits >= 32 ||
+      parts.parts.size() != size_t{1} << bits) {
+    return util::Status::Invalid(
+        side + " partitions: " + std::to_string(parts.parts.size()) +
+        " partitions of radix_bits " + std::to_string(parts.radix_bits) +
+        " do not match config.cpu.radix_bits " + std::to_string(bits));
+  }
+  for (size_t p = 0; p < parts.parts.size(); ++p) {
+    const data::Relation& part = parts.parts[p];
+    if (!part.ColumnsMatch()) {
+      return util::Status::Invalid(
+          side + " partition " + std::to_string(p) + " has " +
+          std::to_string(part.keys.size()) + " keys but " +
+          std::to_string(part.payloads.size()) + " payloads");
+    }
+  }
+  return util::Status::OK();
+}
+
 /// Stages partitions `which` of `parts` as the chunks of one working
 /// set's GPU input, in that order. With `owned` (aliasing `parts`) the
 /// columns are moved out, leaving empty shells; otherwise they are
@@ -95,9 +122,7 @@ util::Result<CoProcessPlan> PlanWorkingSets(
   // ---- 3. Per-working-set functional join ----
   // Functional execution batches each working set on a scratch device
   // with relaxed capacity (see header); planning used the real budget.
-  hw::HardwareSpec scratch_spec = spec;
-  scratch_spec.gpu.device_memory_bytes = SIZE_MAX / 4;
-  sim::Device scratch(scratch_spec, device->pool());
+  sim::Device scratch = sim::RelaxedCapacityDevice(*device);
 
   gjoin::gpujoin::PartitionedJoinConfig join_cfg = config.join;
   join_cfg.partition.base_shift = config.cpu.radix_bits;
@@ -107,11 +132,11 @@ util::Result<CoProcessPlan> PlanWorkingSets(
   if (join_cfg.join.key_bits == 0) {
     // Partitioning permutes the keys, so the max over the partitions is
     // the max over the original relation.
-    uint32_t max_key = 1;
+    uint32_t max_key = 0;
     for (const data::Relation& part : r_parts.parts) {
       for (uint32_t k : part.keys) max_key = std::max(max_key, k);
     }
-    join_cfg.join.key_bits = util::Log2Floor(max_key) + 1;
+    join_cfg.join.key_bits = gjoin::gpujoin::KeyBitsFor(max_key);
   }
 
   CoProcessPlan plan;
@@ -155,14 +180,6 @@ util::Result<CoProcessPlan> PlanWorkingSets(
 
 }  // namespace
 
-util::Result<CoProcessPlan> PlanCoProcessJoin(sim::Device* device,
-                                              const data::Relation& build,
-                                              const data::Relation& probe,
-                                              const CoProcessConfig& config) {
-  return PlanCoProcessJoinShared(device, build, probe, config, nullptr,
-                                 nullptr, nullptr, nullptr);
-}
-
 util::Result<CoProcessPlan> PlanCoProcessJoinShared(
     sim::Device* device, const data::Relation& build,
     const data::Relation& probe, const CoProcessConfig& config,
@@ -174,12 +191,16 @@ util::Result<CoProcessPlan> PlanCoProcessJoinShared(
 
   // ---- 1. Host partitioning (functional), shared when precomputed ----
   cpu::HostPartitions r_local, s_local;
-  if (build_parts == nullptr) {
+  if (build_parts != nullptr) {
+    GJOIN_RETURN_NOT_OK(ValidateHostPartitions(*build_parts, config, "build"));
+  } else {
     GJOIN_ASSIGN_OR_RETURN(
         r_local, cpu::CpuRadixPartition(build, config.cpu, cpu_model));
     build_parts = &r_local;
   }
-  if (probe_parts == nullptr) {
+  if (probe_parts != nullptr) {
+    GJOIN_RETURN_NOT_OK(ValidateHostPartitions(*probe_parts, config, "probe"));
+  } else {
     GJOIN_ASSIGN_OR_RETURN(
         s_local, cpu::CpuRadixPartition(probe, config.cpu, cpu_model));
     probe_parts = &s_local;
@@ -201,12 +222,8 @@ util::Result<CoProcessPlan> PlanCoProcessJoinShared(
 util::Result<CoProcessPlan> PlanCoProcessJoinConsuming(
     sim::Device* device, cpu::HostPartitions build_parts,
     cpu::HostPartitions probe_parts, const CoProcessConfig& config) {
-  if (build_parts.radix_bits != config.cpu.radix_bits ||
-      probe_parts.radix_bits != config.cpu.radix_bits) {
-    return util::Status::Invalid(
-        "PlanCoProcessJoinConsuming: partitions disagree with "
-        "config.cpu.radix_bits");
-  }
+  GJOIN_RETURN_NOT_OK(ValidateHostPartitions(build_parts, config, "build"));
+  GJOIN_RETURN_NOT_OK(ValidateHostPartitions(probe_parts, config, "probe"));
   // Phase 1, host partitioning, happened at the caller — typically fed
   // chunk-at-a-time by a streaming generator.
   return PlanWorkingSets(device, build_parts, probe_parts, &build_parts,
@@ -350,14 +367,6 @@ util::Result<CoProcessRun> CoProcessExecutePlanned(
   return run;
 }
 
-util::Result<JoinStats> CoProcessJoinPlanned(sim::Device* device,
-                                             const CoProcessPlan& plan,
-                                             const CoProcessConfig& config) {
-  GJOIN_ASSIGN_OR_RETURN(CoProcessRun run,
-                         CoProcessExecutePlanned(device, plan, config));
-  return run.stats;
-}
-
 util::Result<JoinStats> CoProcessJoin(sim::Device* device,
                                       const data::Relation& build,
                                       const data::Relation& probe,
@@ -365,8 +374,10 @@ util::Result<JoinStats> CoProcessJoin(sim::Device* device,
   // Fail before planning, which partitions and joins both inputs.
   GJOIN_RETURN_NOT_OK(ValidatePipelineConfig(config));
   GJOIN_ASSIGN_OR_RETURN(CoProcessPlan plan,
-                         PlanCoProcessJoin(device, build, probe, config));
-  return CoProcessJoinPlanned(device, plan, config);
+                         PlanCoProcessJoinShared(device, build, probe, config));
+  GJOIN_ASSIGN_OR_RETURN(CoProcessRun run,
+                         CoProcessExecutePlanned(device, plan, config));
+  return run.stats;
 }
 
 }  // namespace gjoin::outofgpu

@@ -100,28 +100,24 @@ struct CoProcessPlan {
 
 /// Executes the functional phase once (config's pipeline parameters are
 /// ignored except cpu partitioning geometry, packing and the GPU join
-/// config).
-[[nodiscard]]
-util::Result<CoProcessPlan> PlanCoProcessJoin(sim::Device* device,
-                                              const data::Relation& build,
-                                              const data::Relation& probe,
-                                              const CoProcessConfig& config);
-
-/// Plans with host partitions shared across queries: when
+/// config). Host partitions can be shared across queries: when
 /// `build_parts`/`probe_parts` is non-null it must be
 /// CpuRadixPartition(build/probe, config.cpu) and is reused instead of
 /// re-partitioning (CPU pre-partitioning is deterministic, so one
-/// partitioned form serves every query over the relation). When an input
-/// *was* partitioned here and the matching `out_*` pointer is non-null,
-/// the fresh partitions are moved out for the caller to cache. The
-/// returned plan is identical to PlanCoProcessJoin's.
+/// partitioned form serves every query over the relation); it is
+/// rejected with kInvalid unless it holds 2^config.cpu.radix_bits
+/// partitions whose key and payload columns agree in length. When an
+/// input *was* partitioned here and the matching `out_*` pointer is
+/// non-null, the fresh partitions are moved out for the caller to cache.
+/// The returned plan does not depend on which inputs were shared.
 [[nodiscard]]
 util::Result<CoProcessPlan> PlanCoProcessJoinShared(
     sim::Device* device, const data::Relation& build,
     const data::Relation& probe, const CoProcessConfig& config,
-    const cpu::HostPartitions* build_parts,
-    const cpu::HostPartitions* probe_parts,
-    cpu::HostPartitions* out_build_parts, cpu::HostPartitions* out_probe_parts);
+    const cpu::HostPartitions* build_parts = nullptr,
+    const cpu::HostPartitions* probe_parts = nullptr,
+    cpu::HostPartitions* out_build_parts = nullptr,
+    cpu::HostPartitions* out_probe_parts = nullptr);
 
 /// Plans from already host-partitioned inputs, consuming them: each
 /// working set's partition columns are staged chunk-wise into the GPU
@@ -130,8 +126,9 @@ util::Result<CoProcessPlan> PlanCoProcessJoinShared(
 /// input plus a concatenated working-set copy. `build_parts` /
 /// `probe_parts` must be what CpuRadixPartition(build/probe, config.cpu)
 /// returns (StreamingCpuPartitioner produces exactly that without ever
-/// materializing the relations). The returned plan is bit-identical to
-/// PlanCoProcessJoin over the original relations.
+/// materializing the relations), and are checked as in
+/// PlanCoProcessJoinShared. The returned plan is bit-identical to
+/// PlanCoProcessJoinShared over the original relations.
 [[nodiscard]]
 util::Result<CoProcessPlan> PlanCoProcessJoinConsuming(
     sim::Device* device, cpu::HostPartitions build_parts,
@@ -146,17 +143,11 @@ struct CoProcessRun {
 };
 
 /// Times the pipeline of a prepared plan under `config` and returns the
-/// stats together with the op DAG.
+/// stats together with the op DAG. The stats equal CoProcessJoin(device,
+/// build, probe, config)'s when the plan was built with the same
+/// partitioning, packing and join configuration.
 [[nodiscard]]
 util::Result<CoProcessRun> CoProcessExecutePlanned(
-    sim::Device* device, const CoProcessPlan& plan,
-    const CoProcessConfig& config);
-
-/// Times the pipeline of a prepared plan under `config`. Equals
-/// CoProcessJoin(device, build, probe, config) when the plan was built
-/// with the same partitioning/packing/join configuration.
-[[nodiscard]]
-util::Result<gjoin::gpujoin::JoinStats> CoProcessJoinPlanned(
     sim::Device* device, const CoProcessPlan& plan,
     const CoProcessConfig& config);
 

@@ -40,10 +40,10 @@ struct StreamingProbeConfig {
 /// \brief One functionally-executed streaming-probe run: finalized stats
 /// plus the op DAG they were timed on.
 ///
-/// The single-query path (StreamingProbeJoin) only needs `stats`; the
-/// multi-query session scheduler re-emits `timeline`'s ops into a shared
-/// device timeline, substituting `build_h2d`/`build_part` with the ops of
-/// whichever query materialized the shared prepared build first.
+/// A single query only needs `stats`; the multi-query session scheduler
+/// re-emits `timeline`'s ops into a shared device timeline, substituting
+/// `build_h2d`/`build_part` with the ops of whichever query materialized
+/// the shared prepared build first.
 struct StreamingProbeRun {
   gpujoin::JoinStats stats;
   sim::Timeline timeline;       ///< Solo op DAG (stats.seconds = makespan).
@@ -51,26 +51,19 @@ struct StreamingProbeRun {
   sim::OpId build_part = -1;    ///< Build-side partitioning op.
 };
 
-/// Functionally executes the streaming-probe join and returns finalized
-/// stats plus the solo op DAG. When `prepared` is non-null it must be
-/// PreparePartitionedBuild(device, build, config.join): the resident
-/// partitioned build is reused instead of re-uploading/re-partitioning,
-/// while the returned stats and DAG remain identical to a standalone run
-/// (partitioning is deterministic).
+/// Runs the streaming-probe join: `build` must fit in device memory,
+/// `probe` streams from the host. Returns verified counts and modeled
+/// pipeline timing (stats.seconds = makespan; transfer_s / join_s =
+/// engine busy times) plus the solo op DAG. When `prepared` is non-null
+/// it must be PreparePartitionedBuild(device, build, config.join): the
+/// resident partitioned build is reused instead of re-uploading and
+/// re-partitioning, while the returned stats and DAG remain identical to
+/// a standalone run (partitioning is deterministic).
 [[nodiscard]]
 util::Result<StreamingProbeRun> StreamingProbeExecute(
     sim::Device* device, const data::Relation& build,
     const data::Relation& probe, const StreamingProbeConfig& config,
     const gpujoin::PreparedBuild* prepared = nullptr);
-
-/// Runs the streaming-probe join: `build` must fit in device memory,
-/// `probe` streams from the host. Returns verified counts and modeled
-/// pipeline timing (seconds = makespan; transfer_s / join_s = engine
-/// busy times).
-[[nodiscard]]
-util::Result<gpujoin::JoinStats> StreamingProbeJoin(
-    sim::Device* device, const data::Relation& build,
-    const data::Relation& probe, const StreamingProbeConfig& config);
 
 }  // namespace gjoin::outofgpu
 

@@ -44,9 +44,7 @@ util::Result<JoinStats> MechanismJoin(sim::Device* device,
   // Functional execution + in-GPU kernel costs on a relaxed-capacity
   // scratch device (UVA/UM operate on host-resident data; the join work
   // per tuple is unchanged).
-  hw::HardwareSpec scratch_spec = device->spec();
-  scratch_spec.gpu.device_memory_bytes = SIZE_MAX / 4;
-  sim::Device scratch(scratch_spec);
+  sim::Device scratch = sim::RelaxedCapacityDevice(*device);
   GJOIN_ASSIGN_OR_RETURN(
       gjoin::gpujoin::DeviceRelation r_dev,
       gjoin::gpujoin::DeviceRelation::Upload(&scratch, build));

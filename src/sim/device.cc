@@ -1,6 +1,7 @@
 #include "src/sim/device.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 
 namespace gjoin::sim {
@@ -112,6 +113,12 @@ double Device::ProfiledSeconds(const std::string& substr) const {
 void Device::ClearProfile() {
   util::MutexLock lock(&profile_mu_);
   profile_.clear();
+}
+
+Device RelaxedCapacityDevice(const Device& like) {
+  hw::HardwareSpec spec = like.spec();
+  spec.gpu.device_memory_bytes = SIZE_MAX / 4;
+  return Device(spec, like.pool());
 }
 
 }  // namespace gjoin::sim

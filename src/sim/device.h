@@ -143,6 +143,12 @@ class Device {
   std::vector<ProfileEntry> profile_ GJOIN_GUARDED_BY(profile_mu_);
 };
 
+/// A scratch device with `like`'s spec and host pool but relaxed memory
+/// capacity: strategies that plan against the real capacity execute
+/// their functional joins batched on it (per-tuple kernel work and
+/// results do not depend on capacity, only peak residency does).
+Device RelaxedCapacityDevice(const Device& like);
+
 }  // namespace gjoin::sim
 
 #endif  // GJOIN_SIM_DEVICE_H_

@@ -25,9 +25,7 @@ util::Result<JoinStats> CoGaDbJoin(sim::Device* device,
         "CoGaDB: join inputs and intermediates exceed GPU memory");
   }
 
-  hw::HardwareSpec scratch_spec = device->spec();
-  scratch_spec.gpu.device_memory_bytes = SIZE_MAX / 4;
-  sim::Device scratch(scratch_spec);
+  sim::Device scratch = sim::RelaxedCapacityDevice(*device);
   GJOIN_ASSIGN_OR_RETURN(
       gjoin::gpujoin::DeviceRelation r_dev,
       gjoin::gpujoin::DeviceRelation::Upload(&scratch, build));

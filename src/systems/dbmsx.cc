@@ -23,9 +23,7 @@ util::Result<JoinStats> DbmsXJoin(sim::Device* device,
 
   // Functional execution on a relaxed-capacity scratch device; DBMS-X's
   // engine runs a non-partitioned hash join.
-  hw::HardwareSpec scratch_spec = device->spec();
-  scratch_spec.gpu.device_memory_bytes = SIZE_MAX / 4;
-  sim::Device scratch(scratch_spec);
+  sim::Device scratch = sim::RelaxedCapacityDevice(*device);
   GJOIN_ASSIGN_OR_RETURN(
       gjoin::gpujoin::DeviceRelation r_dev,
       gjoin::gpujoin::DeviceRelation::Upload(&scratch, build));

@@ -23,6 +23,7 @@
 #include "src/data/generator.h"
 #include "src/exec/session.h"
 #include "src/exec/upload_cache.h"
+#include "src/gpujoin/partitioned_join.h"
 
 namespace gjoin {
 namespace {
@@ -141,6 +142,35 @@ TEST_F(ExecSessionTest, OneQueryCoProcessingMatchesGolden) {
                     0.0002051219512195122, 0.00024000000000000001});
 }
 
+// The session's in-GPU branch and PartitionedJoinFromHost end in the
+// same join tail (gpujoin::JoinPartitioned): under one config their
+// counts and modeled partition/join seconds agree bit for bit.
+TEST_F(ExecSessionTest, InGpuQueryMatchesPartitionedJoinFromHost) {
+  for (const bool materialize : {false, true}) {
+    SCOPED_TRACE(materialize ? "materialize" : "aggregate");
+    api::JoinConfig cfg;
+    cfg.pass_bits = {6, 5};
+    cfg.materialize = materialize;
+    sim::Device session_device{hw::HardwareSpec::Icde2019Testbed()};
+    auto out = api::Join(&session_device, r_, s_, cfg);
+    ASSERT_TRUE(out.ok()) << out.status();
+    ASSERT_EQ(out->strategy, api::Strategy::kInGpu);
+
+    gpujoin::PartitionedJoinConfig join_cfg;
+    join_cfg.partition.pass_bits = cfg.pass_bits;
+    join_cfg.join.output = materialize ? gpujoin::OutputMode::kMaterialize
+                                       : gpujoin::OutputMode::kAggregate;
+    sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
+    auto direct = gpujoin::PartitionedJoinFromHost(&device, r_, s_, join_cfg);
+    ASSERT_TRUE(direct.ok()) << direct.status();
+    EXPECT_EQ(out->stats.matches, direct->matches);
+    EXPECT_EQ(out->stats.payload_sum, direct->payload_sum);
+    EXPECT_DOUBLE_EQ(out->stats.partition_s, direct->partition_s);
+    EXPECT_DOUBLE_EQ(out->stats.join_s, direct->join_s);
+    EXPECT_DOUBLE_EQ(out->stats.seconds, direct->seconds);
+  }
+}
+
 TEST_F(ExecSessionTest, OneQuerySessionSpeedupIsExactlyOne) {
   sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
   Session session(&device);
@@ -190,6 +220,63 @@ TEST_F(ExecSessionTest, TryResultChecksHandleAndRunState) {
 // ---------------------------------------------------------------------------
 // Invariant 2: batched queries return standalone-identical stats.
 // ---------------------------------------------------------------------------
+
+// A relation whose payload column is shorter than its key column would
+// be read past its end by the upload: TrySubmit refuses it with a typed
+// kInvalid naming the side and both lengths, and Submit enqueues it
+// rejected so Run() reports that status while its siblings run.
+TEST_F(ExecSessionTest, RejectsRelationsWithColumnsOfDifferentLengths) {
+  api::JoinConfig cfg;
+  cfg.pass_bits = {6, 5};
+  data::Relation short_build = r_;
+  short_build.payloads.pop_back();
+  data::Relation long_probe = s_;
+  long_probe.payloads.push_back(7);
+
+  sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
+  Session session(&device);
+  auto refused = session.TrySubmit(short_build, s_, cfg);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), util::StatusCode::kInvalid);
+  EXPECT_EQ(refused.status().message(),
+            "build relation has 100000 keys but 99999 payloads");
+  refused = session.TrySubmit(r_, long_probe, cfg);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().message(),
+            "probe relation has 200000 keys but 200001 payloads");
+
+  // The columns are checked again when Run() starts: a probe that
+  // matched at Submit but lost a payload since is rejected too.
+  data::Relation shrunk_probe = s_;
+  const auto bad_build = session.Submit(short_build, s_, cfg);
+  const auto good = session.Submit(r_, s_, cfg);
+  const auto bad_probe = session.Submit(r_, long_probe, cfg);
+  const auto shrunk = session.Submit(r_, shrunk_probe, cfg);
+  shrunk_probe.payloads.pop_back();
+  ASSERT_TRUE(session.Run().ok());
+  const util::Status& build_status = session.result(bad_build).status;
+  EXPECT_EQ(build_status.code(), util::StatusCode::kInvalid);
+  EXPECT_EQ(build_status.message(),
+            "build relation has 100000 keys but 99999 payloads");
+  EXPECT_EQ(session.result(bad_probe).status.message(),
+            "probe relation has 200000 keys but 200001 payloads");
+  EXPECT_EQ(session.result(shrunk).status.message(),
+            "probe relation has 200000 keys but 199999 payloads");
+  EXPECT_EQ(session.stats().failed_queries, 3u);
+  EXPECT_EQ(session.stats().shed_queries, 0u);
+
+  sim::Device solo_device{hw::HardwareSpec::Icde2019Testbed()};
+  auto solo = api::Join(&solo_device, r_, s_, cfg);
+  ASSERT_TRUE(solo.ok()) << solo.status();
+  ASSERT_TRUE(session.result(good).status.ok());
+  ExpectStatsBitIdentical(session.result(good).outcome.stats, solo->stats);
+
+  // gjoin::Join is a one-query session: it returns the same status.
+  sim::Device join_device{hw::HardwareSpec::Icde2019Testbed()};
+  auto joined = api::Join(&join_device, short_build, s_, cfg);
+  ASSERT_FALSE(joined.ok());
+  EXPECT_EQ(joined.status().code(), util::StatusCode::kInvalid);
+}
 
 TEST_F(ExecSessionTest, SharedBuildBatchIsBitIdenticalPerQuery) {
   api::JoinConfig cfg;

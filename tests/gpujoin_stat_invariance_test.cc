@@ -195,8 +195,9 @@ TEST_F(StatInvarianceTest, StreamingProbeAggregate) {
   outofgpu::StreamingProbeConfig cfg;
   cfg.chunk_tuples = 60000;
   cfg.join.partition.pass_bits = {6, 5};
-  auto st = outofgpu::StreamingProbeJoin(&device, r_, s_, cfg);
-  ASSERT_TRUE(st.ok()) << st.status();
+  auto run = outofgpu::StreamingProbeExecute(&device, r_, s_, cfg);
+  ASSERT_TRUE(run.ok()) << run.status();
+  const gpujoin::JoinStats* st = &run->stats;
   EXPECT_EQ(st->matches, 200000u);
   EXPECT_EQ(st->payload_sum, 30006356267ull);
   EXPECT_DOUBLE_EQ(st->seconds, 0.00032944916982386048);
@@ -418,7 +419,7 @@ TEST_F(StatInvarianceTest, CoProcessPlanOversizedWorkingSets) {
   outofgpu::CoProcessConfig cfg;
   cfg.join.partition.pass_bits = {2};
   cfg.packing.budget_bytes = 250000;
-  auto plan = outofgpu::PlanCoProcessJoin(&device, r_, s_, cfg);
+  auto plan = outofgpu::PlanCoProcessJoinShared(&device, r_, s_, cfg);
   ASSERT_TRUE(plan.ok()) << plan.status();
   EXPECT_EQ(plan->total_input_bytes, 2400000u);
   const outofgpu::CoProcessPlan::WorkingSetRun golden[] = {
@@ -697,7 +698,7 @@ TEST_F(StatInvarianceTest, ConsumingPlanEqualsSharedPlan) {
   sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
   outofgpu::CoProcessConfig cfg;
   cfg.join.partition.pass_bits = {6, 5};
-  auto shared = outofgpu::PlanCoProcessJoin(&device, r_, s_, cfg);
+  auto shared = outofgpu::PlanCoProcessJoinShared(&device, r_, s_, cfg);
   ASSERT_TRUE(shared.ok()) << shared.status();
 
   const hw::CpuCostModel cpu_model(device.spec().cpu);
@@ -731,8 +732,9 @@ TEST_F(StatInvarianceTest, StreamingProbeMaterialize) {
   cfg.chunk_tuples = 60000;
   cfg.join.partition.pass_bits = {6, 5};
   cfg.materialize_to_host = true;
-  auto st = outofgpu::StreamingProbeJoin(&device, r_, s_, cfg);
-  ASSERT_TRUE(st.ok()) << st.status();
+  auto run = outofgpu::StreamingProbeExecute(&device, r_, s_, cfg);
+  ASSERT_TRUE(run.ok()) << run.status();
+  const gpujoin::JoinStats* st = &run->stats;
   EXPECT_EQ(st->matches, 200000u);
   EXPECT_EQ(st->payload_sum, 30006356267ull);
   EXPECT_DOUBLE_EQ(st->seconds, 0.00035910547063171836);

@@ -145,8 +145,9 @@ TEST_F(StreamingProbeTest, MatchesOracleAcrossChunks) {
   const auto s = data::MakeUniformProbe(100000, 20000, 2);
   StreamingProbeConfig cfg;
   cfg.join.partition.pass_bits = {5, 4};
-  auto stats = StreamingProbeJoin(&device_, r, s, cfg);
-  ASSERT_TRUE(stats.ok()) << stats.status();
+  auto run = StreamingProbeExecute(&device_, r, s, cfg);
+  ASSERT_TRUE(run.ok()) << run.status();
+  const gpujoin::JoinStats* stats = &run->stats;
   const auto oracle = data::JoinOracle(r, s);
   EXPECT_EQ(stats->matches, oracle.matches);
   EXPECT_EQ(stats->payload_sum, oracle.payload_sum);
@@ -161,10 +162,12 @@ TEST_F(StreamingProbeTest, MaterializationAddsD2HTraffic) {
   agg.join.partition.pass_bits = {5, 4};
   mat = agg;
   mat.materialize_to_host = true;
-  auto a = StreamingProbeJoin(&device_, r, s, agg);
-  auto m = StreamingProbeJoin(&device_, r, s, mat);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(m.ok());
+  auto a_run = StreamingProbeExecute(&device_, r, s, agg);
+  auto m_run = StreamingProbeExecute(&device_, r, s, mat);
+  ASSERT_TRUE(a_run.ok());
+  ASSERT_TRUE(m_run.ok());
+  const gpujoin::JoinStats* a = &a_run->stats;
+  const gpujoin::JoinStats* m = &m_run->stats;
   EXPECT_EQ(a->matches, m->matches);
   EXPECT_GT(m->transfer_s, a->transfer_s);
   // Fig 11: materialization introduces an overhead "but does not cause a
@@ -183,8 +186,9 @@ TEST_F(StreamingProbeTest, ThroughputApproachesPcieBound) {
   // relative to its transfer; at toy scale that means fewer, larger
   // chunks.
   cfg.chunk_tuples = 100000;
-  auto stats = StreamingProbeJoin(&device_, r, s, cfg);
-  ASSERT_TRUE(stats.ok());
+  auto run = StreamingProbeExecute(&device_, r, s, cfg);
+  ASSERT_TRUE(run.ok());
+  const gpujoin::JoinStats* stats = &run->stats;
   const hw::PcieModel pcie(spec_.pcie);
   const double transfer_floor = pcie.DmaSeconds(s.bytes());
   EXPECT_GT(stats->seconds, transfer_floor * 0.95);
@@ -196,12 +200,52 @@ TEST_F(StreamingProbeTest, EmptyInputs) {
   const auto r = data::MakeUniqueUniform(1000, 7);
   StreamingProbeConfig cfg;
   cfg.join.partition.pass_bits = {4};
-  auto a = StreamingProbeJoin(&device_, empty, r, cfg);
+  auto a = StreamingProbeExecute(&device_, empty, r, cfg);
   ASSERT_TRUE(a.ok());
-  EXPECT_EQ(a->matches, 0u);
-  auto b = StreamingProbeJoin(&device_, r, empty, cfg);
+  EXPECT_EQ(a->stats.matches, 0u);
+  auto b = StreamingProbeExecute(&device_, r, empty, cfg);
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(b->matches, 0u);
+  EXPECT_EQ(b->stats.matches, 0u);
+}
+
+// A prepared build stands in for the run's own upload and partitioning:
+// with and without it the stats and the solo op DAG are identical.
+TEST_F(StreamingProbeTest, PreparedBuildRunEqualsStandaloneRun) {
+  const auto r = data::MakeUniqueUniform(20000, 9);
+  const auto s = data::MakeUniformProbe(70000, 20000, 10);
+  for (const bool materialize : {false, true}) {
+    SCOPED_TRACE(materialize ? "materialize" : "aggregate");
+    StreamingProbeConfig cfg;
+    cfg.join.partition.pass_bits = {5, 4};
+    cfg.materialize_to_host = materialize;
+    auto standalone = StreamingProbeExecute(&device_, r, s, cfg);
+    ASSERT_TRUE(standalone.ok()) << standalone.status();
+    auto prepared = gpujoin::PreparePartitionedBuild(&device_, r, cfg.join);
+    ASSERT_TRUE(prepared.ok()) << prepared.status();
+    auto reused = StreamingProbeExecute(&device_, r, s, cfg, &*prepared);
+    ASSERT_TRUE(reused.ok()) << reused.status();
+
+    const gpujoin::JoinStats& a = standalone->stats;
+    const gpujoin::JoinStats& b = reused->stats;
+    EXPECT_EQ(a.matches, b.matches);
+    EXPECT_EQ(a.payload_sum, b.payload_sum);
+    EXPECT_DOUBLE_EQ(a.seconds, b.seconds);
+    EXPECT_DOUBLE_EQ(a.partition_s, b.partition_s);
+    EXPECT_DOUBLE_EQ(a.join_s, b.join_s);
+    EXPECT_DOUBLE_EQ(a.transfer_s, b.transfer_s);
+    EXPECT_EQ(standalone->build_h2d, reused->build_h2d);
+    EXPECT_EQ(standalone->build_part, reused->build_part);
+    const std::vector<sim::Op>& ops_a = standalone->timeline.ops();
+    const std::vector<sim::Op>& ops_b = reused->timeline.ops();
+    ASSERT_EQ(ops_a.size(), ops_b.size());
+    for (size_t i = 0; i < ops_a.size(); ++i) {
+      SCOPED_TRACE("op " + std::to_string(i));
+      EXPECT_EQ(ops_a[i].lane, ops_b[i].lane);
+      EXPECT_DOUBLE_EQ(ops_a[i].duration_s, ops_b[i].duration_s);
+      EXPECT_EQ(ops_a[i].deps, ops_b[i].deps);
+      EXPECT_EQ(ops_a[i].label, ops_b[i].label);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -333,13 +377,66 @@ TEST_F(CoProcessTest, RejectsFarSocketFractionOutsideUnitInterval) {
 TEST_F(CoProcessTest, ExecutePlannedRejectsBadPipelineConfig) {
   const auto r = data::MakeUniqueUniform(4096, 25);
   const auto s = data::MakeUniformProbe(8192, 4096, 26);
-  auto plan = PlanCoProcessJoin(&device_, r, s, BaseConfig());
+  auto plan = PlanCoProcessJoinShared(&device_, r, s, BaseConfig());
   ASSERT_TRUE(plan.ok()) << plan.status();
   auto cfg = BaseConfig();
   cfg.chunk_tuples = 0;
-  auto run = CoProcessJoinPlanned(&device_, *plan, cfg);
+  auto run = CoProcessExecutePlanned(&device_, *plan, cfg);
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), util::StatusCode::kInvalid);
+}
+
+// Precomputed host partitions are indexed partition by partition for
+// every build partition, and each is uploaded keys.size() tuples long:
+// a wrong partition count or a short payload column is refused with a
+// typed kInvalid, by the shared and the consuming planner alike.
+TEST_F(CoProcessTest, PlanRejectsMalformedHostPartitions) {
+  const auto r = data::MakeUniqueUniform(4096, 27);
+  const auto s = data::MakeUniformProbe(8192, 4096, 28);
+  const CoProcessConfig cfg = BaseConfig();
+  const hw::CpuCostModel cpu_model(spec_.cpu);
+  auto r_parts = cpu::CpuRadixPartition(r, cfg.cpu, cpu_model);
+  auto s_parts = cpu::CpuRadixPartition(s, cfg.cpu, cpu_model);
+  ASSERT_TRUE(r_parts.ok() && s_parts.ok());
+
+  cpu::HostPartitions short_column = *r_parts;
+  short_column.parts[3].payloads.pop_back();
+  cpu::HostPartitions missing_part = *s_parts;
+  missing_part.parts.pop_back();
+
+  auto shared = PlanCoProcessJoinShared(&device_, r, s, cfg, &short_column);
+  ASSERT_FALSE(shared.ok());
+  EXPECT_EQ(shared.status().code(), util::StatusCode::kInvalid);
+  EXPECT_NE(shared.status().message().find("build partition 3 has"),
+            std::string::npos)
+      << shared.status();
+  shared = PlanCoProcessJoinShared(&device_, r, s, cfg, nullptr,
+                                   &missing_part);
+  ASSERT_FALSE(shared.ok());
+  EXPECT_EQ(shared.status().code(), util::StatusCode::kInvalid);
+  EXPECT_NE(shared.status().message().find("probe partitions: 15"),
+            std::string::npos)
+      << shared.status();
+
+  auto consuming =
+      PlanCoProcessJoinConsuming(&device_, short_column, *s_parts, cfg);
+  ASSERT_FALSE(consuming.ok());
+  EXPECT_EQ(consuming.status().code(), util::StatusCode::kInvalid);
+  consuming = PlanCoProcessJoinConsuming(&device_, *r_parts, missing_part, cfg);
+  ASSERT_FALSE(consuming.ok());
+  EXPECT_EQ(consuming.status().code(), util::StatusCode::kInvalid);
+
+  // Well-formed partitions plan exactly as partitioning in place does.
+  auto fresh = PlanCoProcessJoinShared(&device_, r, s, cfg);
+  auto reused =
+      PlanCoProcessJoinShared(&device_, r, s, cfg, &*r_parts, &*s_parts);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  ASSERT_TRUE(reused.ok()) << reused.status();
+  ASSERT_EQ(fresh->runs.size(), reused->runs.size());
+  for (size_t i = 0; i < fresh->runs.size(); ++i) {
+    EXPECT_EQ(fresh->runs[i].matches, reused->runs[i].matches);
+    EXPECT_DOUBLE_EQ(fresh->runs[i].gpu_seconds, reused->runs[i].gpu_seconds);
+  }
 }
 
 // ---------------------------------------------------------------------------
