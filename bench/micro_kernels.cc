@@ -334,11 +334,12 @@ BENCHMARK(BM_JoinCoPartitionsAggregate)
 /// Materialized-output gate: a shared-hash join of two Zipf(0.5)
 /// relations sharing their popular keys, emitting about three result
 /// pairs per probe tuple into a ring of |S| pairs, so the ring wraps
-/// several times (Fig. 17's setting). Blocks record their pairs and only
-/// the ring's worth that survives the wraps is copied after the launch;
-/// regressing toward replaying every pair onto the ring shows here.
-/// Inputs are partitioned once outside the loop. Registered with
-/// MeasureProcessCPUTime: the blocks run on pool workers.
+/// several times (Fig. 17's setting). The launch only counts pairs, as
+/// an aggregate join does, and after it only the ring's worth that
+/// survives the wraps is enumerated; regressing toward recording or
+/// writing every pair shows here. Inputs are partitioned once outside
+/// the loop. Registered with MeasureProcessCPUTime: the blocks run on
+/// pool workers.
 void BM_JoinCoPartitionsMaterialized(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   sim::Device device{hw::HardwareSpec::Icde2019Testbed()};

@@ -14,7 +14,8 @@ OUT/<name>.txt, the figure,series,x,value rows to OUT/<name>.csv, and
 everything to OUT/all_figures.csv.
 
 --timings additionally writes OUT/timings.json: per-bench wall-clock
-seconds (and the divisor each bench ran at), the measurement behind the
+seconds, peak RSS in MB (the bench process's own, from os.wait4's
+rusage) and the divisor each bench ran at, the measurement behind the
 README's "Full-scale timings" table. Timings are always collected; the
 flag only controls writing the JSON.
 
@@ -40,10 +41,13 @@ any figure's CSV differs; else 0.
 import argparse
 import csv
 import json
+import os
 import pathlib
 import re
 import subprocess
 import sys
+import tempfile
+import threading
 import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -58,6 +62,34 @@ def discover_benches(only: str) -> list[str]:
     if only:
         names = [n for n in names if re.search(only, n)]
     return names
+
+
+def run_bench(cmd: list[str], timeout: int):
+    """Runs cmd to completion or until `timeout` seconds pass (then kills
+    it). Returns (exit code, or None on timeout; stdout; stderr; peak RSS
+    in MB). The output goes through files, not pipes, so the child can be
+    reaped with os.wait4, whose rusage holds that child's peak RSS
+    alone."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(cmd, stdout=out, stderr=err)
+        timed_out = threading.Event()
+
+        def kill():
+            timed_out.set()
+            proc.kill()
+
+        timer = threading.Timer(timeout, kill)
+        timer.start()
+        try:
+            _, status, rusage = os.wait4(proc.pid, 0)
+        finally:
+            timer.cancel()
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        code = None if timed_out.is_set() else proc.returncode
+        return (code, out.read().decode(errors="replace"),
+                err.read().decode(errors="replace"), rusage.ru_maxrss / 1024)
 
 
 def differing_csvs(names: list[str], out_dir: pathlib.Path,
@@ -129,29 +161,23 @@ def main() -> int:
             cmd.append(f"--trace_dir={args.trace_dir}")
         print(f"RUN  {' '.join(cmd)}", flush=True)
         start = time.monotonic()
-        try:
-            proc = subprocess.run(cmd, capture_output=True, text=True,
-                                  timeout=args.timeout)
-        except subprocess.TimeoutExpired as timeout:
+        returncode, stdout, stderr, peak_rss_mb = run_bench(cmd,
+                                                            args.timeout)
+        if returncode is None:
             # Keep whatever the bench printed before hanging — that is
-            # exactly the log one needs to debug it. (TimeoutExpired
-            # carries bytes even in text mode on some Python versions.)
-            def as_text(v):
-                return v.decode(errors="replace") if isinstance(v, bytes) \
-                    else (v or "")
+            # exactly the log one needs to debug it.
             (out_dir / f"{name}.txt").write_text(
-                as_text(timeout.stdout) + as_text(timeout.stderr) +
-                f"\nFAIL: timeout after {args.timeout}s\n")
+                stdout + stderr + f"\nFAIL: timeout after {args.timeout}s\n")
             print(f"FAIL {name}: timeout after {args.timeout}s",
                   file=sys.stderr)
             failures.append(name)
             continue
-        (out_dir / f"{name}.txt").write_text(proc.stdout + proc.stderr)
+        (out_dir / f"{name}.txt").write_text(stdout + stderr)
         wall_s = time.monotonic() - start
 
         rows = []
         divisor = None
-        for line in proc.stdout.splitlines():
+        for line in stdout.splitlines():
             if line.startswith("#"):
                 m = re.match(r"# divisor=(\d+)", line)
                 if m:
@@ -170,13 +196,14 @@ def main() -> int:
         all_rows.extend(rows)
 
         timings[name] = {"wall_seconds": round(wall_s, 3),
+                         "peak_rss_mb": round(peak_rss_mb, 1),
                          "divisor": divisor}
-        if proc.returncode != 0:
-            print(f"FAIL {name}: exit {proc.returncode}", file=sys.stderr)
+        if returncode != 0:
+            print(f"FAIL {name}: exit {returncode}", file=sys.stderr)
             failures.append(name)
         else:
-            print(f"OK   {name}: {len(rows)} rows ({wall_s:.1f}s)",
-                  flush=True)
+            print(f"OK   {name}: {len(rows)} rows ({wall_s:.1f}s, "
+                  f"{peak_rss_mb:.0f} MB)", flush=True)
 
     if args.timings:
         with open(out_dir / "timings.json", "w") as f:

@@ -159,6 +159,7 @@ util::Result<HostPartitions> CpuRadixPartition(const data::Relation& rel,
                                                const CpuPartitionConfig& config,
                                                const hw::CpuCostModel& model,
                                                util::ThreadPool* pool) {
+  GJOIN_RETURN_NOT_OK(data::CheckColumns(rel, "CpuRadixPartition"));
   // No reservation hint: a single Append sizes each partition with one
   // exact resize, and a hint would pin unused capacity on skewed inputs.
   GJOIN_ASSIGN_OR_RETURN(

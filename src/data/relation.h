@@ -14,7 +14,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
+
+#include "src/util/status.h"
 
 namespace gjoin::data {
 
@@ -60,6 +63,17 @@ struct Relation {
     payloads.push_back(payload);
   }
 };
+
+/// OK iff `rel`'s columns match; otherwise kInvalid naming `where` and
+/// both column lengths. Every join reads size() payloads, so the places
+/// that read a relation's columns check this first.
+[[nodiscard]]
+inline util::Status CheckColumns(const Relation& rel, const char* where) {
+  if (rel.ColumnsMatch()) return util::Status::OK();
+  return util::Status::Invalid(
+      std::string(where) + ": relation has " + std::to_string(rel.keys.size()) +
+      " keys but " + std::to_string(rel.payloads.size()) + " payloads");
+}
 
 /// \brief Non-owning view of a contiguous tuple range of a Relation.
 ///

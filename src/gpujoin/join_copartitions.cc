@@ -48,9 +48,9 @@ struct JoinSharedArea {
       next = shared.Alloc<uint16_t>(cfg.shared_elems);
       if (heads == nullptr || next == nullptr) return false;
     }
-    // The warp output buffer holds no host data (pairs go straight to
-    // the block's EmitRecorder cursor), but it occupies the kernel's
-    // shared memory all the same.
+    // The warp output buffer holds no host data (the surviving pairs are
+    // enumerated onto the ring after the launch), but it occupies the
+    // kernel's shared memory all the same.
     if (need_out && shared.Alloc<uint64_t>(cfg.out_stage_pairs) == nullptr) {
       return false;
     }
@@ -58,20 +58,15 @@ struct JoinSharedArea {
   }
 };
 
-/// Accumulates a block's results; when materializing, records every
-/// result pair, in emission order, on the block's EmitRecorder cursor.
-/// The recorder publishes them onto the ring after the launch, in
-/// ascending block id, so ring content and wrap behavior are
-/// independent of host-worker interleaving.
+/// Accumulates a block's results. A materializing block's pairs are its
+/// matches: PublishSurvivors claims them on the ring after the launch.
 struct BlockJoinState {
   uint64_t matches = 0;
   uint64_t checksum = 0;
-  EmitRecorder::Cursor* emits = nullptr;
 
   void Match(uint32_t rpay, uint32_t spay) {
     ++matches;
     checksum += static_cast<uint64_t>(rpay) + spay;
-    if (emits != nullptr) emits->Push(rpay, spay);
   }
 };
 
@@ -124,6 +119,69 @@ void ChargeGathers(sim::Block* block, const CoPartitionJoinConfig& cfg,
         probe_tuples * static_cast<uint64_t>(cfg.probe_extra_payload_bytes));
   }
 }
+
+/// One R chunk's host copy and functional tables, each in the kernel's
+/// insertion order (tuple i front-inserted after tuples 0..i-1), so
+/// chains and match order equal the simulated build's.
+struct ChunkTables {
+  std::vector<uint32_t> keys, pays;
+  std::vector<uint16_t> heads16, next16;    // kSharedHash
+  std::vector<int32_t> dheads;              // kDeviceHash
+  std::vector<util::PackedHashNode> nodes;  // kDeviceHash
+  std::vector<int32_t> nl_heads, nl_next;   // kNestedLoop counting index
+
+  /// Copies R partition `p` (`n` tuples) of `chains` in chain order.
+  void Gather(const BucketChains& chains, uint32_t p, uint32_t n) {
+    keys.resize(n);
+    pays.resize(n);
+    uint32_t filled = 0;
+    for (int32_t b = chains.heads()[p]; b != BucketChains::kNull;
+         b = chains.next()[b]) {
+      const size_t base = static_cast<size_t>(b) * chains.bucket_capacity();
+      std::copy_n(chains.keys() + base, chains.fill()[b],
+                  keys.data() + filled);
+      std::copy_n(chains.payloads() + base, chains.fill()[b],
+                  pays.data() + filled);
+      filled += chains.fill()[b];
+    }
+  }
+
+  /// Builds `cfg.algo`'s table over the `n` tuples at rk/rp. The nested
+  /// loop's is a hash index that only counting uses: it finds each probe
+  /// tuple's matches without a tile scan.
+  void Build(const CoPartitionJoinConfig& cfg, int radix_bits,
+             const uint32_t* rk, const uint32_t* rp, uint32_t n) {
+    if (cfg.algo == ProbeAlgorithm::kSharedHash) {
+      heads16.assign(cfg.hash_slots, kEmpty16);
+      next16.resize(n);
+      for (uint32_t i = 0; i < n; ++i) {
+        const uint32_t slot =
+            util::HashTableSlot(rk[i], radix_bits, cfg.hash_slots);
+        next16[i] = heads16[slot];
+        heads16[slot] = static_cast<uint16_t>(i);
+      }
+    } else if (cfg.algo == ProbeAlgorithm::kDeviceHash) {
+      dheads.assign(cfg.hash_slots, -1);
+      nodes.resize(n);
+      for (uint32_t i = 0; i < n; ++i) {
+        const uint32_t slot =
+            util::HashTableSlot(rk[i], radix_bits, cfg.hash_slots);
+        nodes[i] = {rk[i], rp[i], dheads[slot], 0};
+        dheads[slot] = static_cast<int32_t>(i);
+      }
+    } else {
+      const size_t slots =
+          util::NextPowerOfTwo(std::max<uint32_t>(2 * n, 8));
+      nl_heads.assign(slots, -1);
+      nl_next.assign(n, -1);
+      for (uint32_t i = 0; i < n; ++i) {
+        const uint32_t slot = util::Mix32(rk[i]) & (slots - 1);
+        nl_next[i] = nl_heads[slot];
+        nl_heads[slot] = static_cast<int32_t>(i);
+      }
+    }
+  }
+};
 
 /// The calling thread's key-aggregated table, reused across work items
 /// and launches.
@@ -200,7 +258,7 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
   // CUDA implementation performs between kernels): flatten each
   // partition's S chain and slice long chains for load balance.
   //
-  // Aggregating shared-hash items whose R side fits may be
+  // Shared-hash items whose R side fits may be
   // `aggregated`: instead of building and walking the Listing 2 chains,
   // the host builds a key-aggregated table (agg_table.h) in the worker
   // thread's scratch and probes that. Building the table costs more
@@ -215,9 +273,9 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
   // 256 and below up to 2x slower; half a probe per build tuple (the
   // streaming probe's default chunks) ran about 15% slower with tables.
   // Both give the same results, and the charges do not depend on the
-  // choice.
-  const bool agg_probe = config.algo == ProbeAlgorithm::kSharedHash &&
-                         config.output == OutputMode::kAggregate;
+  // choice. A materializing join counts the same way: its pairs are
+  // enumerated after the launch, and only those that survive the wrap.
+  const bool agg_probe = config.algo == ProbeAlgorithm::kSharedHash;
   std::vector<int32_t> s_buckets_flat;
   std::vector<WorkItem> items;
   std::vector<uint64_t> r_sizes(num_partitions);
@@ -294,17 +352,11 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
   // to its S bucket's per-chunk steps and makes one key lookup, whose
   // per-chunk runs give its matches. The chunk loop then charges the
   // tallied steps and matches. A chunk's row entries number hash_slots,
-  // the size of the chunk's own shared-memory slot table. Aggregation is
-  // order-independent, so results are unchanged; materialization keeps
-  // the chunk-major path for its emission order.
+  // the size of the chunk's own shared-memory slot table. Counting is
+  // order-independent, so results are unchanged; a materializing join's
+  // survivors are enumerated chunk-major after the launch, skipping
+  // whole (chunk, S bucket) cells by their tallied matches.
   enum HostPlan : uint8_t { kPerItem, kMemoChunk, kTallied };
-  struct PrebuiltChunk {
-    std::vector<uint32_t> keys, pays;
-    std::vector<uint16_t> heads16, next16;        // kSharedHash
-    std::vector<int32_t> dheads;                  // kDeviceHash
-    std::vector<util::PackedHashNode> nodes;      // kDeviceHash
-    std::vector<int32_t> nl_heads, nl_next;       // kNestedLoop aggregate
-  };
   /// A kTallied item's probe outcome. Its steps and matches per
   /// (chunk, S bucket) start at `cells` in cell_steps/cell_hits,
   /// row-major by chunk.
@@ -314,19 +366,17 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
     uint64_t checksum = 0;
   };
   // Memo storage exists only for the partitions that use it:
-  // memo_index maps a memoized partition to its PrebuiltChunk.
+  // memo_index maps a memoized partition to its ChunkTables.
   std::vector<HostPlan> host_plan(num_partitions, kPerItem);
   std::vector<uint32_t> memo_index;
-  std::vector<PrebuiltChunk> prebuilt;
+  std::vector<ChunkTables> prebuilt;
   std::vector<ItemTally> tallies;
   std::vector<uint64_t> cell_steps, cell_hits;
   {
     const uint64_t max_chunk = config.algo == ProbeAlgorithm::kDeviceHash
                                    ? UINT32_MAX
                                    : config.shared_elems;
-    const bool tally_oversized =
-        config.algo == ProbeAlgorithm::kSharedHash &&
-        config.output != OutputMode::kMaterialize;
+    const bool tally_oversized = config.algo == ProbeAlgorithm::kSharedHash;
     std::vector<uint32_t> memo, tallied;
     for (uint32_t p = 0; p < num_partitions; ++p) {
       if (items_per_partition[p] == 0) continue;
@@ -357,51 +407,11 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
         memo.size(), [&](size_t /*worker*/, size_t lo, size_t hi) {
           for (size_t j = lo; j < hi; ++j) {
             const uint32_t p = memo[j];
-            PrebuiltChunk& pre = prebuilt[j];
             const uint32_t r_count = static_cast<uint32_t>(r_sizes[p]);
-            pre.keys.resize(r_count);
-            pre.pays.resize(r_count);
-            uint32_t filled = 0;
-            for (int32_t b = build.chains.heads()[p];
-                 b != BucketChains::kNull; b = build.chains.next()[b]) {
-              const uint32_t fill = build.chains.fill()[b];
-              const size_t base = static_cast<size_t>(b) * r_cap;
-              std::copy_n(build.chains.keys() + base, fill,
-                          pre.keys.data() + filled);
-              std::copy_n(build.chains.payloads() + base, fill,
-                          pre.pays.data() + filled);
-              filled += fill;
-            }
-            if (config.algo == ProbeAlgorithm::kSharedHash) {
-              pre.heads16.assign(config.hash_slots, kEmpty16);
-              pre.next16.resize(r_count);
-              for (uint32_t i = 0; i < r_count; ++i) {
-                const uint32_t slot = util::HashTableSlot(
-                    pre.keys[i], radix_bits, config.hash_slots);
-                pre.next16[i] = pre.heads16[slot];
-                pre.heads16[slot] = static_cast<uint16_t>(i);
-              }
-            } else if (config.algo == ProbeAlgorithm::kDeviceHash) {
-              pre.dheads.assign(config.hash_slots, -1);
-              pre.nodes.resize(r_count);
-              for (uint32_t i = 0; i < r_count; ++i) {
-                const uint32_t slot = util::HashTableSlot(
-                    pre.keys[i], radix_bits, config.hash_slots);
-                pre.nodes[i] = {pre.keys[i], pre.pays[i], pre.dheads[slot],
-                                0};
-                pre.dheads[slot] = static_cast<int32_t>(i);
-              }
-            } else if (config.output != OutputMode::kMaterialize) {
-              const size_t slots = util::NextPowerOfTwo(
-                  std::max<uint32_t>(2 * r_count, 8));
-              pre.nl_heads.assign(slots, -1);
-              pre.nl_next.assign(r_count, -1);
-              for (uint32_t i = 0; i < r_count; ++i) {
-                const uint32_t slot = util::Mix32(pre.keys[i]) & (slots - 1);
-                pre.nl_next[i] = pre.nl_heads[slot];
-                pre.nl_heads[slot] = static_cast<int32_t>(i);
-              }
-            }
+            ChunkTables& pre = prebuilt[j];
+            pre.Gather(build.chains, p, r_count);
+            pre.Build(config, radix_bits, pre.keys.data(), pre.pays.data(),
+                      r_count);
           }
         });
 
@@ -462,7 +472,10 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
   launch.threads_per_block = config.threads_per_block;
   launch.shared_mem_bytes = device->spec().gpu.shared_mem_per_block;
 
-  EmitRecorder emits(need_out ? static_cast<size_t>(num_blocks) : 0);
+  // Materialization: every block's pair count, and every item's, for
+  // publishing the survivors after the launch.
+  std::vector<uint64_t> block_pairs(need_out ? num_blocks : 0);
+  std::vector<uint64_t> item_pairs(need_out ? items.size() : 0);
 
   GJOIN_ASSIGN_OR_RETURN(
       sim::LaunchResult result,
@@ -471,7 +484,6 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
         const bool shared_table = config.algo == ProbeAlgorithm::kSharedHash;
         if (!area.Alloc(&block, config, shared_table, need_out)) return;
         BlockJoinState state;
-        if (need_out) state.emits = &emits.cursor(block.block_id());
 
         // Device-memory table scratch (kDeviceHash); reused across
         // items. The functional table packs each slot's chunk epoch
@@ -499,15 +511,15 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
         std::vector<int32_t> r_buckets;
         std::vector<uint32_t> dev_rkeys, dev_rpays;  // kDeviceHash only
         // Functional index over the R chunk for the batched nested-loop
-        // probe (aggregate mode); reused across chunks. Not charged:
-        // the simulated kernel compares tiles, the host merely needs the
-        // same matches without executing O(|R| x |S|) scalar work.
-        std::vector<int32_t> nl_heads;
-        std::vector<int32_t> nl_next;
+        // probe; reused across chunks. Not charged: the simulated kernel
+        // compares tiles, the host merely needs the same matches without
+        // executing O(|R| x |S|) scalar work.
+        ChunkTables nl;
 
         for (size_t w = static_cast<size_t>(block.block_id());
              w < items.size(); w += static_cast<size_t>(num_blocks)) {
           const WorkItem& item = items[w];
+          const uint64_t matches_before_item = state.matches;
           block.ChargeCoalescedRead(12);  // work-list entry
           // Dispatch/drain overhead per work item: partial warps at the
           // partition tail, metadata setup, probe-phase ramp-down. This
@@ -546,7 +558,7 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
           const bool aggregated = item.aggregated;
           const HostPlan plan = host_plan[item.p];
           const bool gathered = !aggregated && plan == kPerItem;
-          const PrebuiltChunk* pre = !aggregated && plan == kMemoChunk
+          const ChunkTables* pre = !aggregated && plan == kMemoChunk
                                          ? &prebuilt[memo_index[item.p]]
                                          : nullptr;
           const ItemTally* tally = plan == kTallied ? &tallies[w] : nullptr;
@@ -629,18 +641,8 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
                 if (filled == r_count) break;
               }
             }
-            if (gathered && config.algo == ProbeAlgorithm::kNestedLoop &&
-                config.output != OutputMode::kMaterialize) {
-              // Functional R-chunk index for the batched NL probe.
-              const size_t slots = util::NextPowerOfTwo(
-                  std::max<uint32_t>(2 * r_count, 8));
-              nl_heads.assign(slots, -1);
-              nl_next.assign(r_count, -1);
-              for (uint32_t i = 0; i < r_count; ++i) {
-                const uint32_t slot = util::Mix32(rkeys[i]) & (slots - 1);
-                nl_next[i] = nl_heads[slot];
-                nl_heads[slot] = static_cast<int32_t>(i);
-              }
+            if (gathered && config.algo == ProbeAlgorithm::kNestedLoop) {
+              nl.Build(config, radix_bits, rkeys, rpays, r_count);
             }
 
             // ---- Build ----
@@ -733,47 +735,19 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
                   block.ChargeShared(4ull * 32 * 32 * tiles);
                   block.ChargeCycles(32ull * tiles);
                 }
-                if (config.output == OutputMode::kMaterialize) {
-                  // Materialization consumes matches in warp emission
-                  // order (s lane within tile, then ascending r), which
-                  // determines ring wrap behavior: reproduce the tile
-                  // walk with direct equality.
-                  for (uint32_t s0 = 0; s0 < s_fill; s0 += 32) {
-                    const uint32_t s_lanes =
-                        std::min<uint32_t>(32, s_fill - s0);
-                    for (uint32_t r0 = 0; r0 < r_count; r0 += 32) {
-                      const uint32_t r_lanes =
-                          std::min<uint32_t>(32, r_count - r0);
-                      for (uint32_t l = 0; l < s_lanes; ++l) {
-                        const uint32_t skey =
-                            probe.chains.keys()[s_base + s0 + l];
-                        for (uint32_t j = 0; j < r_lanes; ++j) {
-                          if (rkeys[r0 + j] == skey) {
-                            state.Match(
-                                rpays[r0 + j],
-                                probe.chains.payloads()[s_base + s0 + l]);
-                          }
-                        }
-                      }
-                    }
-                  }
-                } else {
-                  // Aggregate mode is order-independent: probe a
-                  // functional hash index over the R chunk instead of
-                  // scanning it per S tuple.
-                  const std::vector<int32_t>& nh =
-                      pre != nullptr ? pre->nl_heads : nl_heads;
-                  const std::vector<int32_t>& nn =
-                      pre != nullptr ? pre->nl_next : nl_next;
-                  for (uint32_t i = 0; i < s_fill; ++i) {
-                    const uint32_t skey = probe.chains.keys()[s_base + i];
-                    const uint32_t slot =
-                        util::Mix32(skey) & (nh.size() - 1);
-                    for (int32_t e = nh[slot]; e >= 0; e = nn[e]) {
-                      if (rkeys[e] == skey) {
-                        state.Match(rpays[e],
-                                    probe.chains.payloads()[s_base + i]);
-                      }
+                // Counting is order-independent: probe a functional hash
+                // index over the R chunk instead of scanning it per S
+                // tuple.
+                const ChunkTables& index = pre != nullptr ? *pre : nl;
+                const std::vector<int32_t>& nh = index.nl_heads;
+                const std::vector<int32_t>& nn = index.nl_next;
+                for (uint32_t i = 0; i < s_fill; ++i) {
+                  const uint32_t skey = probe.chains.keys()[s_base + i];
+                  const uint32_t slot = util::Mix32(skey) & (nh.size() - 1);
+                  for (int32_t e = nh[slot]; e >= 0; e = nn[e]) {
+                    if (rkeys[e] == skey) {
+                      state.Match(rpays[e],
+                                  probe.chains.payloads()[s_base + i]);
                     }
                   }
                 }
@@ -783,11 +757,10 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
                 // serial dependence chain (hash -> head -> node ->
                 // next); resolving a batch of heads before walking any
                 // chain overlaps those chains' L2 latencies and branch
-                // recovery (~1.25x measured even fully cached). Batches
-                // visit probes in order, so match emission is identical
-                // at every depth. Tallied items counted this probe
-                // before the launch; aggregating items take their steps
-                // and matches from the aggregated table.
+                // recovery (~1.25x measured even fully cached). Tallied
+                // items counted this probe before the launch; aggregated
+                // items take their steps and matches from the aggregated
+                // table.
                 uint64_t steps = 0;
                 const uint32_t* skeys = probe.chains.keys() + s_base;
                 const uint32_t* spays = probe.chains.payloads() + s_base;
@@ -835,89 +808,52 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
                 const int32_t* pre_heads =
                     pre != nullptr ? pre->dheads.data() : nullptr;
                 uint64_t steps = 0;
-                if (config.output != OutputMode::kMaterialize) {
-                  // Aggregate accumulation is order-independent: AMAC.
-                  struct Probe {
-                    uint32_t key;
-                    uint32_t pay;
-                    int32_t cur;
-                    uint32_t stage;
-                  };
-                  util::ProbePipeline<Probe>(
-                      s_fill, pipeline_depth,
-                      [&](size_t i, Probe& p) {
-                        const uint32_t slot = util::HashTableSlot(
-                            skeys[i], radix_bits, config.hash_slots);
-                        p = {skeys[i], spays[i], static_cast<int32_t>(slot),
-                             0};
-                        util::PrefetchRead(pre_heads != nullptr
-                                               ? static_cast<const void*>(
-                                                     &pre_heads[slot])
-                                               : &dev_heads[slot]);
-                      },
-                      [&](size_t /*i*/, Probe& p) {
-                        if (p.stage == 0) {
-                          int32_t e;
-                          if (pre_heads != nullptr) {
-                            e = pre_heads[p.cur];
-                          } else {
-                            const util::EpochHead& h = dev_heads[p.cur];
-                            e = h.epoch == cur_epoch ? h.head : -1;
-                          }
-                          if (e < 0) return false;
-                          p.cur = e;
-                          p.stage = 1;
-                          util::PrefetchRead(&dnodes[e]);
-                          return true;
-                        }
-                        const util::PackedHashNode& node = dnodes[p.cur];
-                        ++steps;
-                        if (node.key == p.key) {
-                          ++state.matches;
-                          state.checksum +=
-                              static_cast<uint64_t>(node.pay) + p.pay;
-                        }
-                        if (node.next < 0) return false;
-                        p.cur = node.next;
-                        util::PrefetchRead(&dnodes[node.next]);
-                        return true;
-                      });
-                } else {
-                  // Materialization emits in probe order: the in-order
-                  // two-stage pipeline preserves it at every depth.
-                  util::OrderedProbePipeline<int32_t>(
-                      s_fill, pipeline_depth,
-                      [&](size_t i, int32_t& st) {
-                        st = static_cast<int32_t>(util::HashTableSlot(
-                            skeys[i], radix_bits, config.hash_slots));
-                        util::PrefetchRead(pre_heads != nullptr
-                                               ? static_cast<const void*>(
-                                                     &pre_heads[st])
-                                               : &dev_heads[st]);
-                      },
-                      [&](size_t /*i*/, int32_t& st) {
+                // Counting is order-independent: AMAC.
+                struct Probe {
+                  uint32_t key;
+                  uint32_t pay;
+                  int32_t cur;
+                  uint32_t stage;
+                };
+                util::ProbePipeline<Probe>(
+                    s_fill, pipeline_depth,
+                    [&](size_t i, Probe& p) {
+                      const uint32_t slot = util::HashTableSlot(
+                          skeys[i], radix_bits, config.hash_slots);
+                      p = {skeys[i], spays[i], static_cast<int32_t>(slot),
+                           0};
+                      util::PrefetchRead(pre_heads != nullptr
+                                             ? static_cast<const void*>(
+                                                   &pre_heads[slot])
+                                             : &dev_heads[slot]);
+                    },
+                    [&](size_t /*i*/, Probe& p) {
+                      if (p.stage == 0) {
+                        int32_t e;
                         if (pre_heads != nullptr) {
-                          st = pre_heads[st];
+                          e = pre_heads[p.cur];
                         } else {
-                          const util::EpochHead& h = dev_heads[st];
-                          st = h.epoch == cur_epoch ? h.head : -1;
+                          const util::EpochHead& h = dev_heads[p.cur];
+                          e = h.epoch == cur_epoch ? h.head : -1;
                         }
-                        if (st >= 0) util::PrefetchRead(&dnodes[st]);
-                      },
-                      [&](size_t i, int32_t& st) {
-                        for (int32_t e = st; e >= 0;) {
-                          const util::PackedHashNode& node = dnodes[e];
-                          if (node.next >= 0) {
-                            util::PrefetchRead(&dnodes[node.next]);
-                          }
-                          ++steps;
-                          if (node.key == skeys[i]) {
-                            state.Match(node.pay, spays[i]);
-                          }
-                          e = node.next;
-                        }
-                      });
-                }
+                        if (e < 0) return false;
+                        p.cur = e;
+                        p.stage = 1;
+                        util::PrefetchRead(&dnodes[e]);
+                        return true;
+                      }
+                      const util::PackedHashNode& node = dnodes[p.cur];
+                      ++steps;
+                      if (node.key == p.key) {
+                        ++state.matches;
+                        state.checksum +=
+                            static_cast<uint64_t>(node.pay) + p.pay;
+                      }
+                      if (node.next < 0) return false;
+                      p.cur = node.next;
+                      util::PrefetchRead(&dnodes[node.next]);
+                      return true;
+                    });
                 // Head + per-step key + next transactions, plus a
                 // payload access per match (the paper's "three to four
                 // random memory accesses").
@@ -932,11 +868,12 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
             }
             r_done += r_count;
           }
+          if (need_out) item_pairs[w] = state.matches - matches_before_item;
         }
 
         if (need_out) {
-          ChargeEmission(&block, config, state.emits->count(),
-                         out->capacity());
+          block_pairs[static_cast<size_t>(block.block_id())] = state.matches;
+          ChargeEmission(&block, config, state.matches, out->capacity());
         }
         // Aggregation epilogue: threads pre-reduce within their warp
         // (shuffle tree), then one device atomic per warp folds into the
@@ -946,7 +883,110 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
         g_matches.fetch_add(state.matches, std::memory_order_relaxed);
         g_checksum.fetch_add(state.checksum, std::memory_order_relaxed);
       }));
-  if (need_out) emits.Publish(out);
+
+  // ---- Survivors, in the kernel's emission order ----
+  // A block emits its items in turn; an item its R chunks in chain
+  // order, and per chunk its S buckets in order. The hash probes emit
+  // each probe tuple's chain walk in turn: its slot's tuples from the
+  // head, i.e. in reverse insertion order, filtered by key. The nested
+  // loop emits per 32x32 tile: s lane, then ascending r. Items, and a
+  // tallied item's (chunk, S bucket) cells, wholly before the cut are
+  // skipped by their counts.
+  if (need_out) {
+    PublishSurvivors(
+        out, block_pairs, device->pool(), [&](size_t b, SurvivorSink& sink) {
+          ChunkTables t;
+          for (size_t w = b; w < items.size();
+               w += static_cast<size_t>(num_blocks)) {
+            if (sink.Skips(item_pairs[w])) continue;
+            const WorkItem& item = items[w];
+            const uint32_t r_total = static_cast<uint32_t>(r_sizes[item.p]);
+            t.Gather(build.chains, item.p, r_total);
+            const uint32_t chunk_elems =
+                config.algo == ProbeAlgorithm::kDeviceHash
+                    ? r_total
+                    : config.shared_elems;
+            const bool tallied = host_plan[item.p] == kTallied;
+            for (uint32_t r_done = 0, chunk = 0; r_done < r_total;
+                 r_done += chunk_elems, ++chunk) {
+              const uint32_t r_count = std::min(chunk_elems, r_total - r_done);
+              const uint32_t* rk = t.keys.data() + r_done;
+              const uint32_t* rp = t.pays.data() + r_done;
+              bool built = false;
+              for (uint32_t sb = 0; sb < item.s_count; ++sb) {
+                if (tallied &&
+                    sink.Skips(cell_hits[tallies[w].cells +
+                                         size_t{chunk} * item.s_count + sb])) {
+                  continue;
+                }
+                if (!built) t.Build(config, radix_bits, rk, rp, r_count);
+                built = true;
+                const int32_t sbucket = s_buckets_flat[item.s_from + sb];
+                const size_t s_base = static_cast<size_t>(sbucket) * s_cap;
+                const uint32_t s_fill = probe.chains.fill()[sbucket];
+                const uint32_t* skeys = probe.chains.keys() + s_base;
+                const uint32_t* spays = probe.chains.payloads() + s_base;
+                if (config.algo == ProbeAlgorithm::kSharedHash) {
+                  util::GroupProbe<uint16_t>(
+                      s_fill, pipeline_depth,
+                      [&](size_t i, uint16_t& e) {
+                        e = t.heads16[util::HashTableSlot(
+                            skeys[i], radix_bits, config.hash_slots)];
+                      },
+                      [&](size_t i, uint16_t& head) {
+                        for (uint16_t e = head; e != kEmpty16;
+                             e = t.next16[e]) {
+                          if (rk[e] == skeys[i]) sink.Push(rp[e], spays[i]);
+                        }
+                      });
+                } else if (config.algo == ProbeAlgorithm::kDeviceHash) {
+                  // The in-order two-stage pipeline keeps probe order at
+                  // every depth.
+                  util::OrderedProbePipeline<int32_t>(
+                      s_fill, pipeline_depth,
+                      [&](size_t i, int32_t& st) {
+                        st = static_cast<int32_t>(util::HashTableSlot(
+                            skeys[i], radix_bits, config.hash_slots));
+                        util::PrefetchRead(&t.dheads[st]);
+                      },
+                      [&](size_t /*i*/, int32_t& st) {
+                        st = t.dheads[st];
+                        if (st >= 0) util::PrefetchRead(&t.nodes[st]);
+                      },
+                      [&](size_t i, int32_t& st) {
+                        for (int32_t e = st; e >= 0;) {
+                          const util::PackedHashNode& node = t.nodes[e];
+                          if (node.next >= 0) {
+                            util::PrefetchRead(&t.nodes[node.next]);
+                          }
+                          if (node.key == skeys[i]) {
+                            sink.Push(node.pay, spays[i]);
+                          }
+                          e = node.next;
+                        }
+                      });
+                } else {
+                  for (uint32_t s0 = 0; s0 < s_fill; s0 += 32) {
+                    const uint32_t s_lanes =
+                        std::min<uint32_t>(32, s_fill - s0);
+                    for (uint32_t r0 = 0; r0 < r_count; r0 += 32) {
+                      const uint32_t r_lanes =
+                          std::min<uint32_t>(32, r_count - r0);
+                      for (uint32_t l = 0; l < s_lanes; ++l) {
+                        for (uint32_t j = 0; j < r_lanes; ++j) {
+                          if (rk[r0 + j] == skeys[s0 + l]) {
+                            sink.Push(rp[r0 + j], spays[s0 + l]);
+                          }
+                        }
+                      }
+                    }
+                  }
+                }
+              }
+            }
+          }
+        });
+  }
 
   CoPartitionJoinResult join_result;
   join_result.matches = g_matches.load();

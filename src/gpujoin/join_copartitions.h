@@ -14,7 +14,8 @@
 //     over shared-memory-sized chunks of R_p and rescanning S_p per
 //     chunk — which is exactly the skew collapse mechanism of Fig. 17.
 //
-//     In aggregate mode the host need not walk chains. For an R_p that
+//     The launch only counts matches, so the host need not walk
+//     chains (see Output below for materialization). For an R_p that
 //     fits and fills at least half the hash slots, a work item probing
 //     at least as many S tuples as R_p holds probes a key-aggregated
 //     table instead (agg_table.h): per slot the chain length, per
@@ -27,11 +28,11 @@
 //     walk the chains, which are cheaper to build and, when short,
 //     about as cheap to walk.
 //
-//     An oversized R_p in aggregate mode runs the block-nested-loop
-//     fallback from one chunk-resolved key-aggregated table of R_p
-//     (agg_table.h), built once per partition before the launch: per
-//     hash slot a dense row of its chain length in every chunk, per
-//     distinct key its (chunk, match count, payload sum) runs. Each S
+//     An oversized R_p runs the block-nested-loop fallback from one
+//     chunk-resolved key-aggregated table of R_p (agg_table.h), built
+//     once per partition before the launch: per hash slot a dense row
+//     of its chain length in every chunk, per distinct key its (chunk,
+//     match count, payload sum) runs. Each S
 //     tuple is probed once, against every chunk: it adds its slot's row
 //     to its S bucket's per-chunk steps and makes one key lookup for its
 //     per-chunk matches. The launch then charges every chunk's build
@@ -51,6 +52,16 @@
 // the end) or materialization through a warp-shared output buffer that
 // flushes to device memory with one global-offset atomic per flush
 // (Section III-C).
+//
+// Materialization counts first. The launch counts every block's and
+// every work item's pairs exactly as aggregation does, and charges each
+// block's emission from its count. After the launch, PublishSurvivors
+// (output_ring.h) claims the counts in ascending block id, and each
+// block holding pairs that survive the ring's wrap re-enumerates them in
+// the kernel's emission order straight into the ring: it skips whole
+// work items, and a chunked co-partition's whole (chunk, S bucket)
+// cells, by their counts, and walks the rest. Host memory and time for
+// the output follow the ring's capacity, not the result size.
 
 #ifndef GJOIN_GPUJOIN_JOIN_COPARTITIONS_H_
 #define GJOIN_GPUJOIN_JOIN_COPARTITIONS_H_
@@ -101,10 +112,11 @@ struct CoPartitionJoinConfig {
   /// Probe-pipeline depth for the functional probe loops (0 = process
   /// default, 1 = scalar reference loop). Host wall-clock only; results
   /// and charged stats are identical at every depth. Device-memory
-  /// tables use the out-of-order/ordered pipelines; shared-memory
-  /// chain walks use the in-order batched head resolution (their host
-  /// copy is cache-resident, but batching still overlaps the per-probe
-  /// dependence chains). Aggregate shared-memory probes that look up a
+  /// tables count through the out-of-order pipeline and enumerate
+  /// surviving pairs through the ordered one; shared-memory chain walks
+  /// use the in-order batched head resolution (their host copy is
+  /// cache-resident, but batching still overlaps the per-probe
+  /// dependence chains). Shared-memory probes that look up a
   /// key-aggregated table (see the header comment) do not use it.
   int probe_pipeline_depth = 0;
 

@@ -185,10 +185,10 @@ util::Result<JoinStats> NonPartitionedJoinWithBuild(
   std::atomic<uint64_t> g_matches{0};
   std::atomic<uint64_t> g_checksum{0};
 
-  // Each block records its result pairs in probe order; they are
-  // published onto the ring after the probe launch, in ascending block id
-  // (see EmitRecorder).
-  EmitRecorder emits(out != nullptr ? static_cast<size_t>(num_blocks) : 0);
+  // A materializing launch only counts each block's pairs; after it,
+  // PublishSurvivors claims them in ascending block id and the block
+  // enumerates its surviving pairs in probe order.
+  std::vector<uint64_t> block_pairs(out != nullptr ? num_blocks : 0);
 
   if (config.variant == NonPartitionedVariant::kPerfectHash) {
     const sim::DeviceBuffer<uint32_t>& dense = build.dense;
@@ -203,14 +203,11 @@ util::Result<JoinStats> NonPartitionedJoinWithBuild(
                                          num_blocks);
           if (begin >= end) return;
           uint64_t matches = 0, checksum = 0;
-          EmitRecorder::Cursor* emit =
-              out != nullptr ? &emits.cursor(block.block_id()) : nullptr;
           block.ChargeCoalescedRead(8ull * (end - begin));
           // One random access per probe: the best case.
           block.ChargeRandomAccess(end - begin, table_bytes);
           block.ChargeCycles((end - begin) * 3 / 32 + 1);
-          // One dependent access per probe; in-order batches keep ring
-          // emission identical to the scalar loop.
+          // One dependent access per probe.
           util::GroupProbe<uint32_t>(
               end - begin, depth,
               [&](size_t i, uint32_t& key) {
@@ -223,11 +220,11 @@ util::Result<JoinStats> NonPartitionedJoinWithBuild(
                   ++matches;
                   checksum += static_cast<uint64_t>(rpay) +
                               probe.payloads[begin + i];
-                  if (emit != nullptr) {
-                    emit->Push(rpay, probe.payloads[begin + i]);
-                  }
                 }
               });
+          if (out != nullptr) {
+            block_pairs[static_cast<size_t>(block.block_id())] = matches;
+          }
           if (out != nullptr && matches > 0) {
             // Warp-buffered writes: shared staging + flush traffic.
             block.ChargeShared(16ull * matches);
@@ -252,7 +249,24 @@ util::Result<JoinStats> NonPartitionedJoinWithBuild(
           g_matches.fetch_add(matches, std::memory_order_relaxed);
           g_checksum.fetch_add(checksum, std::memory_order_relaxed);
         }));
-    if (out != nullptr) emits.Publish(out);
+    if (out != nullptr) {
+      PublishSurvivors(
+          out, block_pairs, device->pool(), [&](size_t b, SurvivorSink& sink) {
+            auto [begin, end] =
+                BlockRange(probe.size, static_cast<int>(b), num_blocks);
+            util::GroupProbe<uint32_t>(
+                end - begin, depth,
+                [&](size_t i, uint32_t& key) {
+                  key = probe.keys[begin + i];
+                  if (key <= max_key) util::PrefetchRead(&dense[key]);
+                },
+                [&](size_t i, uint32_t& key) {
+                  if (key <= max_key && dense[key] != 0) {
+                    sink.Push(dense[key] - 1, probe.payloads[begin + i]);
+                  }
+                });
+          });
+    }
     stats.join_s = build.build_s + probe_result.seconds;
   } else {
     const sim::DeviceBuffer<int32_t>& heads = build.heads;
@@ -269,76 +283,43 @@ util::Result<JoinStats> NonPartitionedJoinWithBuild(
           if (begin >= end) return;
           uint64_t matches = 0, checksum = 0, steps = 0;
           block.ChargeCoalescedRead(8ull * (end - begin));
-          if (out == nullptr) {
-            // Aggregate mode: matches/checksum/steps are sums, so the
-            // out-of-order AMAC engine is safe and fastest.
-            struct Probe {
-              uint32_t key;
-              uint32_t pay;
-              int32_t cur;   // slot (stage 0) or node index (stage 1)
-              uint32_t stage;
-            };
-            util::ProbePipeline<Probe>(
-                end - begin, depth,
-                [&](size_t i, Probe& p) {
-                  const uint32_t key = probe.keys[begin + i];
-                  const uint32_t slot = util::Mix32(key) & (slots - 1);
-                  p = {key, probe.payloads[begin + i],
-                       static_cast<int32_t>(slot), 0};
-                  util::PrefetchRead(&heads[slot]);
-                },
-                [&](size_t /*i*/, Probe& p) {
-                  if (p.stage == 0) {
-                    const int32_t e = heads[p.cur];
-                    if (e < 0) return false;
-                    p.cur = e;
-                    p.stage = 1;
-                    util::PrefetchRead(&nodes[e]);
-                    return true;
-                  }
-                  const PackedHashNode& node = nodes[p.cur];
-                  ++steps;
-                  if (node.key == p.key) {
-                    ++matches;
-                    checksum += static_cast<uint64_t>(node.pay) + p.pay;
-                  }
-                  if (node.next < 0) return false;
-                  p.cur = node.next;
-                  util::PrefetchRead(&nodes[node.next]);
+          // matches/checksum/steps are sums, so the out-of-order AMAC
+          // engine is safe and fastest.
+          struct Probe {
+            uint32_t key;
+            uint32_t pay;
+            int32_t cur;   // slot (stage 0) or node index (stage 1)
+            uint32_t stage;
+          };
+          util::ProbePipeline<Probe>(
+              end - begin, depth,
+              [&](size_t i, Probe& p) {
+                const uint32_t key = probe.keys[begin + i];
+                const uint32_t slot = util::Mix32(key) & (slots - 1);
+                p = {key, probe.payloads[begin + i],
+                     static_cast<int32_t>(slot), 0};
+                util::PrefetchRead(&heads[slot]);
+              },
+              [&](size_t /*i*/, Probe& p) {
+                if (p.stage == 0) {
+                  const int32_t e = heads[p.cur];
+                  if (e < 0) return false;
+                  p.cur = e;
+                  p.stage = 1;
+                  util::PrefetchRead(&nodes[e]);
                   return true;
-                });
-          } else {
-            // Materialization consumes matches in probe order (the ring
-            // wrap behavior is observable): the two-stage in-order
-            // pipeline prefetches ahead but finishes each probe in turn.
-            EmitRecorder::Cursor& emit = emits.cursor(block.block_id());
-            util::OrderedProbePipeline<int32_t>(
-                end - begin, depth,
-                [&](size_t i, int32_t& st) {
-                  st = static_cast<int32_t>(
-                      util::Mix32(probe.keys[begin + i]) & (slots - 1));
-                  util::PrefetchRead(&heads[st]);
-                },
-                [&](size_t /*i*/, int32_t& st) {
-                  st = heads[st];
-                  if (st >= 0) util::PrefetchRead(&nodes[st]);
-                },
-                [&](size_t i, int32_t& st) {
-                  const uint32_t skey = probe.keys[begin + i];
-                  for (int32_t e = st; e >= 0;) {
-                    const PackedHashNode& node = nodes[e];
-                    if (node.next >= 0) util::PrefetchRead(&nodes[node.next]);
-                    ++steps;
-                    if (node.key == skey) {
-                      ++matches;
-                      checksum += static_cast<uint64_t>(node.pay) +
-                                  probe.payloads[begin + i];
-                      emit.Push(node.pay, probe.payloads[begin + i]);
-                    }
-                    e = node.next;
-                  }
-                });
-          }
+                }
+                const PackedHashNode& node = nodes[p.cur];
+                ++steps;
+                if (node.key == p.key) {
+                  ++matches;
+                  checksum += static_cast<uint64_t>(node.pay) + p.pay;
+                }
+                if (node.next < 0) return false;
+                p.cur = node.next;
+                util::PrefetchRead(&nodes[node.next]);
+                return true;
+              });
           // "Three to four random memory accesses" per probe: one for the
           // table head, one per chain node (key, next pointer and payload
           // are stored interleaved, so one transaction covers a node),
@@ -346,6 +327,9 @@ util::Result<JoinStats> NonPartitionedJoinWithBuild(
           block.ChargeRandomAccess((end - begin) + steps + matches,
                                    table_bytes);
           block.ChargeCycles(((end - begin) * 2 + steps * 3) / 32 + 1);
+          if (out != nullptr) {
+            block_pairs[static_cast<size_t>(block.block_id())] = matches;
+          }
           if (out != nullptr && matches > 0) {
             block.ChargeShared(16ull * matches);
             block.ChargeSharedAtomic(matches);
@@ -368,7 +352,37 @@ util::Result<JoinStats> NonPartitionedJoinWithBuild(
           g_matches.fetch_add(matches, std::memory_order_relaxed);
           g_checksum.fetch_add(checksum, std::memory_order_relaxed);
         }));
-    if (out != nullptr) emits.Publish(out);
+    if (out != nullptr) {
+      // The in-order two-stage pipeline prefetches ahead but finishes
+      // each probe in turn.
+      PublishSurvivors(
+          out, block_pairs, device->pool(), [&](size_t b, SurvivorSink& sink) {
+            auto [begin, end] =
+                BlockRange(probe.size, static_cast<int>(b), num_blocks);
+            util::OrderedProbePipeline<int32_t>(
+                end - begin, depth,
+                [&](size_t i, int32_t& st) {
+                  st = static_cast<int32_t>(
+                      util::Mix32(probe.keys[begin + i]) & (slots - 1));
+                  util::PrefetchRead(&heads[st]);
+                },
+                [&](size_t /*i*/, int32_t& st) {
+                  st = heads[st];
+                  if (st >= 0) util::PrefetchRead(&nodes[st]);
+                },
+                [&](size_t i, int32_t& st) {
+                  const uint32_t skey = probe.keys[begin + i];
+                  for (int32_t e = st; e >= 0;) {
+                    const PackedHashNode& node = nodes[e];
+                    if (node.next >= 0) util::PrefetchRead(&nodes[node.next]);
+                    if (node.key == skey) {
+                      sink.Push(node.pay, probe.payloads[begin + i]);
+                    }
+                    e = node.next;
+                  }
+                });
+          });
+    }
     stats.join_s = build.build_s + probe_result.seconds;
   }
 

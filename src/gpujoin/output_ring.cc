@@ -1,44 +1,29 @@
 #include "src/gpujoin/output_ring.h"
 
-#include <algorithm>
-#include <cstring>
-
 namespace gjoin::gpujoin {
 
-void EmitRecorder::Cursor::NextPage() {
-  pages_.push_back(std::make_unique_for_overwrite<uint64_t[]>(kPagePairs));
-  pos_ = pages_.back().get();
-  end_ = pos_ + kPagePairs;
-}
-
-void EmitRecorder::Publish(OutputRing* ring) {
+void PublishSurvivors(
+    OutputRing* ring, const std::vector<uint64_t>& counts,
+    util::ThreadPool* pool,
+    const std::function<void(size_t, SurvivorSink&)>& enumerate) {
   // base[b] is block b's first logical offset.
-  std::vector<uint64_t> base(cursors_.size());
-  for (size_t b = 0; b < cursors_.size(); ++b) {
-    base[b] = ring->Claim(cursors_[b].count());
-  }
+  std::vector<uint64_t> base(counts.size());
+  for (size_t b = 0; b < counts.size(); ++b) base[b] = ring->Claim(counts[b]);
   const uint64_t capacity = ring->capacity();
   const uint64_t end = ring->total_written();
-  const uint64_t first = end > capacity ? end - capacity : 0;
+  const uint64_t cut = end > capacity ? end - capacity : 0;
 
-  uint64_t* const slots = ring->pairs_.data();
-  for (size_t b = 0; b < cursors_.size(); ++b) {
-    const Cursor& cursor = cursors_[b];
-    const uint64_t n = cursor.count();
-    // Skip the block's pairs that a later pair overwrites.
-    for (uint64_t i = first > base[b] ? first - base[b] : 0; i < n;) {
-      const uint64_t off = i % kPagePairs;
-      const uint64_t run = std::min(kPagePairs - off, n - i);
-      const uint64_t* src = cursor.pages_[i / kPagePairs].get() + off;
-      // A run of survivors is at most one ring's worth: it wraps at most
-      // once.
-      const uint64_t pos = (base[b] + i) % capacity;
-      const uint64_t head = std::min(run, capacity - pos);
-      std::memcpy(slots + pos, src, head * sizeof(uint64_t));
-      std::memcpy(slots, src + head, (run - head) * sizeof(uint64_t));
-      i += run;
-    }
+  std::vector<size_t> surviving;
+  for (size_t b = 0; b < counts.size(); ++b) {
+    if (counts[b] > 0 && base[b] + counts[b] > cut) surviving.push_back(b);
   }
+  pool->ParallelFor(surviving.size(), [&](size_t i) {
+    const size_t b = surviving[i];
+    const uint64_t skip = cut > base[b] ? cut - base[b] : 0;
+    SurvivorSink sink(ring->pairs_.data(), capacity,
+                      (base[b] + skip) % capacity, skip);
+    enumerate(b, sink);
+  });
 }
 
 }  // namespace gjoin::gpujoin

@@ -7,22 +7,27 @@
 // overwrite them in order to isolate the in-GPU performance"); the
 // out-of-GPU strategies instead drain it over PCIe between wraps.
 //
-// Join kernels do not write the ring from their block bodies. Each block
-// records its pairs in an EmitRecorder; after the launch, Publish claims
-// every block's count in ascending block id and copies only the pairs
-// that survive the wrap. The ring then holds exactly what serialized
-// block-order execution would have left in it, at any host pool width.
+// Join kernels do not write the ring from their block bodies: a launch
+// only counts each block's pairs. PublishSurvivors then claims every
+// block's count in ascending block id, and for each block with pairs
+// that survive the wrap runs the kernel's in-order enumerator from the
+// block's first surviving pair, writing straight into the ring slots.
+// The ring then holds exactly what serialized block-order execution
+// would have left in it, at any host pool width, and host memory and
+// time follow the ring, not the result.
 
 #ifndef GJOIN_GPUJOIN_OUTPUT_RING_H_
 #define GJOIN_GPUJOIN_OUTPUT_RING_H_
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "src/sim/device_memory.h"
 #include "src/util/status.h"
+#include "src/util/thread_pool.h"
 
 namespace gjoin::gpujoin {
 
@@ -30,6 +35,43 @@ namespace gjoin::gpujoin {
 inline uint64_t PackPair(uint32_t r_payload, uint32_t s_payload) {
   return (static_cast<uint64_t>(r_payload) << 32) | s_payload;
 }
+
+/// \brief Where one block's result pairs go after a launch: the pairs a
+/// later pair overwrites are dropped, the rest are written straight into
+/// their ring slots.
+class SurvivorSink {
+ public:
+  /// A sink over the `capacity` ring slots at `slots` that drops the
+  /// first `skip` pairs and writes the rest from slot `pos` on.
+  SurvivorSink(uint64_t* slots, uint64_t capacity, uint64_t pos,
+               uint64_t skip)
+      : slots_(slots), capacity_(capacity), pos_(pos), skip_(skip) {}
+
+  /// True if the block's next `n` pairs are all overwritten. They are
+  /// then consumed, so an enumerator skips a unit of work whose pair
+  /// count it knows without enumerating it.
+  bool Skips(uint64_t n) {
+    if (n > skip_) return false;
+    skip_ -= n;
+    return true;
+  }
+
+  /// Takes the block's next pair in emission order.
+  void Push(uint32_t r_payload, uint32_t s_payload) {
+    if (skip_ > 0) {
+      --skip_;
+      return;
+    }
+    slots_[pos_] = PackPair(r_payload, s_payload);
+    if (++pos_ == capacity_) pos_ = 0;
+  }
+
+ private:
+  uint64_t* slots_;
+  uint64_t capacity_;
+  uint64_t pos_;   // ring slot of the next surviving pair
+  uint64_t skip_;  // overwritten pairs still to drop
+};
 
 /// \brief Ring buffer of packed result pairs in device memory.
 class OutputRing {
@@ -79,66 +121,27 @@ class OutputRing {
   void ResetCursor() { cursor_->store(0, std::memory_order_relaxed); }
 
  private:
-  friend class EmitRecorder;
+  friend void PublishSurvivors(
+      OutputRing*, const std::vector<uint64_t>&, util::ThreadPool*,
+      const std::function<void(size_t, SurvivorSink&)>&);
 
   sim::DeviceBuffer<uint64_t> pairs_;
   std::unique_ptr<std::atomic<uint64_t>> cursor_;
 };
 
-/// \brief Result pairs recorded per block during a launch, for
-/// publication onto an OutputRing after it.
-///
-/// Record: a block body appends its pairs, in emission order, through
-/// its own Cursor into fixed-size pages (nothing reallocates or moves).
-/// Claim: Publish reserves each block's count in ascending block id, so
-/// block b's pairs take logical offsets [base_b, base_b + n_b), where
-/// base_b follows every earlier block's pairs — and the ring cursor ends
-/// where serialized block-order execution leaves it. Publish: only
-/// offsets >= total - capacity survive the wrap, so only those pairs are
-/// copied, each ring slot exactly once.
-class EmitRecorder {
- public:
-  /// Pairs per page (512 KB).
-  static constexpr size_t kPagePairs = size_t{1} << 16;
-
-  /// \brief One block's append position. Touched only by the thread
-  /// running that block; cache-line aligned so neighbours do not share.
-  class alignas(64) Cursor {
-   public:
-    void Push(uint32_t r_payload, uint32_t s_payload) {
-      if (pos_ == end_) NextPage();
-      *pos_++ = PackPair(r_payload, s_payload);
-    }
-
-    /// Pairs recorded so far.
-    uint64_t count() const {
-      if (pages_.empty()) return 0;
-      return (pages_.size() - 1) * kPagePairs +
-             static_cast<uint64_t>(pos_ - pages_.back().get());
-    }
-
-   private:
-    friend class EmitRecorder;
-    void NextPage();
-
-    std::vector<std::unique_ptr<uint64_t[]>> pages_;
-    uint64_t* pos_ = nullptr;
-    uint64_t* end_ = nullptr;
-  };
-
-  explicit EmitRecorder(size_t num_blocks) : cursors_(num_blocks) {}
-
-  /// Block `block`'s cursor.
-  Cursor& cursor(int block) { return cursors_[static_cast<size_t>(block)]; }
-
-  /// Claims every block's pairs on `ring` in ascending block id, then
-  /// copies the pairs that survive the wrap into it. Call once, after the
-  /// launch whose bodies recorded the pairs has returned.
-  void Publish(OutputRing* ring);
-
- private:
-  std::vector<Cursor> cursors_;
-};
+/// Publishes a launch's result pairs onto `ring`. Claims `counts[b]`
+/// pairs for every block b in ascending block id, so block b's pairs take
+/// logical offsets [base_b, base_b + counts[b]) and the cursor ends where
+/// serialized block-order execution leaves it. Only offsets >= total -
+/// capacity survive the wrap: for every block holding some,
+/// `enumerate(b, sink)` must push block b's pairs into `sink` in
+/// emission order, and may skip the overwritten ones through
+/// SurvivorSink::Skips. Surviving blocks write disjoint ring slots, so
+/// they run concurrently on `pool`.
+void PublishSurvivors(
+    OutputRing* ring, const std::vector<uint64_t>& counts,
+    util::ThreadPool* pool,
+    const std::function<void(size_t, SurvivorSink&)>& enumerate);
 
 }  // namespace gjoin::gpujoin
 

@@ -915,6 +915,10 @@ util::Result<PartitionedRelation> RadixPartitionImpl(
   if (config.pass_bits.empty()) {
     return util::Status::Invalid("RadixPartition: no passes configured");
   }
+  if (host_input != nullptr) {
+    GJOIN_RETURN_NOT_OK(
+        data::CheckColumns(*host_input, "RadixPartitionSegmented"));
+  }
   int pass_shift = config.base_shift;
   for (const int bits : config.pass_bits) {
     GJOIN_RETURN_NOT_OK(ValidatePass(config, pass_shift, bits));

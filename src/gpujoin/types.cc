@@ -6,6 +6,7 @@ namespace gjoin::gpujoin {
 
 util::Result<DeviceRelation> DeviceRelation::Upload(
     sim::Device* device, const data::Relation& rel) {
+  GJOIN_RETURN_NOT_OK(data::CheckColumns(rel, "DeviceRelation::Upload"));
   return Upload(device, data::RelationView::Of(rel));
 }
 

@@ -16,6 +16,8 @@ util::Result<StreamingProbeRun> StreamingProbeExecute(
     sim::Device* device, const data::Relation& build,
     const data::Relation& probe, const StreamingProbeConfig& config,
     const gpujoin::PreparedBuild* prepared) {
+  // The probe streams through views; the build is checked by its upload.
+  GJOIN_RETURN_NOT_OK(data::CheckColumns(probe, "StreamingProbeExecute"));
   StreamingProbeRun run;
   if (build.empty()) {
     return run;

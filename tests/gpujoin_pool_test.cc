@@ -191,18 +191,23 @@ TEST_F(OutputRingTest, RejectsZeroCapacity) {
 }
 
 
-// ---- Publishing recorded emissions ----
-// EmitRecorder::Publish must leave the ring, and its cursor, exactly as
-// a serial replay leaves them: every block's pairs claimed and written
-// one at a time, in ascending block id.
+// ---- Publishing the survivors ----
+// PublishSurvivors must leave the ring, and its cursor, exactly as a
+// serial replay leaves them: every block's pairs claimed and written one
+// at a time, in ascending block id.
 
-/// Records `counts[b]` distinct pairs for block b, publishes them onto a
-/// ring of `capacity` pairs whose cursor already stands at `start`, and
-/// compares every ring word and the cursor against the serial replay,
-/// with the blocks recorded from pools of widths 1, 2 and 8.
+/// Publishes `counts[b]` distinct pairs for block b onto a ring of
+/// `capacity` pairs whose cursor already stands at `start`, through an
+/// enumerator that emits each block in items of `item_pairs` pairs and
+/// skips the items the wrap overwrites whole. Compares every ring word
+/// and the cursor against the serial replay at pool widths 1, 2 and 8,
+/// and checks that only blocks with survivors are enumerated, each
+/// pushing at most its survivors plus the rest of the item the cut
+/// falls in.
 void ExpectPublishMatchesReplay(sim::Device* device,
                                 const std::vector<uint64_t>& counts,
-                                size_t capacity, uint64_t start = 0) {
+                                size_t capacity, uint64_t start = 0,
+                                uint64_t item_pairs = 3) {
   const auto pair_of = [](size_t block, uint64_t i) {
     return PackPair(static_cast<uint32_t>(block), static_cast<uint32_t>(i));
   };
@@ -221,6 +226,7 @@ void ExpectPublishMatchesReplay(sim::Device* device,
   };
 
   OutputRing ref = fresh_ring();
+  std::vector<uint64_t> survivors(counts.size());
   for (size_t b = 0; b < counts.size(); ++b) {
     for (uint64_t i = 0; i < counts[b]; ++i) {
       const uint64_t pair = pair_of(b, i);
@@ -228,31 +234,46 @@ void ExpectPublishMatchesReplay(sim::Device* device,
                 static_cast<uint32_t>(pair));
     }
   }
+  // Block b's pairs at logical offsets >= the cut survive.
+  const uint64_t cut =
+      ref.total_written() > capacity ? ref.total_written() - capacity : 0;
+  for (size_t b = 0, base = start; b < counts.size(); base += counts[b++]) {
+    survivors[b] = base + counts[b] > cut
+                       ? std::min(counts[b], base + counts[b] - cut)
+                       : 0;
+  }
 
   for (const size_t width : {1u, 2u, 8u}) {
     SCOPED_TRACE("pool width " + std::to_string(width));
     util::ThreadPool pool(width);
     OutputRing ring = fresh_ring();
-    EmitRecorder emits(counts.size());
-    // Record from the pool, one block per task, as a launch would.
-    pool.ParallelFor(counts.size(), [&](size_t b) {
-      EmitRecorder::Cursor& cursor = emits.cursor(static_cast<int>(b));
-      for (uint64_t i = 0; i < counts[b]; ++i) {
-        const uint64_t pair = pair_of(b, i);
-        cursor.Push(static_cast<uint32_t>(pair >> 32),
+    // Each block is enumerated by one task, so its slot needs no lock.
+    std::vector<uint64_t> calls(counts.size()), pushed(counts.size());
+    PublishSurvivors(&ring, counts, &pool, [&](size_t b, SurvivorSink& sink) {
+      ++calls[b];
+      for (uint64_t from = 0; from < counts[b]; from += item_pairs) {
+        const uint64_t n = std::min(item_pairs, counts[b] - from);
+        if (sink.Skips(n)) continue;
+        for (uint64_t i = from; i < from + n; ++i) {
+          const uint64_t pair = pair_of(b, i);
+          sink.Push(static_cast<uint32_t>(pair >> 32),
                     static_cast<uint32_t>(pair));
+        }
+        pushed[b] += n;
       }
-      EXPECT_EQ(cursor.count(), counts[b]);
     });
-    emits.Publish(&ring);
     EXPECT_EQ(ring.total_written(), ref.total_written());
     for (size_t i = 0; i < capacity; ++i) {
       ASSERT_EQ(ring.pair(i), ref.pair(i)) << "ring slot " << i;
     }
+    for (size_t b = 0; b < counts.size(); ++b) {
+      SCOPED_TRACE("block " + std::to_string(b));
+      EXPECT_EQ(calls[b], survivors[b] > 0 ? 1u : 0u);
+      EXPECT_GE(pushed[b], survivors[b]);
+      EXPECT_LT(pushed[b], survivors[b] + item_pairs);
+    }
   }
 }
-
-constexpr uint64_t kPage = EmitRecorder::kPagePairs;
 
 TEST_F(OutputRingTest, PublishNoPairs) {
   ExpectPublishMatchesReplay(&device_, {0, 0, 0}, 16);
@@ -292,13 +313,15 @@ TEST_F(OutputRingTest, PublishAfterEarlierClaims) {
   ExpectPublishMatchesReplay(&device_, {30, 0, 5}, 16, 7);
 }
 
-TEST_F(OutputRingTest, PublishCrossesPageBoundaryMidSurvivors) {
-  // The surviving 300 pairs start 150 before block 0's second page.
-  ExpectPublishMatchesReplay(&device_, {kPage + 100, 50}, 300);
-  // Survivors spanning several pages and blocks, with the ring wrapping
-  // inside a page.
-  ExpectPublishMatchesReplay(&device_, {2 * kPage + 5, 3, 0, kPage + 7},
-                             3 * kPage / 2 + 1, 11);
+TEST_F(OutputRingTest, PublishCutFallsMidItem) {
+  // The cut falls 30 pairs into block 0's first 40-pair item: the item
+  // is enumerated and its first 30 pairs dropped.
+  ExpectPublishMatchesReplay(&device_, {100, 50}, 120, 0, 40);
+  // Survivors spanning several items and blocks, with the ring wrapping
+  // inside an item and the cut inside block 0's ninth item.
+  ExpectPublishMatchesReplay(&device_, {205, 3, 0, 107}, 151, 11, 20);
+  // Single-pair items: every overwritten pair is skipped by count.
+  ExpectPublishMatchesReplay(&device_, {9, 12, 4}, 10, 0, 1);
 }
 
 }  // namespace

@@ -935,6 +935,129 @@ TEST_F(StatInvarianceTest, WrappedNonPartitionedPerfectHashMaterialize) {
         960000, 60000, 1520, 5640, 141, 40, 1.4053653846153844e-05}});
 }
 
+// ---- Wraps cut inside one probe tuple's matches ----
+// Each ring's capacity puts the wrap's cut two pairs into a run of one
+// probe tuple's matches, so the block straddling the cut must resume its
+// enumeration mid-tuple. The goldens were captured while every block
+// still recorded all its pairs and the survivors were copied from those
+// records.
+
+TEST_F(StatInvarianceTest, WrapCutInsideFittingSharedHashRun) {
+  // A run of 6 in co-partition 5 (944 tuples, fits the 960 budget).
+  constexpr size_t kRing = 39810;
+  sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
+  auto run = RunWrappedCoPartitionJoin(
+      &device, gpujoin::ProbeAlgorithm::kSharedHash, true, kRing);
+  ASSERT_TRUE(run.ok()) << run.status();
+  ExpectWrappedRun(*run,
+                   {159307u, 7184914719ull, 159307u, 18431448573911922536ull},
+                   kRing);
+  ExpectProfileMatches(
+      device,
+      {{"radix_partition_pass1", 240000, 0, 240000, 0, 0, 505600, 30000,
+        2602, 59360, 1484, 40, 7.9848796380090493e-06},
+       {"radix_partition_pass1", 480000, 0, 480000, 0, 0, 985600, 60000,
+        2572, 118600, 2965, 40, 1.0634359276018099e-05},
+       {"join_copartitions_hash", 1873596, 1274456, 0, 10368, 480000,
+        6740934, 317955, 1284, 148773, 4660, 40, 2.5089720195512819e-05}});
+}
+
+TEST_F(StatInvarianceTest, WrapCutInsideOversizedSharedHashRun) {
+  // A run of 11 in co-partition 28 (964 tuples: two chunks).
+  constexpr size_t kRing = 36496;
+  sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
+  auto run = RunWrappedCoPartitionJoin(
+      &device, gpujoin::ProbeAlgorithm::kSharedHash, true, kRing);
+  ASSERT_TRUE(run.ok()) << run.status();
+  ExpectWrappedRun(*run,
+                   {159307u, 7184914719ull, 159307u, 17779717626183304905ull},
+                   kRing);
+  ExpectProfileMatches(
+      device,
+      {{"radix_partition_pass1", 240000, 0, 240000, 0, 0, 505600, 30000,
+        2602, 59360, 1484, 40, 7.9848796380090493e-06},
+       {"radix_partition_pass1", 480000, 0, 480000, 0, 0, 985600, 60000,
+        2572, 118600, 2965, 40, 1.0634359276018099e-05},
+       {"join_copartitions_hash", 1873596, 1274456, 0, 10368, 480000,
+        6740934, 317955, 1284, 148773, 4660, 40, 2.5089720195512819e-05}});
+}
+
+TEST_F(StatInvarianceTest, WrapCutInsideDeviceHashRun) {
+  constexpr size_t kRing = 39810;
+  sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
+  auto run = RunWrappedCoPartitionJoin(
+      &device, gpujoin::ProbeAlgorithm::kDeviceHash, true, kRing);
+  ASSERT_TRUE(run.ok()) << run.status();
+  ExpectWrappedRun(*run,
+                   {159307u, 7184914719ull, 159307u, 17224728474849728660ull},
+                   kRing);
+  ExpectProfileMatches(
+      device,
+      {{"radix_partition_pass1", 240000, 0, 240000, 0, 0, 505600, 30000,
+        2602, 59360, 1484, 40, 7.9848796380090493e-06},
+       {"radix_partition_pass1", 480000, 0, 480000, 0, 0, 985600, 60000,
+        2572, 118600, 2965, 40, 1.0634359276018099e-05},
+       {"join_copartitions_hash", 1751212, 2889752, 0, 761347, 497920,
+        2548912, 159307, 159932, 142415, 4235, 40, 9.5437713644230774e-05}});
+}
+
+TEST_F(StatInvarianceTest, WrapCutInsideNestedLoopRun) {
+  // A run of 13 within one 32x32 tile of co-partition 28 (two chunks).
+  constexpr size_t kRing = 36263;
+  sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
+  auto run = RunWrappedCoPartitionJoin(
+      &device, gpujoin::ProbeAlgorithm::kNestedLoop, true, kRing);
+  ASSERT_TRUE(run.ok()) << run.status();
+  ExpectWrappedRun(*run,
+                   {159307u, 7184914719ull, 159307u, 8245502442236036130ull},
+                   kRing);
+  ExpectProfileMatches(
+      device,
+      {{"radix_partition_pass1", 240000, 0, 240000, 0, 0, 505600, 30000,
+        2602, 59360, 1484, 40, 7.9848796380090493e-06},
+       {"radix_partition_pass1", 480000, 0, 480000, 0, 0, 985600, 60000,
+        2572, 118600, 2965, 40, 1.0634359276018099e-05},
+       {"join_copartitions_nl", 1873596, 1274456, 0, 10368, 480000,
+        13547632, 159307, 1284, 2374969, 75909, 40,
+        5.2443125000000001e-05}});
+}
+
+TEST_F(StatInvarianceTest, WrapCutInsideNonPartitionedChainingRun) {
+  constexpr size_t kRing = 39804;
+  sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
+  auto run = RunWrappedNonPartitionedJoin(
+      &device, gpujoin::NonPartitionedVariant::kChaining, kRing);
+  ASSERT_TRUE(run.ok()) << run.status();
+  ExpectWrappedRun(*run,
+                   {159307u, 7184914719ull, 159307u, 1086960460519176909ull},
+                   kRing);
+  ExpectProfileMatches(
+      device,
+      {{"nonpartitioned_build_chain", 240000, 0, 0, 30000, 622144, 0, 0,
+        30000, 3760, 94, 40, 1.1631538461538461e-05},
+       {"nonpartitioned_probe_chain", 480000, 1274456, 0, 409293, 622144,
+        2548912, 159307, 1922, 21584, 594, 40, 4.1590472387820511e-05}});
+}
+
+TEST_F(StatInvarianceTest, WrapCutInsideNonPartitionedPerfectHashBlock) {
+  // Unique build keys give every probe tuple at most one match, so the
+  // cut falls between tuples, inside a block's probe range.
+  constexpr size_t kRing = 15017;
+  sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
+  auto run = RunWrappedNonPartitionedJoin(
+      &device, gpujoin::NonPartitionedVariant::kPerfectHash, kRing);
+  ASSERT_TRUE(run.ok()) << run.status();
+  ExpectWrappedRun(*run,
+                   {60000u, 2698232585ull, 60000u, 10604154179259891535ull},
+                   kRing);
+  ExpectProfileMatches(
+      device,
+      {{"nonpartitioned_build_perfect", 240000, 0, 0, 30000, 120004, 0, 0, 0,
+        2840, 71, 40, 7.8815384615384609e-06},
+       {"nonpartitioned_probe_perfect", 480000, 480000, 0, 60000, 120004,
+        960000, 60000, 1520, 5640, 141, 40, 1.4053653846153844e-05}});
+}
+
 // ---- Bucket-at-a-time sweep edge cases ----
 // Later bucket-at-a-time passes deal parent p's i-th chain bucket to
 // block (r0_p + i) mod B. These shapes reach corners of that deal the

@@ -9,6 +9,7 @@
 
 #include "src/data/generator.h"
 #include "src/data/oracle.h"
+#include "src/gpujoin/partitioned_join.h"
 #include "src/hw/pcie.h"
 #include "src/outofgpu/coprocess.h"
 #include "src/outofgpu/streaming_probe.h"
@@ -517,6 +518,84 @@ TEST_F(TransferMechTest, UmThrashesWhenFootprintExceedsDevice) {
   ASSERT_TRUE(uva_stats.ok());
   // Fig. 22: UM is the worst mechanism for out-of-GPU joins.
   EXPECT_GT(um_stats->seconds, uva_stats->seconds);
+}
+
+// ---- Short payload columns ----
+// Every direct entry point reads size() = keys.size() payloads, so a
+// relation whose payload column is shorter must be refused with a typed
+// kInvalid naming both counts, never read past (an ASan build reports a
+// heap-buffer-overflow if it is).
+
+/// 20000 unique keys carrying only 10000 payloads, in a column of
+/// exactly that capacity so an overread leaves the allocation.
+data::Relation ShortPayloads(uint64_t seed) {
+  data::Relation rel = data::MakeUniqueUniform(20000, seed);
+  rel.payloads = std::vector<uint32_t>(rel.payloads.begin(),
+                                       rel.payloads.begin() + 10000);
+  return rel;
+}
+
+void ExpectShortColumnRejected(const util::Status& status) {
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalid) << status;
+  EXPECT_NE(status.message().find("relation has 20000 keys but 10000 "
+                                  "payloads"),
+            std::string::npos)
+      << status;
+}
+
+class ShortPayloadColumnTest : public ::testing::Test {
+ protected:
+  const data::Relation good_ = data::MakeUniqueUniform(20000, 91);
+  const data::Relation short_ = ShortPayloads(92);
+  hw::HardwareSpec spec_;
+  sim::Device device_{spec_};
+};
+
+TEST_F(ShortPayloadColumnTest, PartitionedJoinFromHost) {
+  gpujoin::PartitionedJoinConfig cfg;
+  ExpectShortColumnRejected(
+      gpujoin::PartitionedJoinFromHost(&device_, short_, good_, cfg)
+          .status());
+  ExpectShortColumnRejected(
+      gpujoin::PartitionedJoinFromHost(&device_, good_, short_, cfg)
+          .status());
+}
+
+TEST_F(ShortPayloadColumnTest, PreparePartitionedBuild) {
+  ExpectShortColumnRejected(
+      gpujoin::PreparePartitionedBuild(&device_, short_, {}).status());
+}
+
+TEST_F(ShortPayloadColumnTest, StreamingProbeExecute) {
+  const StreamingProbeConfig cfg;
+  ExpectShortColumnRejected(
+      StreamingProbeExecute(&device_, short_, good_, cfg).status());
+  ExpectShortColumnRejected(
+      StreamingProbeExecute(&device_, good_, short_, cfg).status());
+}
+
+TEST_F(ShortPayloadColumnTest, CoProcessJoin) {
+  const CoProcessConfig cfg;
+  ExpectShortColumnRejected(
+      CoProcessJoin(&device_, short_, good_, cfg).status());
+  ExpectShortColumnRejected(
+      CoProcessJoin(&device_, good_, short_, cfg).status());
+}
+
+TEST_F(ShortPayloadColumnTest, MechanismJoin) {
+  const MechanismJoinConfig cfg;
+  ExpectShortColumnRejected(
+      MechanismJoin(&device_, short_, good_, cfg).status());
+  ExpectShortColumnRejected(
+      MechanismJoin(&device_, good_, short_, cfg).status());
+}
+
+TEST_F(ShortPayloadColumnTest, PlanCoProcessJoinSharedOnRawRelations) {
+  const CoProcessConfig cfg;
+  ExpectShortColumnRejected(
+      PlanCoProcessJoinShared(&device_, short_, good_, cfg).status());
+  ExpectShortColumnRejected(
+      PlanCoProcessJoinShared(&device_, good_, short_, cfg).status());
 }
 
 }  // namespace

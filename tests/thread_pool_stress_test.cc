@@ -414,42 +414,66 @@ TEST_F(LaunchDeterminismTest, ChainContentsIdenticalWithHotParent) {
 
 TEST_F(LaunchDeterminismTest, MaterializedRingBytesIdenticalEvenWrapped) {
   // A ring smaller than the result set forces wrap-around overwrites, so
-  // even the *order* of ring claims is observable. Publishing the
-  // surviving pairs after the launch, in block order, must reproduce the
-  // single-worker ring word for word at every pool width.
-  const auto run = [&](sim::Device* dev, std::vector<uint64_t>* ring_bytes) {
-    gpujoin::RadixPartitionConfig pc;
-    pc.pass_bits = {4};
-    auto pr = gpujoin::RadixPartition(
-        dev, std::move(gpujoin::DeviceRelation::Upload(dev, r_)).ValueOrDie(),
-        pc);
-    ASSERT_TRUE(pr.ok()) << pr.status();
-    auto ps = gpujoin::RadixPartition(
-        dev, std::move(gpujoin::DeviceRelation::Upload(dev, s_)).ValueOrDie(),
-        pc);
-    ASSERT_TRUE(ps.ok()) << ps.status();
-    auto ring = gpujoin::OutputRing::Allocate(&dev->memory(), 4096);
-    ASSERT_TRUE(ring.ok()) << ring.status();
-    gpujoin::OutputRing out = std::move(ring).ValueOrDie();
-    gpujoin::CoPartitionJoinConfig jcfg;
-    jcfg.output = gpujoin::OutputMode::kMaterialize;
-    auto stats = gpujoin::JoinCoPartitions(dev, *pr, *ps, jcfg, &out);
-    ASSERT_TRUE(stats.ok()) << stats.status();
-    ASSERT_TRUE(out.wrapped());  // the interesting case
-    ring_bytes->resize(out.capacity());
-    for (size_t i = 0; i < out.capacity(); ++i) (*ring_bytes)[i] = out.pair(i);
+  // even the *order* of ring claims is observable. Claiming every block's
+  // count in block order and enumerating the surviving pairs after the
+  // launch must reproduce the single-worker ring word for word at every
+  // pool width, for every co-partition kernel. A 1024-tuple shared
+  // budget makes the build co-partitions (about 2,500 tuples) oversized.
+  struct Kernel {
+    const char* name;
+    gpujoin::ProbeAlgorithm algo;
+    uint32_t shared_elems;
   };
+  const Kernel kernels[] = {
+      {"shared hash", gpujoin::ProbeAlgorithm::kSharedHash, 4096},
+      {"shared hash, oversized", gpujoin::ProbeAlgorithm::kSharedHash, 1024},
+      {"device hash", gpujoin::ProbeAlgorithm::kDeviceHash, 4096},
+      {"nested loop", gpujoin::ProbeAlgorithm::kNestedLoop, 4096},
+      {"nested loop, oversized", gpujoin::ProbeAlgorithm::kNestedLoop, 1024},
+  };
+  for (const Kernel& kernel : kernels) {
+    SCOPED_TRACE(kernel.name);
+    const auto run = [&](sim::Device* dev,
+                         std::vector<uint64_t>* ring_bytes) {
+      gpujoin::RadixPartitionConfig pc;
+      pc.pass_bits = {4};
+      auto pr = gpujoin::RadixPartition(
+          dev,
+          std::move(gpujoin::DeviceRelation::Upload(dev, r_)).ValueOrDie(),
+          pc);
+      ASSERT_TRUE(pr.ok()) << pr.status();
+      auto ps = gpujoin::RadixPartition(
+          dev,
+          std::move(gpujoin::DeviceRelation::Upload(dev, s_)).ValueOrDie(),
+          pc);
+      ASSERT_TRUE(ps.ok()) << ps.status();
+      auto ring = gpujoin::OutputRing::Allocate(&dev->memory(), 4096);
+      ASSERT_TRUE(ring.ok()) << ring.status();
+      gpujoin::OutputRing out = std::move(ring).ValueOrDie();
+      gpujoin::CoPartitionJoinConfig jcfg;
+      jcfg.algo = kernel.algo;
+      jcfg.output = gpujoin::OutputMode::kMaterialize;
+      jcfg.shared_elems = kernel.shared_elems;
+      auto stats = gpujoin::JoinCoPartitions(dev, *pr, *ps, jcfg, &out);
+      ASSERT_TRUE(stats.ok()) << stats.status();
+      ASSERT_TRUE(out.wrapped());  // the interesting case
+      ring_bytes->resize(out.capacity());
+      for (size_t i = 0; i < out.capacity(); ++i) {
+        (*ring_bytes)[i] = out.pair(i);
+      }
+    };
 
-  std::vector<uint64_t> ref;
-  sim::Device d1{hw::HardwareSpec::Icde2019Testbed(), &pool1_};
-  run(&d1, &ref);
-  for (util::ThreadPool* pool : {&pool1_, &pool2_, &pool8_, &pool8_}) {
-    SCOPED_TRACE("pool width " + std::to_string(pool->num_threads()));
-    std::vector<uint64_t> got;
-    sim::Device dev{hw::HardwareSpec::Icde2019Testbed(), pool};
-    run(&dev, &got);
-    EXPECT_EQ(got, ref);
-    ExpectSameProfile(d1, dev);
+    std::vector<uint64_t> ref;
+    sim::Device d1{hw::HardwareSpec::Icde2019Testbed(), &pool1_};
+    run(&d1, &ref);
+    for (util::ThreadPool* pool : {&pool1_, &pool2_, &pool8_, &pool8_}) {
+      SCOPED_TRACE("pool width " + std::to_string(pool->num_threads()));
+      std::vector<uint64_t> got;
+      sim::Device dev{hw::HardwareSpec::Icde2019Testbed(), pool};
+      run(&dev, &got);
+      EXPECT_EQ(got, ref);
+      ExpectSameProfile(d1, dev);
+    }
   }
 }
 
