@@ -10,16 +10,32 @@
 
 namespace gjoin::bench {
 
+namespace {
+
+/// A malformed flag is a usage error: the binary exits with status 2
+/// and names the flag.
+template <typename T>
+T FlagOrExit(util::Result<T> value, const char* figure) {
+  if (!value.ok()) {
+    std::fprintf(stderr, "%s: %s\n", figure,
+                 value.status().ToString().c_str());
+    std::exit(2);
+  }
+  return std::move(value).ValueOrDie();
+}
+
+}  // namespace
+
 BenchContext BenchContext::Create(int argc, char** argv, const char* figure,
                                   const char* title,
                                   int64_t default_divisor) {
   BenchContext ctx;
   ctx.figure_ = figure;
-  auto flags = util::Flags::Parse(argc, argv);
-  util::ExitOnError(flags.status(), "common");
-  ctx.flags_ = util::ValueOrExit(std::move(flags), "common");
+  ctx.flags_ = FlagOrExit(util::Flags::Parse(argc, argv), figure);
+  const util::Flags& flags = ctx.flags_;
 
-  int64_t divisor = ctx.flags_.GetInt("divisor", default_divisor);
+  int64_t divisor =
+      FlagOrExit(flags.GetInt("divisor", default_divisor), figure);
   const char* full = std::getenv("GJOIN_FULL_SCALE");
   if (full != nullptr && std::string(full) == "1") divisor = 1;
   if (divisor < 1) divisor = 1;
@@ -31,31 +47,33 @@ BenchContext BenchContext::Create(int argc, char** argv, const char* figure,
   // Host-side probe-pipeline depth for every functional probe loop in
   // this process (wall-clock only — emitted figures are identical at
   // any depth; 1 = scalar reference loops).
-  if (ctx.flags_.Has("probe_pipeline_depth")) {
-    util::SetDefaultProbePipelineDepth(static_cast<int>(
-        ctx.flags_.GetInt("probe_pipeline_depth",
-                          util::DefaultProbePipelineDepth())));
+  if (flags.Has("probe_pipeline_depth")) {
+    util::SetDefaultProbePipelineDepth(static_cast<int>(FlagOrExit(
+        flags.GetInt("probe_pipeline_depth", util::DefaultProbePipelineDepth()),
+        figure)));
   }
 
   // Host-side scatter-buffer size for every functional partitioning
   // scatter in this process (wall-clock only — emitted figures are
   // identical at any size; 1 = scalar per-tuple scatter).
-  if (ctx.flags_.Has("scatter_buffer_tuples")) {
-    util::SetDefaultScatterBufferTuples(static_cast<int>(
-        ctx.flags_.GetInt("scatter_buffer_tuples",
-                          util::DefaultScatterBufferTuples())));
+  if (flags.Has("scatter_buffer_tuples")) {
+    util::SetDefaultScatterBufferTuples(static_cast<int>(FlagOrExit(
+        flags.GetInt("scatter_buffer_tuples",
+                     util::DefaultScatterBufferTuples()),
+        figure)));
   }
 
   // Chrome-trace dump directory (empty = tracing off). Purely
   // observational: emitted figure rows are identical either way.
-  ctx.trace_dir_ = ctx.flags_.GetString("trace_dir", "");
+  ctx.trace_dir_ = flags.GetString("trace_dir", "");
 
   // Keep big freed blocks resident for reuse across figure points
   // (wall-clock only; emitted rows identical). --retain_freed_blocks=0
   // opts out for runs that measure peak RSS.
-  if (ctx.flags_.GetBool("retain_freed_blocks", true)) {
+  if (FlagOrExit(flags.GetBool("retain_freed_blocks", true), figure)) {
     util::TuneHostAllocatorForThroughput();
   }
+  ctx.strict_ = FlagOrExit(flags.GetBool("strict", false), figure);
 
   // Scale the memory hierarchy and fixed overheads (see header).
   hw::HardwareSpec spec;
@@ -124,7 +142,7 @@ void BenchContext::Check(const std::string& what, bool ok) {
 int BenchContext::Finish() {
   std::printf("# %s: %d/%d shape checks passed\n", figure_.c_str(),
               checks_total_ - checks_failed_, checks_total_);
-  if (checks_failed_ > 0 && flags_.GetBool("strict", false)) return 1;
+  if (checks_failed_ > 0 && strict_) return 1;
   return 0;
 }
 

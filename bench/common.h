@@ -40,7 +40,8 @@ class BenchContext {
   /// GJOIN_FULL_SCALE=1 environment variable forces divisor 1;
   /// --probe_pipeline_depth sets the process-wide host probe-pipeline
   /// depth — wall-clock only, emitted figures are identical at any
-  /// depth). Aborts on malformed flags.
+  /// depth). A malformed argument or flag value (--divisor=8x,
+  /// --strict=yes) prints the error naming it and exits with status 2.
   static BenchContext Create(int argc, char** argv, const char* figure,
                              const char* title, int64_t default_divisor);
 
@@ -96,6 +97,7 @@ class BenchContext {
   int log2_divisor_ = 0;
   hw::HardwareSpec spec_;
   util::Flags flags_;
+  bool strict_ = false;
   int checks_failed_ = 0;
   int checks_total_ = 0;
 };

@@ -17,6 +17,7 @@
 #include "src/gpujoin/nonpartitioned.h"
 #include "src/gpujoin/output_ring.h"
 #include "src/gpujoin/partitioned_join.h"
+#include "src/outofgpu/streaming_probe.h"
 #include "src/sim/topology.h"
 #include "src/util/bits.h"
 #include "src/util/probe_pipeline.h"
@@ -379,6 +380,38 @@ void BM_JoinCoPartitionsMaterialized(benchmark::State& state) {
 BENCHMARK(BM_JoinCoPartitionsMaterialized)
     ->Arg(1 << 18)
     ->MeasureProcessCPUTime();
+
+/// Streamed-probe gate at small chunks: 4096-tuple probe chunks stream
+/// past a resident 256K-tuple build in 512 co-partitions of about 512
+/// tuples (session_mixed's layout), so each chunk probes every build
+/// co-partition with about 8 tuples. The chunks share the build's host
+/// tables (BuildTableCache): each co-partition is gathered and linked
+/// once per stream; regressing toward doing so for every chunk (about
+/// 4x slower) shows here. The build is prepared once outside the loop.
+/// Registered with MeasureProcessCPUTime: the blocks run on pool
+/// workers.
+void BM_StreamingProbeChunks(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
+  const auto r = data::MakeUniqueUniform(n, 25);
+  const auto s = data::MakeUniformProbe(n, n, 26);
+  outofgpu::StreamingProbeConfig cfg;
+  cfg.chunk_tuples = 4096;
+  cfg.join.partition.pass_bits = {3, 6};
+  const auto prepared = util::ValueOrExit(
+      gpujoin::PreparePartitionedBuild(&device, r, cfg.join),
+      "micro_kernels");
+  for (auto _ : state) {
+    auto run = util::ValueOrExit(
+        outofgpu::StreamingProbeExecute(&device, r, s, cfg, &prepared),
+        "micro_kernels");
+    benchmark::DoNotOptimize(run.stats.matches);
+    device.ClearProfile();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_StreamingProbeChunks)->Arg(1 << 18)->MeasureProcessCPUTime();
 
 /// Probe-pipeline gate inputs: large enough that the chained table
 /// (heads + packed nodes, ~384 MB at 16M build tuples) exceeds even a

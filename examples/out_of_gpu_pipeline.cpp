@@ -15,11 +15,15 @@
 
 int main(int argc, char** argv) {
   using namespace gjoin;
-  auto flags = util::ValueOrExit(std::move(util::Flags::Parse(argc, argv)), "out_of_gpu_pipeline");
-  const size_t build_n =
-      static_cast<size_t>(flags.GetInt("build", 2'000'000));
-  const size_t probe_n = build_n * static_cast<size_t>(flags.GetInt("ratio", 2));
-  const int threads = static_cast<int>(flags.GetInt("threads", 16));
+  constexpr const char* kName = "out_of_gpu_pipeline";
+  auto flags =
+      util::ValueOrExit(std::move(util::Flags::Parse(argc, argv)), kName);
+  const size_t build_n = static_cast<size_t>(
+      util::ValueOrExit(flags.GetInt("build", 2'000'000), kName));
+  const size_t probe_n = build_n * static_cast<size_t>(util::ValueOrExit(
+                                       flags.GetInt("ratio", 2), kName));
+  const int threads = static_cast<int>(
+      util::ValueOrExit(flags.GetInt("threads", 16), kName));
 
   // Shrink the simulated device so the workload genuinely does not fit —
   // the regime both strategies exist for.

@@ -16,10 +16,12 @@
 
 int main(int argc, char** argv) {
   using namespace gjoin;
-  auto flags = util::ValueOrExit(std::move(util::Flags::Parse(argc, argv)), "quickstart");
-  const size_t tuples =
-      static_cast<size_t>(flags.GetInt("tuples", 4'000'000));
-  const int ratio = static_cast<int>(flags.GetInt("ratio", 2));
+  auto flags = util::ValueOrExit(std::move(util::Flags::Parse(argc, argv)),
+                                 "quickstart");
+  const size_t tuples = static_cast<size_t>(
+      util::ValueOrExit(flags.GetInt("tuples", 4'000'000), "quickstart"));
+  const int ratio = static_cast<int>(
+      util::ValueOrExit(flags.GetInt("ratio", 2), "quickstart"));
 
   // 1. A simulated device describing the paper's testbed.
   sim::Device device(hw::HardwareSpec::Icde2019Testbed());
@@ -35,7 +37,8 @@ int main(int argc, char** argv) {
 
   // 4. Join.
   api::JoinConfig config;
-  config.materialize = flags.GetBool("materialize", false);
+  config.materialize = util::ValueOrExit(
+      flags.GetBool("materialize", false), "quickstart");
   auto outcome = api::Join(&device, build, probe, config);
   util::ExitOnError(outcome.status(), "quickstart");
 

@@ -23,10 +23,12 @@ int main(int argc, char** argv) {
   using namespace gjoin;
   auto flags = util::ValueOrExit(
       std::move(util::Flags::Parse(argc, argv)), "service_lifecycle");
-  const size_t tuples =
-      static_cast<size_t>(flags.GetInt("tuples", 400'000));
-  const int clients = static_cast<int>(flags.GetInt("clients", 8));
-  const size_t queue = static_cast<size_t>(flags.GetInt("queue", 4));
+  const size_t tuples = static_cast<size_t>(util::ValueOrExit(
+      flags.GetInt("tuples", 400'000), "service_lifecycle"));
+  const int clients = static_cast<int>(
+      util::ValueOrExit(flags.GetInt("clients", 8), "service_lifecycle"));
+  const size_t queue = static_cast<size_t>(
+      util::ValueOrExit(flags.GetInt("queue", 4), "service_lifecycle"));
 
   // Each client submits its own relations — no artifact sharing, the
   // worst case for an overloaded queue.

@@ -20,8 +20,10 @@
 
 int main(int argc, char** argv) {
   using namespace gjoin;
-  auto flags = util::ValueOrExit(std::move(util::Flags::Parse(argc, argv)), "skew_study");
-  const size_t n = static_cast<size_t>(flags.GetInt("tuples", 1'000'000));
+  auto flags = util::ValueOrExit(std::move(util::Flags::Parse(argc, argv)),
+                                 "skew_study");
+  const size_t n = static_cast<size_t>(
+      util::ValueOrExit(flags.GetInt("tuples", 1'000'000), "skew_study"));
   sim::Device device(hw::HardwareSpec::Icde2019Testbed());
 
   std::printf("identically-skewed %zu x %zu join, in-GPU:\n", n, n);

@@ -55,8 +55,10 @@ void RunJoin(gjoin::sim::Device* device, const char* name,
 
 int main(int argc, char** argv) {
   using namespace gjoin;
-  auto flags = util::ValueOrExit(std::move(util::Flags::Parse(argc, argv)), "warehouse_analytics");
-  const double sf = flags.GetDouble("sf", 1.0);
+  auto flags = util::ValueOrExit(std::move(util::Flags::Parse(argc, argv)),
+                                 "warehouse_analytics");
+  const double sf =
+      util::ValueOrExit(flags.GetDouble("sf", 1.0), "warehouse_analytics");
 
   sim::Device device(hw::HardwareSpec::Icde2019Testbed());
   std::printf("generating TPC-H-shaped data at SF %.2f...\n", sf);

@@ -192,10 +192,94 @@ AggTable& ThreadAggTable() {
 
 }  // namespace
 
+/// What a cache was created for, and its tables: co-partition p gathered
+/// and linked as one chunk in tables[index[p]].
+struct BuildTableCache::Tables {
+  Tables(const PartitionedRelation& build, const CoPartitionJoinConfig& config)
+      : chains(&build.chains),
+        heads(build.chains.heads()),
+        tuples(build.tuples),
+        radix_bits(build.radix_bits),
+        base_shift(build.base_shift),
+        algo(config.algo),
+        hash_slots(config.hash_slots),
+        shared_elems(config.shared_elems) {}
+
+  util::Status CheckBuiltFor(const PartitionedRelation& build,
+                             const CoPartitionJoinConfig& config) const {
+    if (&build.chains != chains || build.chains.heads() != heads ||
+        build.tuples != tuples || build.radix_bits != radix_bits ||
+        build.base_shift != base_shift) {
+      return util::Status::Invalid(
+          "BuildTableCache was created for another build side");
+    }
+    if (config.algo != algo || config.hash_slots != hash_slots ||
+        config.shared_elems != shared_elems) {
+      return util::Status::Invalid(
+          "BuildTableCache was created for another algo, hash_slots or "
+          "shared_elems");
+    }
+    return util::Status::OK();
+  }
+
+  const ChunkTables* Find(uint32_t p) const {
+    return index.empty() || index[p] < 0 ? nullptr : &tables[index[p]];
+  }
+
+  /// Gathers and links each of `partitions` (r_sizes[p] tuples) on `pool`.
+  void Add(util::ThreadPool* pool, const BucketChains& build_chains,
+           const std::vector<uint32_t>& partitions,
+           const std::vector<uint64_t>& r_sizes,
+           const CoPartitionJoinConfig& config) {
+    if (partitions.empty()) return;
+    if (index.empty()) index.assign(build_chains.num_partitions(), -1);
+    const size_t first = tables.size();
+    tables.resize(first + partitions.size());
+    for (size_t j = 0; j < partitions.size(); ++j) {
+      index[partitions[j]] = static_cast<int32_t>(first + j);
+    }
+    pool->ParallelForRanges(
+        partitions.size(), [&](size_t /*worker*/, size_t lo, size_t hi) {
+          for (size_t j = lo; j < hi; ++j) {
+            const uint32_t p = partitions[j];
+            const uint32_t n = static_cast<uint32_t>(r_sizes[p]);
+            ChunkTables& t = tables[first + j];
+            t.Gather(build_chains, p, n);
+            t.Build(config, radix_bits, t.keys.data(), t.pays.data(), n);
+          }
+        });
+  }
+
+  // The build side and config the tables belong to.
+  const BucketChains* chains;
+  const int32_t* heads;
+  uint64_t tuples;
+  int radix_bits;
+  int base_shift;
+  ProbeAlgorithm algo;
+  uint32_t hash_slots;
+  uint32_t shared_elems;
+
+  std::vector<int32_t> index;  ///< Per partition, -1 = none; empty = none.
+  std::vector<ChunkTables> tables;
+};
+
+BuildTableCache::BuildTableCache(const PartitionedRelation& build,
+                                 const CoPartitionJoinConfig& config)
+    : tables_(std::make_unique<Tables>(build, config)) {}
+BuildTableCache::~BuildTableCache() = default;
+BuildTableCache::BuildTableCache(BuildTableCache&&) noexcept = default;
+BuildTableCache& BuildTableCache::operator=(BuildTableCache&&) noexcept =
+    default;
+
+size_t BuildTableCache::cached_partitions() const {
+  return tables_->tables.size();
+}
+
 util::Result<CoPartitionJoinResult> JoinCoPartitions(
     sim::Device* device, const PartitionedRelation& build,
     const PartitionedRelation& probe, const CoPartitionJoinConfig& config,
-    OutputRing* out) {
+    OutputRing* out, BuildTableCache* tables) {
   if (build.radix_bits != probe.radix_bits ||
       build.base_shift != probe.base_shift) {
     return util::Status::Invalid("co-partition join: radix layout mismatch");
@@ -236,6 +320,12 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
           "B shared memory, exceeding the per-block limit");
     }
   }
+  if (tables != nullptr) {
+    if (tables->tables_ == nullptr) {
+      return util::Status::Invalid("BuildTableCache was moved from");
+    }
+    GJOIN_RETURN_NOT_OK(tables->tables_->CheckBuiltFor(build, config));
+  }
 
   const uint32_t num_partitions = build.chains.num_partitions();
   const int pipeline_depth =
@@ -271,7 +361,9 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
   // probes per build tuple: with R_p of 1024 or 2048 tuples tables cut
   // the join's host time 1.65-1.9x, at 512 they were about even, at
   // 256 and below up to 2x slower; half a probe per build tuple (the
-  // streaming probe's default chunks) ran about 15% slower with tables.
+  // streaming probe's default chunks) ran about 15% slower with tables,
+  // and there no item is aggregated: streamed chunks walk chains their
+  // build's BuildTableCache linked once (see kMemoChunk below).
   // Both give the same results, and the charges do not depend on the
   // choice. A materializing join counts the same way: its pairs are
   // enumerated after the launch, and only those that survive the wrap.
@@ -327,19 +419,31 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
   // charges below stay exactly where they were — but the functional
   // result is identical every time.
   //
-  // kMemoChunk: for partitions probed by several items whose R side fits
-  // a single chunk, gather the chunk and build its probe index once up
-  // front; the per-item loops then only charge the re-load/rebuild.
-  // Single-item partitions skip the memo — there is no duplicated work
-  // to save, only allocation overhead to pay. Insertion order matches
-  // the per-chunk builds bit for bit, so chain structure — and with it
-  // step counts and match emission order — is unchanged.
+  // kMemoChunk: a partition whose R side fits a single chunk is gathered
+  // and its probe index built once, into a BuildTableCache (see the
+  // header); the per-item loops then only charge the re-load/rebuild,
+  // and the survivors' enumeration walks the same tables. Insertion
+  // order matches the per-chunk builds bit for bit, so chain structure —
+  // and with it step counts and match emission order — is unchanged.
+  // Partitions probed by several walking items are memoized, in the
+  // caller's cache if there is one, else in the join's own. A caller's
+  // cache outlives the join, so it also takes every other partition
+  // this join walks, or enumerates when materializing, and every later
+  // join against the build (the streamed chunks) probes it from there —
+  // unless the partition holds fewer than hash_slots / 8 tuples. Such a
+  // partition is cheaper to gather and link per item in hot scratch
+  // than to probe cold from a cache, where its slot heads would
+  // outweigh its tuples: at 2 tuples per partition and 2048 slots, a
+  // 256K-tuple probe streamed in 1024-tuple chunks ran about 1.6x slower
+  // with every partition cached, holding 128 MB of slot heads.
+  // Without a cache, a single-item partition is gathered once either
+  // way, so a memo would only add allocation.
   //
-  // kMemoChunk counts only the items that walk chains. Aggregated items
-  // rebuild their table per item in hot scratch instead: memoizing
-  // those tables up front, in fresh memory probed cold, measured slower
-  // (2^23 x 2^25 uniform, half the partitions probed by two items:
-  // 0.57-0.62 s per join rebuilding vs 0.72-0.85 s memoized).
+  // Aggregated items probe a key-aggregated table rebuilt per item in
+  // hot scratch instead: memoizing those tables up front, in fresh
+  // memory probed cold, measured slower (2^23 x 2^25 uniform, half the
+  // partitions probed by two items: 0.57-0.62 s per join rebuilding vs
+  // 0.72-0.85 s memoized).
   //
   // kTallied: a shared-hash aggregate over an oversized partition
   // (block-NL fallback) rebuilds one table per chunk and rescans S per
@@ -365,19 +469,19 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
     uint64_t matches = 0;
     uint64_t checksum = 0;
   };
-  // Memo storage exists only for the partitions that use it:
-  // memo_index maps a memoized partition to its ChunkTables.
+  BuildTableCache::Tables own_memo(build, config);
+  BuildTableCache::Tables& memo =
+      tables != nullptr ? *tables->tables_ : own_memo;
   std::vector<HostPlan> host_plan(num_partitions, kPerItem);
-  std::vector<uint32_t> memo_index;
-  std::vector<ChunkTables> prebuilt;
   std::vector<ItemTally> tallies;
   std::vector<uint64_t> cell_steps, cell_hits;
+  util::ThreadPool* pool = device->pool();
   {
     const uint64_t max_chunk = config.algo == ProbeAlgorithm::kDeviceHash
                                    ? UINT32_MAX
                                    : config.shared_elems;
     const bool tally_oversized = config.algo == ProbeAlgorithm::kSharedHash;
-    std::vector<uint32_t> memo, tallied;
+    std::vector<uint32_t> to_memo, tallied;
     for (uint32_t p = 0; p < num_partitions; ++p) {
       if (items_per_partition[p] == 0) continue;
       if (r_sizes[p] > max_chunk) {
@@ -385,35 +489,23 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
           host_plan[p] = kTallied;
           tallied.push_back(p);
         }
+      } else if (memo.Find(p) != nullptr) {
+        host_plan[p] = kMemoChunk;
       } else {
         uint32_t walking = 0;
         for (uint32_t w = first_item[p];
              w < first_item[p] + items_per_partition[p]; ++w) {
           walking += !items[w].aggregated;
         }
-        if (walking >= 2) {
+        const bool reused = tables != nullptr && (walking >= 1 || need_out) &&
+                            8 * r_sizes[p] >= config.hash_slots;
+        if (walking >= 2 || reused) {
           host_plan[p] = kMemoChunk;
-          memo.push_back(p);
+          to_memo.push_back(p);
         }
       }
     }
-    if (!memo.empty()) {
-      memo_index.assign(num_partitions, 0);
-      for (uint32_t j = 0; j < memo.size(); ++j) memo_index[memo[j]] = j;
-    }
-    util::ThreadPool* pool = device->pool();
-    prebuilt.resize(memo.size());
-    pool->ParallelForRanges(
-        memo.size(), [&](size_t /*worker*/, size_t lo, size_t hi) {
-          for (size_t j = lo; j < hi; ++j) {
-            const uint32_t p = memo[j];
-            const uint32_t r_count = static_cast<uint32_t>(r_sizes[p]);
-            ChunkTables& pre = prebuilt[j];
-            pre.Gather(build.chains, p, r_count);
-            pre.Build(config, radix_bits, pre.keys.data(), pre.pays.data(),
-                      r_count);
-          }
-        });
+    memo.Add(pool, build.chains, to_memo, r_sizes, config);
 
     // kTallied: one pool pass over the tallied partitions' items. A
     // worker builds a partition's table when its range reaches the
@@ -472,6 +564,13 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
   launch.threads_per_block = config.threads_per_block;
   launch.shared_mem_bytes = device->spec().gpu.shared_mem_per_block;
 
+  // Only chain-walking kPerItem items link a table in the launch, so
+  // only they need the blocks' table scratch.
+  const bool any_gathered =
+      std::any_of(items.begin(), items.end(), [&](const WorkItem& item) {
+        return !item.aggregated && host_plan[item.p] == kPerItem;
+      });
+
   // Materialization: every block's pair count, and every item's, for
   // publishing the survivors after the launch.
   std::vector<uint64_t> block_pairs(need_out ? num_blocks : 0);
@@ -499,7 +598,7 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
         // still pays the re-fill — its charges are unchanged).
         std::vector<uint32_t> table_epoch;
         uint32_t cur_epoch = 0;
-        if (need_table) {
+        if (need_table && any_gathered) {
           if (config.algo == ProbeAlgorithm::kDeviceHash) {
             dev_heads.resize(config.hash_slots);
           } else {
@@ -558,9 +657,8 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
           const bool aggregated = item.aggregated;
           const HostPlan plan = host_plan[item.p];
           const bool gathered = !aggregated && plan == kPerItem;
-          const ChunkTables* pre = !aggregated && plan == kMemoChunk
-                                         ? &prebuilt[memo_index[item.p]]
-                                         : nullptr;
+          const ChunkTables* pre =
+              !aggregated && plan == kMemoChunk ? memo.Find(item.p) : nullptr;
           const ItemTally* tally = plan == kTallied ? &tallies[w] : nullptr;
           const bool tallied = tally != nullptr;
           AggTable* agg = nullptr;
@@ -891,17 +989,23 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
   // head, i.e. in reverse insertion order, filtered by key. The nested
   // loop emits per 32x32 tile: s lane, then ascending r. Items, and a
   // tallied item's (chunk, S bucket) cells, wholly before the cut are
-  // skipped by their counts.
+  // skipped by their counts. A kMemoChunk partition's tables are walked
+  // where the launch probed them; the others are gathered and linked
+  // again, chunk by chunk.
   if (need_out) {
     PublishSurvivors(
-        out, block_pairs, device->pool(), [&](size_t b, SurvivorSink& sink) {
-          ChunkTables t;
+        out, block_pairs, pool, [&](size_t b, SurvivorSink& sink) {
+          ChunkTables scratch;
           for (size_t w = b; w < items.size();
                w += static_cast<size_t>(num_blocks)) {
             if (sink.Skips(item_pairs[w])) continue;
             const WorkItem& item = items[w];
             const uint32_t r_total = static_cast<uint32_t>(r_sizes[item.p]);
-            t.Gather(build.chains, item.p, r_total);
+            const ChunkTables* memoized = memo.Find(item.p);
+            if (memoized == nullptr) {
+              scratch.Gather(build.chains, item.p, r_total);
+            }
+            const ChunkTables& t = memoized != nullptr ? *memoized : scratch;
             const uint32_t chunk_elems =
                 config.algo == ProbeAlgorithm::kDeviceHash
                     ? r_total
@@ -919,7 +1023,9 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
                                          size_t{chunk} * item.s_count + sb])) {
                   continue;
                 }
-                if (!built) t.Build(config, radix_bits, rk, rp, r_count);
+                if (!built && memoized == nullptr) {
+                  scratch.Build(config, radix_bits, rk, rp, r_count);
+                }
                 built = true;
                 const int32_t sbucket = s_buckets_flat[item.s_from + sb];
                 const size_t s_base = static_cast<size_t>(sbucket) * s_cap;

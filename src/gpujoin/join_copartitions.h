@@ -67,6 +67,7 @@
 #define GJOIN_GPUJOIN_JOIN_COPARTITIONS_H_
 
 #include <cstdint>
+#include <memory>
 
 #include "src/gpujoin/output_ring.h"
 #include "src/gpujoin/radix_partition.h"
@@ -140,16 +141,71 @@ struct CoPartitionJoinResult {
   double seconds = 0;        ///< Modeled kernel time.
 };
 
+class BuildTableCache;
+
 /// Joins every co-partition pair. `build` and `probe` must be partitioned
 /// with identical bit layouts. In kMaterialize mode, result pairs are
 /// written to `out` (required non-null), wrapping when full — the
 /// paper's methodology for isolating in-GPU performance under output
-/// explosion (Section V-E).
+/// explosion (Section V-E). A non-null `tables` must have been created
+/// for `build` and `config` (else kInvalid): the join probes the build
+/// co-partitions it holds and adds the ones it walks (see
+/// BuildTableCache).
 [[nodiscard]]
 util::Result<CoPartitionJoinResult> JoinCoPartitions(
     sim::Device* device, const PartitionedRelation& build,
     const PartitionedRelation& probe, const CoPartitionJoinConfig& config,
-    OutputRing* out = nullptr);
+    OutputRing* out = nullptr, BuildTableCache* tables = nullptr);
+
+/// \brief The host tables of one partitioned build side, shared by every
+/// join against it.
+///
+/// Before probing a build co-partition R_p, a join gathers it out of its
+/// bucket chains and links config.algo's table over it (Listing 2's
+/// 16-bit chains for kSharedHash, the node chains for kDeviceHash, the
+/// counting index for kNestedLoop). Those tables depend only on the
+/// build and the config, so every join of probe relations against one
+/// resident build can share them: the streaming probe (Section IV-A)
+/// hands each chunk's join the same cache, and each R_p that fits one
+/// shared-memory chunk and holds at least hash_slots / 8 tuples is
+/// gathered and linked by the first join that probes it and read from
+/// the cache by every later one. A join given no cache memoizes, in a
+/// cache of its own, only the co-partitions that several of its work
+/// items walk.
+///
+/// Host work only: each join still charges the kernel's reload of R_p
+/// into shared memory and the rebuild of its table per work item, so
+/// results and charged stats are those of a join without a cache.
+///
+/// A cache is bound to the build and config it was created for. A join
+/// against other chains, tuple count or radix layout, or with another
+/// algo, hash_slots or shared_elems, returns kInvalid. One join uses a
+/// cache at a time. It holds up to the whole build's tuples once more
+/// (8 bytes each) plus each cached co-partition's table: for kSharedHash
+/// 2 bytes per tuple and 2 * hash_slots bytes of slot heads, which the
+/// size floor keeps within 16 bytes per tuple.
+class BuildTableCache {
+ public:
+  /// An empty cache for joins against `build` under `config`.
+  BuildTableCache(const PartitionedRelation& build,
+                  const CoPartitionJoinConfig& config);
+  ~BuildTableCache();
+  BuildTableCache(BuildTableCache&&) noexcept;
+  BuildTableCache& operator=(BuildTableCache&&) noexcept;
+
+  /// Build co-partitions whose tables the cache holds.
+  size_t cached_partitions() const;
+
+ private:
+  struct Tables;
+  // Befriends the [[nodiscard]] JoinCoPartitions declared above.
+  // lint:allow nodiscard
+  friend util::Result<CoPartitionJoinResult> JoinCoPartitions(
+      sim::Device*, const PartitionedRelation&, const PartitionedRelation&,
+      const CoPartitionJoinConfig&, OutputRing*, BuildTableCache*);
+
+  std::unique_ptr<Tables> tables_;
+};
 
 }  // namespace gjoin::gpujoin
 

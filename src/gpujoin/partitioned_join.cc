@@ -17,7 +17,8 @@ util::Result<JoinStats> JoinPartitioned(sim::Device* device,
                                         const PartitionedRelation& r_parted,
                                         const PartitionedRelation& s_parted,
                                         const PartitionedJoinConfig& config,
-                                        size_t probe_tuples) {
+                                        size_t probe_tuples,
+                                        BuildTableCache* tables) {
   OutputRing ring;
   OutputRing* ring_ptr = nullptr;
   if (config.join.output == OutputMode::kMaterialize) {
@@ -31,7 +32,8 @@ util::Result<JoinStats> JoinPartitioned(sim::Device* device,
 
   GJOIN_ASSIGN_OR_RETURN(
       CoPartitionJoinResult join_result,
-      JoinCoPartitions(device, r_parted, s_parted, config.join, ring_ptr));
+      JoinCoPartitions(device, r_parted, s_parted, config.join, ring_ptr,
+                       tables));
 
   JoinStats stats;
   stats.matches = join_result.matches;

@@ -91,13 +91,16 @@ util::Result<JoinStats> PartitionedJoinFromHostWithBuild(
 /// co-partitions, and rolls up JoinStats over both partitioned inputs
 /// (partition_s = both sides' partitioning seconds; seconds = partition_s
 /// + join_s). config.join.key_bits is used as given (0 = full 32-bit
-/// keys); the entry points above derive it with KeyBitsFor first.
+/// keys); the entry points above derive it with KeyBitsFor first. A
+/// non-null `tables` must be a BuildTableCache for `r_parted` and
+/// config.join, shared by every join against that build.
 [[nodiscard]]
 util::Result<JoinStats> JoinPartitioned(sim::Device* device,
                                         const PartitionedRelation& r_parted,
                                         const PartitionedRelation& s_parted,
                                         const PartitionedJoinConfig& config,
-                                        size_t probe_tuples);
+                                        size_t probe_tuples,
+                                        BuildTableCache* tables = nullptr);
 
 }  // namespace gjoin::gpujoin
 

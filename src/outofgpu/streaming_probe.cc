@@ -57,6 +57,10 @@ util::Result<StreamingProbeRun> StreamingProbeExecute(
   run.build_part = timeline.Add(sim::Engine::kComputeGpu, r_parted.seconds,
                                 {run.build_h2d}, "part:R");
 
+  // The resident build's host tables: each co-partition is gathered and
+  // linked by the first chunk that probes it and reused by the rest.
+  gpujoin::BuildTableCache tables(r_parted, cfg.join);
+
   // Double-buffered chunk pipeline: transfer i waits for the join that
   // last used buffer (i % 2); joins serialize on the compute engine.
   std::vector<sim::OpId> joins;
@@ -78,7 +82,7 @@ util::Result<StreamingProbeRun> StreamingProbeExecute(
     GJOIN_ASSIGN_OR_RETURN(
         JoinStats chunk_join,
         gpujoin::JoinPartitioned(device, r_parted, s_parted, cfg,
-                                 chunk.size));
+                                 chunk.size, &tables));
     stats.matches += chunk_join.matches;
     stats.payload_sum += chunk_join.payload_sum;
 

@@ -11,6 +11,18 @@
 // (Figure 4). Total time is the Timeline makespan: when transfers are
 // the bottleneck, it approaches transfer-time + last-chunk-join, giving
 // near-PCIe-bandwidth join throughput.
+//
+// On the host, the resident build's per-partition tables stay resident
+// too: one gpujoin::BuildTableCache per call gathers each build
+// co-partition (of at least hash_slots / 8 tuples) out of its bucket
+// chains and links its probe table the first time a chunk walks it, and
+// every later chunk probes it from there (the survivors of a
+// materializing chunk are enumerated from it too). The cache lives for the call and is freed when it returns, so
+// its memory follows the one build being streamed against: about one
+// more host copy of the build (8 bytes per tuple) plus the tables,
+// 2 bytes per tuple and 2 * hash_slots bytes per cached co-partition
+// for the shared-memory hash. Charges do not move: every chunk's kernel
+// still reloads each R_p into shared memory and rebuilds its table.
 
 #ifndef GJOIN_OUTOFGPU_STREAMING_PROBE_H_
 #define GJOIN_OUTOFGPU_STREAMING_PROBE_H_

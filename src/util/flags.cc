@@ -1,5 +1,7 @@
 #include "src/util/flags.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 namespace gjoin::util {
@@ -30,26 +32,49 @@ std::string Flags::GetString(const std::string& name,
   return it == values_.end() ? def : it->second;
 }
 
-int64_t Flags::GetInt(const std::string& name, int64_t def) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return def;
-  char* end = nullptr;
-  const int64_t v = std::strtoll(it->second.c_str(), &end, 10);
-  return (end == it->second.c_str()) ? def : v;
+namespace {
+
+Status BadValue(const std::string& name, const std::string& value,
+                const char* expected) {
+  return Status::Invalid("--" + name + "=" + value + ": expected " +
+                         expected);
 }
 
-double Flags::GetDouble(const std::string& name, double def) const {
+}  // namespace
+
+Result<int64_t> Flags::GetInt(const std::string& name, int64_t def) const {
   auto it = values_.find(name);
   if (it == values_.end()) return def;
+  const std::string& value = it->second;
   char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  return (end == it->second.c_str()) ? def : v;
+  errno = 0;
+  const long long v = std::strtoll(value.c_str(), &end, 10);
+  if (value.empty() || *end != '\0' || errno == ERANGE) {
+    return BadValue(name, value, "an integer");
+  }
+  return static_cast<int64_t>(v);
 }
 
-bool Flags::GetBool(const std::string& name, bool def) const {
+Result<double> Flags::GetDouble(const std::string& name, double def) const {
   auto it = values_.find(name);
   if (it == values_.end()) return def;
-  return it->second == "true" || it->second == "1";
+  const std::string& value = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(value.c_str(), &end);
+  if (value.empty() || *end != '\0' || errno == ERANGE || !std::isfinite(v)) {
+    return BadValue(name, value, "a finite number");
+  }
+  return v;
+}
+
+Result<bool> Flags::GetBool(const std::string& name, bool def) const {
+  auto it = values_.find(name);
+  if (it == values_.end()) return def;
+  const std::string& value = it->second;
+  if (value == "true" || value == "1") return true;
+  if (value == "false" || value == "0") return false;
+  return BadValue(name, value, "true, false, 1 or 0");
 }
 
 }  // namespace gjoin::util

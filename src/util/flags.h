@@ -1,6 +1,9 @@
 // Minimal command-line flag parsing for the benchmark and example
-// binaries. Flags are --name=value or --name value; unknown flags are an
-// error so typos in experiment scripts fail loudly.
+// binaries. Flags are --name=value or --name value. Names are not
+// declared: a flag no reader asks for is ignored, so a misspelled flag
+// runs the default (check the banner a binary prints). A value that
+// does not parse as the type its reader asks for is an error naming the
+// flag and the value.
 
 #ifndef GJOIN_UTIL_FLAGS_H_
 #define GJOIN_UTIL_FLAGS_H_
@@ -26,14 +29,20 @@ class Flags {
   /// String value of --name, or `def` when absent.
   std::string GetString(const std::string& name, const std::string& def) const;
 
-  /// Integer value of --name, or `def` when absent or unparsable.
-  int64_t GetInt(const std::string& name, int64_t def) const;
+  /// Integer value of --name, or `def` when absent. Invalid unless the
+  /// whole value is a base-10 integer in range.
+  [[nodiscard]]
+  Result<int64_t> GetInt(const std::string& name, int64_t def) const;
 
-  /// Double value of --name, or `def` when absent or unparsable.
-  double GetDouble(const std::string& name, double def) const;
+  /// Double value of --name, or `def` when absent. Invalid unless the
+  /// whole value is a finite number.
+  [[nodiscard]]
+  Result<double> GetDouble(const std::string& name, double def) const;
 
-  /// Boolean: `--name` alone or `--name=true/1` is true.
-  bool GetBool(const std::string& name, bool def) const;
+  /// Boolean: `--name` alone or `--name=true/1` is true, `--name=false/0`
+  /// false, any other value Invalid; `def` when absent.
+  [[nodiscard]]
+  Result<bool> GetBool(const std::string& name, bool def) const;
 
  private:
   std::map<std::string, std::string> values_;

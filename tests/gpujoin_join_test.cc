@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "src/data/generator.h"
 #include "src/data/oracle.h"
@@ -218,6 +219,67 @@ TEST_F(GpuJoinTest, RejectsZeroOutStagePairsWhenMaterializing) {
   jcfg.output = OutputMode::kMaterialize;
   jcfg.out_stage_pairs = 0;
   ExpectConfigRejected(&device_, jcfg, "out_stage_pairs");
+}
+
+TEST_F(GpuJoinTest, BuildTableCacheRejectsAnotherBuildOrConfig) {
+  // A cache holds tables linked for one build side under one config; a
+  // join that would read them for anything else must refuse.
+  RadixPartitionConfig pc;
+  pc.pass_bits = {4};
+  auto build = RadixPartition(&device_,
+                              Upload(data::MakeUniqueUniform(8192, 21)), pc);
+  auto other = RadixPartition(&device_,
+                              Upload(data::MakeUniqueUniform(8192, 22)), pc);
+  auto probe = RadixPartition(
+      &device_, Upload(data::MakeUniformProbe(4096, 8192, 23)), pc);
+  ASSERT_TRUE(build.ok() && other.ok() && probe.ok());
+  CoPartitionJoinConfig jcfg;
+  jcfg.hash_slots = 1024;
+  BuildTableCache tables(*build, jcfg);
+  auto joined = JoinCoPartitions(&device_, *build, *probe, jcfg, nullptr,
+                                 &tables);
+  ASSERT_TRUE(joined.ok()) << joined.status();
+  EXPECT_EQ(joined->matches, 4096u);
+  EXPECT_EQ(tables.cached_partitions(), 16u);
+
+  const auto expect_refused = [&](const PartitionedRelation& b,
+                                  const CoPartitionJoinConfig& c,
+                                  const std::string& why) {
+    SCOPED_TRACE(why);
+    auto st = JoinCoPartitions(&device_, b, *probe, c, nullptr, &tables);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.status().code(), util::StatusCode::kInvalid);
+    EXPECT_NE(st.status().message().find("BuildTableCache"),
+              std::string::npos)
+        << st.status();
+  };
+  expect_refused(*other, jcfg, "another build of the same shape");
+  CoPartitionJoinConfig slots = jcfg;
+  slots.hash_slots = 2048;
+  expect_refused(*build, slots, "another hash_slots");
+  CoPartitionJoinConfig algo = jcfg;
+  algo.algo = ProbeAlgorithm::kDeviceHash;
+  expect_refused(*build, algo, "another algo");
+  CoPartitionJoinConfig elems = jcfg;
+  elems.shared_elems = 2048;
+  expect_refused(*build, elems, "another shared_elems");
+
+  // The same build and config still join through it; so does a join
+  // with another output mode or key_bits, which the tables do not read.
+  CoPartitionJoinConfig agg_bits = jcfg;
+  agg_bits.key_bits = 14;
+  auto again = JoinCoPartitions(&device_, *build, *probe, agg_bits, nullptr,
+                                &tables);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again->matches, joined->matches);
+  EXPECT_EQ(again->payload_sum, joined->payload_sum);
+
+  BuildTableCache moved = std::move(tables);
+  auto moved_from = JoinCoPartitions(&device_, *build, *probe, jcfg, nullptr,
+                                     &tables);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(moved_from.status().code(), util::StatusCode::kInvalid);
+  EXPECT_TRUE(
+      JoinCoPartitions(&device_, *build, *probe, jcfg, nullptr, &moved).ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -1213,5 +1213,145 @@ TEST_F(StatInvarianceTest, SweepZipfHotParent) {
         3200000, 200000, 39165, 396720, 10898, 40, 2.9991118586726994e-05}});
 }
 
+// ---- Streamed chunks against one resident build ----
+// A streamed probe joins every chunk against the same partitioned build.
+// The goldens below were captured while every chunk's join still
+// gathered and linked the build's co-partitions itself; they pin that
+// reusing the build's host tables across chunks leaves every result and
+// charge where it was: chunks of 1024 tuples, of half the build and of
+// twice the build (whose items probe key-aggregated tables), oversized
+// build co-partitions (the block-nested-loop fallback), and materialized
+// streams whose rings do not wrap (unique build keys) and do (every
+// build key twice), under each probe algorithm.
+
+/// FNV-1a over every launch's name and integer KernelStats counters.
+uint64_t ProfileDigest(const sim::Device& device) {
+  uint64_t hash = 14695981039346656037ull;
+  const auto mix = [&hash](uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (v >> (8 * byte)) & 0xFF;
+      hash *= 1099511628211ull;
+    }
+  };
+  for (const auto& launch : device.profile()) {
+    for (const char c : launch.name) mix(static_cast<unsigned char>(c));
+    const auto& s = launch.stats;
+    for (const uint64_t v :
+         {s.coalesced_read_bytes, s.coalesced_write_bytes,
+          s.scatter_write_bytes, s.random_transactions,
+          s.random_working_set_bytes, s.shared_bytes, s.shared_atomics,
+          s.device_atomics, s.total_cycles, s.max_block_cycles,
+          s.num_blocks}) {
+      mix(v);
+    }
+  }
+  return hash;
+}
+
+struct StreamGolden {
+  const char* name;
+  gpujoin::ProbeAlgorithm algo;
+  size_t chunk_tuples;    ///< 0 = half the build
+  uint32_t shared_elems;  ///< 256 makes every build co-partition oversized
+  bool materialize;
+  bool duplicate_keys;    ///< every build key twice: materialized rings wrap
+  uint64_t matches;
+  uint64_t payload_sum;
+  double seconds;
+  double join_s;
+  uint64_t digest;
+};
+
+void ExpectStreamGolden(const StreamGolden& g) {
+  SCOPED_TRACE(g.name);
+  sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
+  // 8192 build tuples in 16 co-partitions of about 512.
+  const data::Relation r = g.duplicate_keys
+                               ? data::MakeReplicated(8192, 2.0, 81)
+                               : data::MakeUniqueUniform(8192, 81);
+  const data::Relation s =
+      data::MakeUniformProbe(24576, g.duplicate_keys ? 4096 : 8192, 82);
+  outofgpu::StreamingProbeConfig cfg;
+  cfg.chunk_tuples = g.chunk_tuples;
+  cfg.materialize_to_host = g.materialize;
+  cfg.join.partition.pass_bits = {4};
+  cfg.join.join.algo = g.algo;
+  cfg.join.join.hash_slots = 1024;
+  cfg.join.join.shared_elems = g.shared_elems;
+  auto run = outofgpu::StreamingProbeExecute(&device, r, s, cfg);
+  ASSERT_TRUE(run.ok()) << run.status();
+  const data::OracleResult oracle = data::JoinOracle(r, s);
+  EXPECT_EQ(run->stats.matches, oracle.matches);
+  EXPECT_EQ(run->stats.matches, g.matches);
+  EXPECT_EQ(run->stats.payload_sum, g.payload_sum);
+  EXPECT_DOUBLE_EQ(run->stats.seconds, g.seconds);
+  EXPECT_DOUBLE_EQ(run->stats.join_s, g.join_s);
+  EXPECT_EQ(ProfileDigest(device), g.digest);
+}
+
+TEST_F(StatInvarianceTest, StreamedChunksAgainstOneBuild) {
+  using gpujoin::ProbeAlgorithm;
+  constexpr ProbeAlgorithm kShared = ProbeAlgorithm::kSharedHash;
+  constexpr ProbeAlgorithm kNested = ProbeAlgorithm::kNestedLoop;
+  constexpr ProbeAlgorithm kDevice = ProbeAlgorithm::kDeviceHash;
+  const StreamGolden goldens[] = {
+      {"shared, 1024", kShared, 1024, 4096, false, false,
+       24576u, 402189401ull, 0.0003248203275352793, 0.00017349910547435896,
+       423972333868023363ull},
+      {"shared, half", kShared, 0, 4096, false, false,
+       24576u, 402189401ull, 0.00010679872664910053, 4.5655555807692306e-05,
+       16590909058241674783ull},
+      {"shared, double", kShared, 16384, 4096, false, false,
+       24576u, 402189401ull, 6.495221316758635e-05, 1.626233447435897e-05,
+       2785051688205503080ull},
+      {"shared, oversized", kShared, 0, 256, false, false,
+       24576u, 402189401ull, 0.00010872145895679284, 4.7578288115384609e-05,
+       6256739120693429737ull},
+      {"shared, mat", kShared, 0, 4096, true, false,
+       24576u, 402189401ull, 0.00012076278799744325, 4.6955552115384607e-05,
+       7471894670956396479ull},
+      {"shared, mat wrap", kShared, 1024, 4096, true, true,
+       48770u, 799819080ull, 0.00033939630694272151, 0.0001767158470769231,
+       6065439680889313497ull},
+      {"shared, mat double", kShared, 16384, 4096, true, true,
+       48770u, 799819080ull, 0.00010458326745563863, 1.8875454557692306e-05,
+       12712166849574784965ull},
+      {"nested, 1024", kNested, 1024, 4096, false, false,
+       24576u, 402189401ull, 0.00040219622206092039, 0.00025087499999999996,
+       483385591169371880ull},
+      {"nested, half", kNested, 0, 4096, false, false,
+       24576u, 402189401ull, 0.00012387317084140825, 6.2730000000000004e-05,
+       9529174961594937866ull},
+      {"nested, double", kNested, 16384, 4096, false, false,
+       24576u, 402189401ull, 7.216181596335945e-05, 2.3669374999999999e-05,
+       8875445913936700519ull},
+      {"nested, oversized", kNested, 0, 256, false, false,
+       24576u, 402189401ull, 0.00012394442084140821, 6.2801250000000001e-05,
+       2006044016093195361ull},
+      {"nested, mat", kNested, 0, 4096, true, false,
+       24576u, 402189401ull, 0.00013653723588205865, 6.2730000000000004e-05,
+       1357334563743547266ull},
+      {"nested, mat wrap", kNested, 1024, 4096, true, true,
+       48770u, 799819080ull, 0.00041202545986579849, 0.00024934500000000005,
+       2503523992400162331ull},
+      {"device, 1024", kDevice, 1024, 4096, false, false,
+       24576u, 402189401ull, 0.00053420659736861276, 0.00038288537530769222,
+       2013110865226428038ull},
+      {"device, half", kDevice, 0, 4096, false, false,
+       24576u, 402189401ull, 0.00017030003730294669, 0.00010915686646153847,
+       11788010041619093617ull},
+      {"device, double", kDevice, 16384, 4096, false, false,
+       24576u, 402189401ull, 9.1993594194128686e-05, 4.3501153230769228e-05,
+       16023296270107992195ull},
+      {"device, mat", kDevice, 0, 4096, true, false,
+       24576u, 402189401ull, 0.00018426409865128938, 0.00011045686276923075,
+       12489958011916000353ull},
+      {"device, mat wrap", kDevice, 1024, 4096, true, true,
+       48770u, 799819080ull, 0.00055406313883374705, 0.00039138267896794866,
+       4064189836052870860ull},
+  };
+  for (const StreamGolden& g : goldens) ExpectStreamGolden(g);
+}
+
 }  // namespace
 }  // namespace gjoin

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <initializer_list>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/data/generator.h"
@@ -473,6 +474,92 @@ TEST_F(LaunchDeterminismTest, MaterializedRingBytesIdenticalEvenWrapped) {
       run(&dev, &got);
       EXPECT_EQ(got, ref);
       ExpectSameProfile(d1, dev);
+    }
+  }
+}
+
+TEST_F(LaunchDeterminismTest, StreamedChunksShareBuildTablesIdentically) {
+  // Streamed chunks join against one build through a shared
+  // BuildTableCache: the first chunk to walk a build co-partition links
+  // its table, the later chunks probe it, and each materializing chunk's
+  // survivors are enumerated from it. Every chunk's result, charges and
+  // ring words must equal a join without the cache, on one worker, at
+  // every pool width — with rings that wrap and rings that do not.
+  struct Kernel {
+    const char* name;
+    gpujoin::ProbeAlgorithm algo;
+    uint32_t shared_elems;
+  };
+  const Kernel kernels[] = {
+      {"shared hash", gpujoin::ProbeAlgorithm::kSharedHash, 4096},
+      {"shared hash, oversized", gpujoin::ProbeAlgorithm::kSharedHash, 1024},
+      {"device hash", gpujoin::ProbeAlgorithm::kDeviceHash, 4096},
+      {"nested loop", gpujoin::ProbeAlgorithm::kNestedLoop, 4096},
+  };
+  constexpr size_t kChunks = 4;
+  for (const Kernel& kernel : kernels) {
+    for (const size_t capacity : {size_t{4096}, size_t{1} << 17}) {
+      SCOPED_TRACE(std::string(kernel.name) + ", ring " +
+                   std::to_string(capacity));
+      // Per chunk: matches, checksum, then every ring word.
+      const auto run = [&](sim::Device* dev, bool cached,
+                           std::vector<uint64_t>* out) {
+        gpujoin::RadixPartitionConfig pc;
+        pc.pass_bits = {4};
+        auto pr = gpujoin::RadixPartition(
+            dev,
+            std::move(gpujoin::DeviceRelation::Upload(dev, r_)).ValueOrDie(),
+            pc);
+        ASSERT_TRUE(pr.ok()) << pr.status();
+        gpujoin::CoPartitionJoinConfig jcfg;
+        jcfg.algo = kernel.algo;
+        jcfg.output = gpujoin::OutputMode::kMaterialize;
+        jcfg.shared_elems = kernel.shared_elems;
+        // One work item per co-partition: without the cache no build
+        // co-partition is memoized, so the two runs take different paths.
+        jcfg.max_probe_buckets_per_item = 1024;
+        gpujoin::BuildTableCache tables(*pr, jcfg);
+        const size_t chunk = s_.size() / kChunks;
+        for (size_t c = 0; c < kChunks; ++c) {
+          const data::RelationView view =
+              data::RelationView::Slice(s_, c * chunk, (c + 1) * chunk);
+          auto ps = gpujoin::RadixPartition(
+              dev,
+              std::move(gpujoin::DeviceRelation::Upload(dev, view))
+                  .ValueOrDie(),
+              pc);
+          ASSERT_TRUE(ps.ok()) << ps.status();
+          auto ring = gpujoin::OutputRing::Allocate(&dev->memory(), capacity);
+          ASSERT_TRUE(ring.ok()) << ring.status();
+          gpujoin::OutputRing ring_out = std::move(ring).ValueOrDie();
+          auto st = gpujoin::JoinCoPartitions(dev, *pr, *ps, jcfg, &ring_out,
+                                              cached ? &tables : nullptr);
+          ASSERT_TRUE(st.ok()) << st.status();
+          EXPECT_EQ(ring_out.wrapped(), capacity == 4096);
+          out->push_back(st->matches);
+          out->push_back(st->payload_sum);
+          for (size_t i = 0; i < ring_out.capacity(); ++i) {
+            out->push_back(ring_out.pair(i));
+          }
+        }
+        // The oversized build co-partitions are never cached.
+        if (cached) {
+          EXPECT_EQ(tables.cached_partitions() > 0,
+                    kernel.shared_elems == 4096);
+        }
+      };
+
+      std::vector<uint64_t> ref;
+      sim::Device d1{hw::HardwareSpec::Icde2019Testbed(), &pool1_};
+      run(&d1, false, &ref);
+      for (util::ThreadPool* pool : {&pool1_, &pool2_, &pool8_, &pool8_}) {
+        SCOPED_TRACE("pool width " + std::to_string(pool->num_threads()));
+        std::vector<uint64_t> got;
+        sim::Device dev{hw::HardwareSpec::Icde2019Testbed(), pool};
+        run(&dev, true, &got);
+        EXPECT_EQ(got, ref);
+        ExpectSameProfile(d1, dev);
+      }
     }
   }
 }
