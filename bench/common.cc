@@ -5,22 +5,23 @@
 
 #include "src/util/bits.h"
 #include "src/util/hostalloc.h"
-#include "src/util/probe_pipeline.h"
-#include "src/util/scatter_buffer.h"
 
 namespace gjoin::bench {
 
 namespace {
 
-/// A malformed flag is a usage error: the binary exits with status 2
-/// and names the flag.
-template <typename T>
-T FlagOrExit(util::Result<T> value, const char* figure) {
-  if (!value.ok()) {
-    std::fprintf(stderr, "%s: %s\n", figure,
-                 value.status().ToString().c_str());
+/// A malformed or unknown flag is a usage error: the binary exits with
+/// status 2 and names the flag.
+void ExitOnBadFlag(const util::Status& status, const char* figure) {
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s: %s\n", figure, status.ToString().c_str());
     std::exit(2);
   }
+}
+
+template <typename T>
+T FlagOrExit(util::Result<T> value, const char* figure) {
+  ExitOnBadFlag(value.status(), figure);
   return std::move(value).ValueOrDie();
 }
 
@@ -33,6 +34,9 @@ BenchContext BenchContext::Create(int argc, char** argv, const char* figure,
   ctx.figure_ = figure;
   ctx.flags_ = FlagOrExit(util::Flags::Parse(argc, argv), figure);
   const util::Flags& flags = ctx.flags_;
+  ExitOnBadFlag(flags.AllowOnly(
+                    {"divisor", "trace_dir", "retain_freed_blocks", "strict"}),
+                figure);
 
   int64_t divisor =
       FlagOrExit(flags.GetInt("divisor", default_divisor), figure);
@@ -43,25 +47,6 @@ BenchContext BenchContext::Create(int argc, char** argv, const char* figure,
       util::NextPowerOfTwo(static_cast<uint64_t>(divisor)));
   ctx.divisor_ = divisor;
   ctx.log2_divisor_ = util::Log2Floor(static_cast<uint64_t>(divisor));
-
-  // Host-side probe-pipeline depth for every functional probe loop in
-  // this process (wall-clock only — emitted figures are identical at
-  // any depth; 1 = scalar reference loops).
-  if (flags.Has("probe_pipeline_depth")) {
-    util::SetDefaultProbePipelineDepth(static_cast<int>(FlagOrExit(
-        flags.GetInt("probe_pipeline_depth", util::DefaultProbePipelineDepth()),
-        figure)));
-  }
-
-  // Host-side scatter-buffer size for every functional partitioning
-  // scatter in this process (wall-clock only — emitted figures are
-  // identical at any size; 1 = scalar per-tuple scatter).
-  if (flags.Has("scatter_buffer_tuples")) {
-    util::SetDefaultScatterBufferTuples(static_cast<int>(FlagOrExit(
-        flags.GetInt("scatter_buffer_tuples",
-                     util::DefaultScatterBufferTuples()),
-        figure)));
-  }
 
   // Chrome-trace dump directory (empty = tracing off). Purely
   // observational: emitted figure rows are identical either way.

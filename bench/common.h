@@ -37,10 +37,9 @@ namespace gjoin::bench {
 class BenchContext {
  public:
   /// Parses flags (--divisor overrides the figure's default; the
-  /// GJOIN_FULL_SCALE=1 environment variable forces divisor 1;
-  /// --probe_pipeline_depth sets the process-wide host probe-pipeline
-  /// depth — wall-clock only, emitted figures are identical at any
-  /// depth). A malformed argument or flag value (--divisor=8x,
+  /// GJOIN_FULL_SCALE=1 environment variable forces divisor 1; also
+  /// --trace_dir, --retain_freed_blocks and --strict). A malformed
+  /// argument, an unknown flag or a malformed value (--divisor=8x,
   /// --strict=yes) prints the error naming it and exits with status 2.
   static BenchContext Create(int argc, char** argv, const char* figure,
                              const char* title, int64_t default_divisor);

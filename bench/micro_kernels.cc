@@ -120,20 +120,16 @@ void BM_CpuProJoinFunctional(benchmark::State& state) {
 BENCHMARK(BM_CpuProJoinFunctional)->Arg(1 << 18);
 
 /// Host radix-scatter gate: wall-clock of CpuRadixPartition at 2^10
-/// fanout with the scalar tuple-at-a-time loop (scatter_buffer_tuples=1)
-/// vs the software-managed scatter buffers (process default). Buffered
-/// regressing toward Scalar means the cache-resident staging + burst
-/// flush stopped paying for itself. Output is identical either way
-/// (gpujoin_stat_invariance_test pins that); this pair gates only speed.
-/// Registered with MeasureProcessCPUTime: the partitioner runs on pool
-/// workers, which the default per-thread CPU clock cannot see.
-void RadixScatter(benchmark::State& state, int scatter_buffer_tuples) {
+/// fanout through the software-managed scatter buffers. A regression
+/// means the cache-resident staging + burst flush stopped paying for
+/// itself. Registered with MeasureProcessCPUTime: the partitioner runs
+/// on pool workers, which the default per-thread CPU clock cannot see.
+void BM_RadixScatterBuffered(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const auto rel = data::MakeUniformProbe(n, n, 15);
   const hw::CpuCostModel model{hw::CpuSpec{}};
   cpu::CpuPartitionConfig cfg;
   cfg.radix_bits = 10;
-  cfg.scatter_buffer_tuples = scatter_buffer_tuples;
   for (auto _ : state) {
     auto parts = util::ValueOrExit(
         std::move(cpu::CpuRadixPartition(rel, cfg, model)), "micro_kernels");
@@ -143,14 +139,6 @@ void RadixScatter(benchmark::State& state, int scatter_buffer_tuples) {
                           static_cast<int64_t>(n));
 }
 
-void BM_RadixScatterScalar(benchmark::State& state) {
-  RadixScatter(state, /*scatter_buffer_tuples=*/1);
-}
-BENCHMARK(BM_RadixScatterScalar)->Arg(1 << 20)->MeasureProcessCPUTime();
-
-void BM_RadixScatterBuffered(benchmark::State& state) {
-  RadixScatter(state, /*scatter_buffer_tuples=*/0);
-}
 BENCHMARK(BM_RadixScatterBuffered)->Arg(1 << 20)->MeasureProcessCPUTime();
 
 void BM_StreamingGenerate(benchmark::State& state) {
@@ -430,14 +418,14 @@ const data::Relation& PipelineProbe() {
 void BM_ProbePipelineChained(benchmark::State& state) {
   // Chained-probe pipeline gate: probe-only wall-clock of the AMAC
   // engine over a global chained table (the non-partitioned join's
-  // probe loop shape) at pipeline depth range(0). Depth 1 is the
-  // scalar reference loop; the speedup of the deeper entries is the
-  // memory-latency tolerance the knob buys. The table is built once,
-  // outside the timing loop.
+  // probe loop shape). range(0) names the engine's fixed depth, so the
+  // entry keeps its recorded name; a build whose util::kProbePipelineDepth
+  // differs fails rather than comparing a different ring against the
+  // baseline. The table is built once, outside the timing loop.
   const data::Relation& r = PipelineBuild();
   const data::Relation& s = PipelineProbe();
   const size_t n = r.size();
-  const size_t slots = n * 2;  // slots_per_tuple default
+  const size_t slots = n * 2;  // the non-partitioned join's slots per tuple
   static std::vector<int32_t> heads;
   static std::vector<util::PackedHashNode> nodes;
   if (heads.empty()) {
@@ -449,7 +437,10 @@ void BM_ProbePipelineChained(benchmark::State& state) {
       heads[slot] = static_cast<int32_t>(i);
     }
   }
-  const int depth = static_cast<int>(state.range(0));
+  if (state.range(0) != util::kProbePipelineDepth) {
+    state.SkipWithError("depth differs from util::kProbePipelineDepth");
+    return;
+  }
   uint64_t total = 0;
   for (auto _ : state) {
     uint64_t matches = 0, checksum = 0;
@@ -460,7 +451,7 @@ void BM_ProbePipelineChained(benchmark::State& state) {
       uint32_t stage;
     };
     util::ProbePipeline<Probe>(
-        s.size(), depth,
+        s.size(),
         [&](size_t i, Probe& p) {
           const uint32_t key = s.keys[i];
           const uint32_t slot = util::Mix32(key) & (slots - 1);
@@ -493,14 +484,13 @@ void BM_ProbePipelineChained(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(s.size()));
 }
-BENCHMARK(BM_ProbePipelineChained)->Arg(1)->Arg(4)->Arg(32);
+BENCHMARK(BM_ProbePipelineChained)->Arg(32);
 
 void BM_ProbePipelineDense(benchmark::State& state) {
   // Dense-probe pipeline gate: the perfect-hash shape — one
-  // *independent* access per probe into a dense array, which
-  // out-of-order execution already overlaps, so the depth entries
-  // document the (much smaller) benefit on the paper's best-case
-  // table.
+  // *independent* access per probe into a dense array through
+  // GroupProbe's batches. range(0) names the fixed depth, as in
+  // BM_ProbePipelineChained.
   const data::Relation& r = PipelineBuild();
   const data::Relation& s = PipelineProbe();
   const size_t n = r.size();
@@ -510,12 +500,15 @@ void BM_ProbePipelineDense(benchmark::State& state) {
     for (size_t i = 0; i < n; ++i) dense[r.keys[i]] = r.payloads[i] + 1;
   }
   const uint32_t max_key = static_cast<uint32_t>(n);
-  const int depth = static_cast<int>(state.range(0));
+  if (state.range(0) != util::kProbePipelineDepth) {
+    state.SkipWithError("depth differs from util::kProbePipelineDepth");
+    return;
+  }
   uint64_t total = 0;
   for (auto _ : state) {
     uint64_t matches = 0, checksum = 0;
     util::GroupProbe<uint32_t>(
-        s.size(), depth,
+        s.size(),
         [&](size_t i, uint32_t& key) {
           key = s.keys[i];
           if (key <= max_key) util::PrefetchRead(&dense[key]);
@@ -533,7 +526,7 @@ void BM_ProbePipelineDense(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(s.size()));
 }
-BENCHMARK(BM_ProbePipelineDense)->Arg(1)->Arg(4)->Arg(32);
+BENCHMARK(BM_ProbePipelineDense)->Arg(32);
 
 void BM_SessionSmallBatch(benchmark::State& state) {
   // Session-scheduler overhead gate: a 2-query shared-build batch of

@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   constexpr const char* kName = "out_of_gpu_pipeline";
   auto flags =
       util::ValueOrExit(std::move(util::Flags::Parse(argc, argv)), kName);
+  util::ExitOnError(flags.AllowOnly({"build", "ratio", "threads"}), kName);
   const size_t build_n = static_cast<size_t>(
       util::ValueOrExit(flags.GetInt("build", 2'000'000), kName));
   const size_t probe_n = build_n * static_cast<size_t>(util::ValueOrExit(

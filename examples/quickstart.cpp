@@ -18,6 +18,8 @@ int main(int argc, char** argv) {
   using namespace gjoin;
   auto flags = util::ValueOrExit(std::move(util::Flags::Parse(argc, argv)),
                                  "quickstart");
+  util::ExitOnError(flags.AllowOnly({"tuples", "ratio", "materialize"}),
+                    "quickstart");
   const size_t tuples = static_cast<size_t>(
       util::ValueOrExit(flags.GetInt("tuples", 4'000'000), "quickstart"));
   const int ratio = static_cast<int>(

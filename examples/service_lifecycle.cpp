@@ -23,6 +23,8 @@ int main(int argc, char** argv) {
   using namespace gjoin;
   auto flags = util::ValueOrExit(
       std::move(util::Flags::Parse(argc, argv)), "service_lifecycle");
+  util::ExitOnError(flags.AllowOnly({"tuples", "clients", "queue"}),
+                    "service_lifecycle");
   const size_t tuples = static_cast<size_t>(util::ValueOrExit(
       flags.GetInt("tuples", 400'000), "service_lifecycle"));
   const int clients = static_cast<int>(

@@ -22,6 +22,7 @@ int main(int argc, char** argv) {
   using namespace gjoin;
   auto flags = util::ValueOrExit(std::move(util::Flags::Parse(argc, argv)),
                                  "skew_study");
+  util::ExitOnError(flags.AllowOnly({"tuples"}), "skew_study");
   const size_t n = static_cast<size_t>(
       util::ValueOrExit(flags.GetInt("tuples", 1'000'000), "skew_study"));
   sim::Device device(hw::HardwareSpec::Icde2019Testbed());

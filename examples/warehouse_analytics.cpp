@@ -57,6 +57,7 @@ int main(int argc, char** argv) {
   using namespace gjoin;
   auto flags = util::ValueOrExit(std::move(util::Flags::Parse(argc, argv)),
                                  "warehouse_analytics");
+  util::ExitOnError(flags.AllowOnly({"sf"}), "warehouse_analytics");
   const double sf =
       util::ValueOrExit(flags.GetDouble("sf", 1.0), "warehouse_analytics");
 

@@ -16,7 +16,8 @@ still caught because the calibration kernel does not move with them.
 If the calibration benchmark is absent, the median ratio is used (which
 only catches regressions in fewer than half the kernels).
 
-Exit status: 0 = within tolerance, 1 = regression, 2 = usage/data error.
+Exit status: 0 = within tolerance, 1 = regression or a benchmark that
+reported an error (SkipWithError), 2 = usage/data error.
 Tolerance defaults to 0.30; override with GJOIN_MICRO_TOLERANCE.
 """
 
@@ -38,6 +39,12 @@ def main() -> int:
         baseline = json.load(f)["benchmarks"]
     current_run = json.load(sys.stdin)
     current = {b["name"]: b["cpu_time"] for b in current_run["benchmarks"]}
+    errors = [b for b in current_run["benchmarks"] if b.get("error_occurred")]
+    for b in errors:
+        print(f"ERROR    {b['name']}: {b.get('error_message', '')}",
+              file=sys.stderr)
+    if errors:
+        return 1
 
     ratios = {}
     for name, base_ns in baseline.items():

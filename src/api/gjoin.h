@@ -93,6 +93,12 @@ const char* AdmissionPolicyName(AdmissionPolicy policy);
 int DefaultCpuThreads();
 
 /// \brief Top-level join configuration.
+///
+/// The host's functional loops are fixed designs, not options: hash
+/// probes keep util::kProbePipelineDepth probes in flight, and
+/// partitioning scatters stage util::kScatterBufferTuples tuples per
+/// destination before a non-temporal flush. Neither changes results or
+/// charged KernelStats.
 struct JoinConfig {
   Strategy strategy = Strategy::kAuto;
 
@@ -114,25 +120,6 @@ struct JoinConfig {
   /// Probe algorithm for joining co-partitions.
   gjoin::gpujoin::ProbeAlgorithm probe_algorithm =
       gjoin::gpujoin::ProbeAlgorithm::kSharedHash;
-
-  /// Software probe-pipeline depth for the *functional* hash-probe
-  /// loops (how many probes the host keeps in flight, prefetching the
-  /// hash slot / chain node for probe i+depth while finishing probe i).
-  /// 0 = process default (util::DefaultProbePipelineDepth, initially
-  /// 32), 1 = scalar reference loop. Purely a host wall-clock knob:
-  /// join results and charged KernelStats are bit-identical at every
-  /// depth.
-  int probe_pipeline_depth = 0;
-
-  /// Software-managed scatter-buffer size, in tuples per destination,
-  /// for the *functional* partitioning scatters (host and simulated GPU
-  /// passes): tuples stage in small per-partition buffers and flush to
-  /// their destination as line-granularity non-temporal bursts. 0 =
-  /// process default (util::DefaultScatterBufferTuples, initially 64),
-  /// 1 = scalar reference loop (today's per-tuple scatter). Purely a
-  /// host wall-clock knob: join results and charged KernelStats are
-  /// bit-identical at every size.
-  int scatter_buffer_tuples = 0;
 
   /// Devices a topology-run join may span (the Join(Topology*, ...)
   /// overload; clamped to the topology's device count). The default of 1

@@ -18,10 +18,9 @@ namespace {
 /// flat table and probe it in parallel.
 void FunctionalAggJoin(const data::Relation& build,
                        const data::Relation& probe, util::ThreadPool* pool,
-                       int pipeline_depth, CpuJoinResult* result) {
+                       CpuJoinResult* result) {
   util::FlatAggTable table(build.size());
-  table.AddAll(build.keys.data(), build.payloads.data(), build.size(),
-               pipeline_depth);
+  table.AddAll(build.keys.data(), build.payloads.data(), build.size());
 
   std::atomic<uint64_t> matches{0};
   std::atomic<uint64_t> checksum{0};
@@ -29,7 +28,7 @@ void FunctionalAggJoin(const data::Relation& build,
                                             size_t hi) {
     uint64_t local_matches = 0, local_sum = 0;
     table.ProbeAll(probe.keys.data() + lo, probe.payloads.data() + lo,
-                   hi - lo, &local_matches, &local_sum, pipeline_depth);
+                   hi - lo, &local_matches, &local_sum);
     matches.fetch_add(local_matches, std::memory_order_relaxed);
     checksum.fetch_add(local_sum, std::memory_order_relaxed);
   });
@@ -50,7 +49,7 @@ util::Result<CpuJoinResult> NpoJoin(const data::Relation& build,
   if (pool == nullptr) pool = util::ThreadPool::Default();
 
   CpuJoinResult result;
-  FunctionalAggJoin(build, probe, pool, config.probe_pipeline_depth, &result);
+  FunctionalAggJoin(build, probe, pool, &result);
   result.cost = model.Npo(build.size(), probe.size(), config.threads);
   result.seconds = result.cost.total_s;
   return result;
@@ -75,7 +74,7 @@ util::Result<CpuJoinResult> ProJoin(const data::Relation& build,
   // partitioner and cpu_partition, both of which keep full functional
   // fidelity.
   CpuJoinResult result;
-  FunctionalAggJoin(build, probe, pool, config.probe_pipeline_depth, &result);
+  FunctionalAggJoin(build, probe, pool, &result);
   result.cost = model.Pro(build.size(), probe.size(), config.threads,
                           data::Relation::kTupleBytes, config.radix_bits);
   result.seconds = result.cost.total_s;

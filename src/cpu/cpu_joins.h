@@ -44,9 +44,6 @@ struct CpuJoinResult {
 struct CpuJoinConfig {
   int threads = 48;        ///< Paper: both NPO and PRO use all 48 threads.
   int radix_bits = 14;     ///< PRO fanout over two passes.
-  /// Probe-pipeline depth for the functional hash table (0 = process
-  /// default, 1 = scalar). Host wall-clock only; results identical.
-  int probe_pipeline_depth = 0;
 };
 
 /// Non-partitioned hash join (NPO).

@@ -12,15 +12,14 @@ namespace gjoin::cpu {
 
 namespace {
 
-/// Effective scatter-buffer tuples for a given fanout: the resolved knob
-/// value, additionally capped so the per-worker staging area (8 bytes
-/// per staged tuple) stays within 4 MB at high fanouts. Output is
-/// identical at every size, so the cap is purely a host-memory guard.
-int EffectiveScatterTuples(int requested, uint32_t fanout) {
-  const int resolved = util::ResolveScatterBufferTuples(requested);
+/// Scatter-buffer tuples for a given fanout: util::kScatterBufferTuples,
+/// capped so the per-worker staging area (8 bytes per staged tuple)
+/// stays within 4 MB at high fanouts. Output is identical at every
+/// size, so the cap is purely a host-memory guard.
+int EffectiveScatterTuples(uint32_t fanout) {
   const int cap = static_cast<int>(
       std::max<uint64_t>(1, (uint64_t{1} << 22) / (8ull * fanout)));
-  return std::min(resolved, cap);
+  return std::min(util::kScatterBufferTuples, cap);
 }
 
 }  // namespace
@@ -101,8 +100,7 @@ void StreamingCpuPartitioner::Append(const data::RelationView& view) {
   // form one contiguous stream starting at cursors[first_chunk][p] —
   // buffered flushes land byte-identically to the per-tuple scatter at
   // any worker count and any buffer size.
-  const int scatter_tuples =
-      EffectiveScatterTuples(config_.scatter_buffer_tuples, fanout);
+  const int scatter_tuples = EffectiveScatterTuples(fanout);
   const size_t num_workers =
       std::min<size_t>(num_chunks, std::max<size_t>(1, pool_->num_threads()));
   std::vector<util::ScatterBuffers> buffers(num_workers);

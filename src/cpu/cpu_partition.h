@@ -46,14 +46,6 @@ struct CpuPartitionConfig {
   int threads = 16;     ///< Paper: 16 partitioning threads.
   size_t chunk_tuples = 1 << 20;  ///< Chunk granularity for threads.
 
-  /// Software-managed scatter-buffer size in tuples per partition
-  /// (Section IV-B's buffered scatter). 0 = the process default
-  /// (util::DefaultScatterBufferTuples), 1 = the scalar reference loop.
-  /// Output and modeled seconds are identical at every size; only host
-  /// wall-clock changes. The effective size is additionally capped so
-  /// the per-worker staging area stays cache-resident at high fanouts.
-  int scatter_buffer_tuples = 0;
-
   /// Optional sink for gjoin_partition_scatter_* counters (observes
   /// only; never changes results).
   obs::MetricsRegistry* metrics = nullptr;

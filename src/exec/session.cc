@@ -33,9 +33,7 @@ namespace {
 PartitionedJoinConfig MakeJoinConfig(const api::JoinConfig& config) {
   PartitionedJoinConfig join_cfg;
   join_cfg.partition.pass_bits = config.pass_bits;
-  join_cfg.partition.scatter_buffer_tuples = config.scatter_buffer_tuples;
   join_cfg.join.algo = config.probe_algorithm;
-  join_cfg.join.probe_pipeline_depth = config.probe_pipeline_depth;
   return join_cfg;
 }
 
@@ -1303,7 +1301,6 @@ util::Status Session::ExecuteAttempt(int index, api::Strategy strategy,
       outofgpu::CoProcessConfig co_cfg;
       co_cfg.join = join_cfg;
       co_cfg.cpu.threads = query.config.cpu_threads;
-      co_cfg.cpu.scatter_buffer_tuples = query.config.scatter_buffer_tuples;
       co_cfg.materialize_to_host = query.config.materialize;
       // The NUMA planner picks the pinned-buffer/staging placement for
       // this device's upload path (on the paper's testbed: stage).
@@ -1368,9 +1365,6 @@ util::Status Session::ExecuteAttempt(int index, api::Strategy strategy,
       // memory is touched, so it cannot OOM on simulated device faults.
       cpu::CpuJoinConfig cpu_cfg;
       cpu_cfg.threads = query.config.cpu_threads;
-      if (query.config.probe_pipeline_depth > 0) {
-        cpu_cfg.probe_pipeline_depth = query.config.probe_pipeline_depth;
-      }
       GJOIN_ASSIGN_OR_RETURN(
           cpu::CpuJoinResult run,
           cpu::ProJoin(build, probe, cpu_cfg,

@@ -328,8 +328,6 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
   }
 
   const uint32_t num_partitions = build.chains.num_partitions();
-  const int pipeline_depth =
-      util::ResolveProbePipelineDepth(config.probe_pipeline_depth);
   const int radix_bits = build.radix_bits;
   const int base_shift = build.base_shift;
   const int key_bits = config.key_bits > 0 ? config.key_bits : 32;
@@ -771,7 +769,7 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
                 ++cur_epoch;
                 dev_nodes.resize(std::max<size_t>(dev_nodes.size(), r_count));
                 util::GroupProbe<uint32_t>(
-                    r_count, pipeline_depth,
+                    r_count,
                     [&](size_t i, uint32_t& slot) {
                       slot = util::HashTableSlot(rkeys[i], radix_bits,
                                                  config.hash_slots);
@@ -874,7 +872,7 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
                       pre != nullptr ? pre->next16.data() : area.next;
                   const bool epoch_gated = pre == nullptr;
                   util::GroupProbe<uint16_t>(
-                      s_fill, pipeline_depth,
+                      s_fill,
                       [&](size_t i, uint16_t& e) {
                         const uint32_t slot = util::HashTableSlot(
                             skeys[i], radix_bits, config.hash_slots);
@@ -914,7 +912,7 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
                   uint32_t stage;
                 };
                 util::ProbePipeline<Probe>(
-                    s_fill, pipeline_depth,
+                    s_fill,
                     [&](size_t i, Probe& p) {
                       const uint32_t slot = util::HashTableSlot(
                           skeys[i], radix_bits, config.hash_slots);
@@ -1034,7 +1032,7 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
                 const uint32_t* spays = probe.chains.payloads() + s_base;
                 if (config.algo == ProbeAlgorithm::kSharedHash) {
                   util::GroupProbe<uint16_t>(
-                      s_fill, pipeline_depth,
+                      s_fill,
                       [&](size_t i, uint16_t& e) {
                         e = t.heads16[util::HashTableSlot(
                             skeys[i], radix_bits, config.hash_slots)];
@@ -1046,10 +1044,9 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
                         }
                       });
                 } else if (config.algo == ProbeAlgorithm::kDeviceHash) {
-                  // The in-order two-stage pipeline keeps probe order at
-                  // every depth.
+                  // The in-order two-stage pipeline keeps probe order.
                   util::OrderedProbePipeline<int32_t>(
-                      s_fill, pipeline_depth,
+                      s_fill,
                       [&](size_t i, int32_t& st) {
                         st = static_cast<int32_t>(util::HashTableSlot(
                             skeys[i], radix_bits, config.hash_slots));

@@ -110,17 +110,6 @@ struct CoPartitionJoinConfig {
   int build_extra_payload_bytes = 0;
   int probe_extra_payload_bytes = 0;
 
-  /// Probe-pipeline depth for the functional probe loops (0 = process
-  /// default, 1 = scalar reference loop). Host wall-clock only; results
-  /// and charged stats are identical at every depth. Device-memory
-  /// tables count through the out-of-order pipeline and enumerate
-  /// surviving pairs through the ordered one; shared-memory chain walks
-  /// use the in-order batched head resolution (their host copy is
-  /// cache-resident, but batching still overlaps the per-probe
-  /// dependence chains). Shared-memory probes that look up a
-  /// key-aggregated table (see the header comment) do not use it.
-  int probe_pipeline_depth = 0;
-
   // --- Ablation switches (bench/abl_*) ---
 
   /// kNestedLoop only: false degrades Listing 1's warp-cooperative

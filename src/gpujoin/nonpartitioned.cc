@@ -14,6 +14,9 @@ namespace {
 using util::CeilDiv;
 using util::PackedHashNode;
 
+/// Chained-table slots per build tuple: slots = next_pow2(n * this).
+constexpr size_t kSlotsPerTuple = 2;
+
 /// Work split helper: [begin, end) range of block `b` out of `nb`.
 std::pair<size_t, size_t> BlockRange(size_t n, int b, int nb) {
   const size_t chunk = CeilDiv(n, static_cast<size_t>(nb));
@@ -35,8 +38,6 @@ util::Result<PreparedNonPartitionedBuild> PrepareNonPartitionedBuild(
     const NonPartitionedJoinConfig& config) {
   const size_t n = build.size;
   const int num_blocks = ResolveNumBlocks(*device, config);
-  const int depth =
-      util::ResolveProbePipelineDepth(config.probe_pipeline_depth);
 
   PreparedNonPartitionedBuild prepared;
   prepared.variant = config.variant;
@@ -68,7 +69,7 @@ util::Result<PreparedNonPartitionedBuild> PrepareNonPartitionedBuild(
           block.ChargeCycles((end - begin) * 3 / 32 + 1);
           // In-order batches; the scatter store is the dependent access.
           util::GroupProbe<uint32_t>(
-              end - begin, depth,
+              end - begin,
               [&](size_t i, uint32_t& key) {
                 key = build.keys[begin + i];
                 util::PrefetchWrite(&dense[key]);
@@ -95,7 +96,7 @@ util::Result<PreparedNonPartitionedBuild> PrepareNonPartitionedBuild(
 
   // ---- Chaining: global table with offset-linked chains ----
   const size_t slots = util::NextPowerOfTwo(
-      std::max<size_t>(n * config.slots_per_tuple, 64));
+      std::max<size_t>(n * kSlotsPerTuple, 64));
   GJOIN_ASSIGN_OR_RETURN(prepared.heads,
                          device->memory().Allocate<int32_t>(slots,
                                                             "npj:heads"));
@@ -140,7 +141,7 @@ util::Result<PreparedNonPartitionedBuild> PrepareNonPartitionedBuild(
             auto [begin, end] = BlockRange(n, block.block_id(), num_blocks);
             if (begin >= end) return;
             util::GroupProbe<uint32_t>(
-                end - begin, depth,
+                end - begin,
                 [&](size_t i, uint32_t& slot) {
                   slot = util::Mix32(build.keys[begin + i]) & (slots - 1);
                   util::PrefetchWrite(&heads[slot]);
@@ -167,8 +168,6 @@ util::Result<JoinStats> NonPartitionedJoinWithBuild(
   }
   const size_t n = build.build_tuples;
   const int num_blocks = ResolveNumBlocks(*device, config);
-  const int depth =
-      util::ResolveProbePipelineDepth(config.probe_pipeline_depth);
   const uint64_t table_bytes = build.table_bytes;
 
   OutputRing ring;
@@ -209,7 +208,7 @@ util::Result<JoinStats> NonPartitionedJoinWithBuild(
           block.ChargeCycles((end - begin) * 3 / 32 + 1);
           // One dependent access per probe.
           util::GroupProbe<uint32_t>(
-              end - begin, depth,
+              end - begin,
               [&](size_t i, uint32_t& key) {
                 key = probe.keys[begin + i];
                 if (key <= max_key) util::PrefetchRead(&dense[key]);
@@ -255,7 +254,7 @@ util::Result<JoinStats> NonPartitionedJoinWithBuild(
             auto [begin, end] =
                 BlockRange(probe.size, static_cast<int>(b), num_blocks);
             util::GroupProbe<uint32_t>(
-                end - begin, depth,
+                end - begin,
                 [&](size_t i, uint32_t& key) {
                   key = probe.keys[begin + i];
                   if (key <= max_key) util::PrefetchRead(&dense[key]);
@@ -292,7 +291,7 @@ util::Result<JoinStats> NonPartitionedJoinWithBuild(
             uint32_t stage;
           };
           util::ProbePipeline<Probe>(
-              end - begin, depth,
+              end - begin,
               [&](size_t i, Probe& p) {
                 const uint32_t key = probe.keys[begin + i];
                 const uint32_t slot = util::Mix32(key) & (slots - 1);
@@ -360,7 +359,7 @@ util::Result<JoinStats> NonPartitionedJoinWithBuild(
             auto [begin, end] =
                 BlockRange(probe.size, static_cast<int>(b), num_blocks);
             util::OrderedProbePipeline<int32_t>(
-                end - begin, depth,
+                end - begin,
                 [&](size_t i, int32_t& st) {
                   st = static_cast<int32_t>(
                       util::Mix32(probe.keys[begin + i]) & (slots - 1));

@@ -37,11 +37,6 @@ struct NonPartitionedJoinConfig {
   OutputMode output = OutputMode::kAggregate;
   int threads_per_block = 1024;
   int num_blocks = 0;        ///< 0 = one block per SM slot.
-  uint32_t slots_per_tuple = 2;  ///< Table slots = next_pow2(n * this).
-  /// Probe-pipeline depth for the functional probe loops (0 = process
-  /// default, 1 = scalar reference loop). Affects host wall-clock only;
-  /// results and charged stats are identical at every depth.
-  int probe_pipeline_depth = 0;
   /// Late-materialization payload widths (Figs. 9/10). The probe side
   /// stays in input order here, so its gather is sequential — the reason
   /// non-partitioned joins win for wide probe payloads (Fig. 9).

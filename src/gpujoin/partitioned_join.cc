@@ -65,28 +65,6 @@ util::Result<JoinStats> PartitionedJoin(sim::Device* device,
   return JoinPartitioned(device, r_parted, s_parted, cfg, probe.size);
 }
 
-util::Result<JoinStats> PartitionedJoinChunkedConsuming(
-    sim::Device* device, ChunkedDeviceInput build, ChunkedDeviceInput probe,
-    const PartitionedJoinConfig& config) {
-  PartitionedJoinConfig cfg = config;
-  const size_t probe_size = probe.size();
-  if (cfg.join.key_bits == 0) {
-    // Scanned before the input is consumed.
-    cfg.join.key_bits = KeyBitsFor(build.MaxKey());
-  }
-
-  GJOIN_ASSIGN_OR_RETURN(
-      PartitionedRelation r_parted,
-      RadixPartitionChunkedConsuming(device, std::move(build),
-                                     cfg.partition));
-  GJOIN_ASSIGN_OR_RETURN(
-      PartitionedRelation s_parted,
-      RadixPartitionChunkedConsuming(device, std::move(probe),
-                                     cfg.partition));
-
-  return JoinPartitioned(device, r_parted, s_parted, cfg, probe_size);
-}
-
 util::Result<PreparedBuild> PreparePartitionedBuild(
     sim::Device* device, const data::Relation& build,
     const PartitionedJoinConfig& config) {
@@ -108,20 +86,15 @@ util::Result<PreparedBuild> PreparePartitionedBuild(
 util::Result<JoinStats> PartitionedJoinFromHost(
     sim::Device* device, const data::Relation& build,
     const data::Relation& probe, const PartitionedJoinConfig& config,
-    int probe_segments) {
-  GJOIN_ASSIGN_OR_RETURN(PreparedBuild prepared,
-                         PreparePartitionedBuild(device, build, config));
-  return PartitionedJoinFromHostWithBuild(device, prepared, probe, config,
-                                          probe_segments);
-}
-
-util::Result<JoinStats> PartitionedJoinFromHostWithBuild(
-    sim::Device* device, const PreparedBuild& build,
-    const data::Relation& probe, const PartitionedJoinConfig& config,
-    int probe_segments) {
+    int probe_segments, const PreparedBuild* prepared) {
+  PreparedBuild fresh;
+  if (prepared == nullptr) {
+    GJOIN_ASSIGN_OR_RETURN(fresh,
+                           PreparePartitionedBuild(device, build, config));
+    prepared = &fresh;
+  }
   PartitionedJoinConfig cfg = config;
-  if (cfg.join.key_bits == 0) cfg.join.key_bits = build.key_bits;
-  const PartitionedRelation& r_parted = build.parted;
+  if (cfg.join.key_bits == 0) cfg.join.key_bits = prepared->key_bits;
 
   if (probe_segments <= 0) {
     // Size segments so one raw segment plus the partitioned probe side
@@ -138,7 +111,8 @@ util::Result<JoinStats> PartitionedJoinFromHostWithBuild(
       PartitionedRelation s_parted,
       RadixPartitionSegmented(device, probe, cfg.partition, probe_segments));
 
-  return JoinPartitioned(device, r_parted, s_parted, cfg, probe.size());
+  return JoinPartitioned(device, prepared->parted, s_parted, cfg,
+                         probe.size());
 }
 
 }  // namespace gjoin::gpujoin

@@ -33,28 +33,6 @@ util::Result<JoinStats> PartitionedJoin(sim::Device* device,
                                         const DeviceRelation& probe,
                                         const PartitionedJoinConfig& config);
 
-/// Like PartitionedJoin, but takes ownership of the inputs, each the
-/// concatenation of its chunks (see ChunkedDeviceInput): the first
-/// partitioning pass walks and releases the staged chunks in place, so
-/// peak residency never holds raw input plus partitioned form. Stats are
-/// bit-identical to PartitionedJoin over contiguous copies of the same
-/// tuples.
-[[nodiscard]]
-util::Result<JoinStats> PartitionedJoinChunkedConsuming(
-    sim::Device* device, ChunkedDeviceInput build, ChunkedDeviceInput probe,
-    const PartitionedJoinConfig& config);
-
-/// Highest-level in-GPU entry point: uploads from host relations,
-/// partitioning the probe side in segments (0 = auto-size so everything
-/// fits device memory) so large build:probe ratios remain feasible.
-/// Upload *timing* is not charged (in-GPU experiments assume resident
-/// data; out-of-GPU strategies time transfers explicitly).
-[[nodiscard]]
-util::Result<JoinStats> PartitionedJoinFromHost(
-    sim::Device* device, const data::Relation& build,
-    const data::Relation& probe, const PartitionedJoinConfig& config,
-    int probe_segments = 0);
-
 /// \brief A build side uploaded and partitioned once, reusable across
 /// several probes — the multi-query sharing primitive (concurrent
 /// queries against a common relation share its device-resident
@@ -75,15 +53,20 @@ util::Result<PreparedBuild> PreparePartitionedBuild(
     sim::Device* device, const data::Relation& build,
     const PartitionedJoinConfig& config);
 
-/// Joins `probe` against a prepared build. Returns stats identical to
-/// PartitionedJoinFromHost(device, build, probe, config) — partitioning
-/// is deterministic, so the prepared form's seconds stand in for a
-/// fresh run's.
+/// Highest-level in-GPU entry point: uploads from host relations,
+/// partitioning the probe side in segments (0 = auto-size so everything
+/// fits device memory) so large build:probe ratios remain feasible.
+/// Upload *timing* is not charged (in-GPU experiments assume resident
+/// data; out-of-GPU strategies time transfers explicitly). A non-null
+/// `prepared` (PreparePartitionedBuild of `build` under `config`) is
+/// joined instead of uploading and partitioning `build` again; stats
+/// are identical, since partitioning is deterministic and the prepared
+/// form's seconds stand in for a fresh run's.
 [[nodiscard]]
-util::Result<JoinStats> PartitionedJoinFromHostWithBuild(
-    sim::Device* device, const PreparedBuild& build,
+util::Result<JoinStats> PartitionedJoinFromHost(
+    sim::Device* device, const data::Relation& build,
     const data::Relation& probe, const PartitionedJoinConfig& config,
-    int probe_segments = 0);
+    int probe_segments = 0, const PreparedBuild* prepared = nullptr);
 
 /// The join phase every in-GPU partitioned join ends in: allocates the
 /// materialized-output ring (config.out_capacity pairs, else

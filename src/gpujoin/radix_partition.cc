@@ -297,7 +297,7 @@ struct BlockTally {
 class ParentSweeper {
  public:
   ParentSweeper(BucketChains* in, BucketChains* out, int shift, int bits,
-                uint32_t num_blocks, uint32_t stage_elems, int scatter_tuples)
+                uint32_t num_blocks, uint32_t stage_elems)
       : in_(in),
         out_(out),
         shift_(shift),
@@ -305,7 +305,6 @@ class ParentSweeper {
         fanout_(1u << bits),
         num_blocks_(num_blocks),
         stage_elems_(stage_elems),
-        scatter_tuples_(scatter_tuples),
         routed_(fanout_),
         group_(fanout_),
         tallies_(num_blocks) {}
@@ -318,7 +317,7 @@ class ParentSweeper {
     std::fill(routed_.begin(), routed_.end(), 0);
     child_base_ = parent << bits_;
     sb_ = &ScatterScratch();
-    sb_->Init(fanout_, scatter_tuples_);
+    sb_->Init(fanout_);
     // Bucket i belongs to block (r0 + i) mod B: visit the owners in
     // ascending id, each starting at its first bucket.
     for (uint32_t b = 0; b < num_blocks_; ++b) {
@@ -426,7 +425,6 @@ class ParentSweeper {
   uint32_t fanout_;
   uint32_t num_blocks_;
   uint32_t stage_elems_;
-  int scatter_tuples_;
   uint32_t child_base_ = 0;
   util::ScatterBuffers* sb_ = nullptr;
   std::vector<uint64_t> routed_;  ///< Child's tuples from lower blocks.
@@ -559,11 +557,13 @@ struct ChunkedPassSource {
   void BlockDone(size_t begin, size_t end) { input->BlockDone(begin, end); }
 };
 
+/// Pass 1 over `src`, publishing into `out`'s chains (a fresh first-pass
+/// layout, or earlier segments' chains sharing the same pool).
 template <typename Source>
-util::Result<PartitionedRelation> FirstPassOverSource(
-    sim::Device* device, Source src, size_t input_size, int shift, int bits,
-    const RadixPartitionConfig& config, PartitionedRelation* append_to) {
-  GJOIN_RETURN_NOT_OK(ValidatePass(config, shift, bits));
+util::Status FirstPassOverSource(sim::Device* device, Source src,
+                                 size_t input_size, int shift, int bits,
+                                 const RadixPartitionConfig& config,
+                                 PartitionedRelation* out) {
   const uint32_t fanout = 1u << bits;
   const size_t smem_needed =
       BlockLocalSharedBytes(fanout, config.stage_elems);
@@ -574,38 +574,12 @@ util::Result<PartitionedRelation> FirstPassOverSource(
         "B shared memory, exceeding the per-block limit");
   }
 
-  const uint32_t capacity =
-      config.bucket_capacity != 0
-          ? config.bucket_capacity
-          : AutoBucketCapacity(input_size, config.num_partitions());
   const int num_blocks =
       config.num_blocks != 0
           ? config.num_blocks
           : device->spec().gpu.num_sms * device->spec().gpu.blocks_per_sm;
-  const int scatter_tuples =
-      util::ResolveScatterBufferTuples(config.scatter_buffer_tuples);
 
-  PartitionedRelation out;
-  if (append_to != nullptr) {
-    // Segmented partitioning: publish into the caller's existing chains
-    // (their pool must have headroom for this segment).
-    if (append_to->radix_bits != bits || append_to->base_shift != shift) {
-      return util::Status::Invalid("append: radix layout mismatch");
-    }
-    out = std::move(*append_to);
-  } else {
-    const uint32_t pool_buckets =
-        static_cast<uint32_t>(CeilDiv(input_size, capacity)) +
-        static_cast<uint32_t>(num_blocks) * fanout + fanout;
-    GJOIN_ASSIGN_OR_RETURN(
-        BucketChains chains,
-        BucketChains::Allocate(&device->memory(), fanout, pool_buckets,
-                               capacity));
-    out.chains = std::move(chains);
-    out.radix_bits = bits;
-    out.base_shift = shift;
-  }
-  BucketChains& chains = out.chains;
+  BucketChains& chains = out->chains;
 
   const size_t n = input_size;
   const size_t chunk = num_blocks > 0 ? CeilDiv(n, num_blocks) : n;
@@ -639,7 +613,7 @@ util::Result<PartitionedRelation> FirstPassOverSource(
             // scatter buffer; a full buffer flushes to the bucket chain
             // as one non-temporal burst.
             util::ScatterBuffers& sb = ScatterScratch();
-            sb.Init(fanout, scatter_tuples);
+            sb.Init(fanout);
             auto cur = src.At(begin);
             // The cursor never steps past the block's last tuple (a
             // chunked source may have freed whatever follows).
@@ -669,27 +643,15 @@ util::Result<PartitionedRelation> FirstPassOverSource(
   SpliceSegments(&chains, pending);
   PublishScatterCounters(config, scatter_counters);
 
-  out.tuples += n;
-  out.seconds += result.seconds;
-  if (out.pass_seconds.empty()) {
-    out.pass_seconds = {result.seconds};
+  out->tuples += n;
+  out->seconds += result.seconds;
+  if (out->pass_seconds.empty()) {
+    out->pass_seconds = {result.seconds};
   } else {
-    out.pass_seconds[0] += result.seconds;
+    out->pass_seconds[0] += result.seconds;
   }
-  return out;
+  return util::Status::OK();
 }
-
-}  // namespace
-
-util::Result<PartitionedRelation> RadixPartitionFirstPass(
-    sim::Device* device, const DeviceRelation& input, int shift, int bits,
-    const RadixPartitionConfig& config, PartitionedRelation* append_to) {
-  return FirstPassOverSource(
-      device, FlatPassSource{input.keys.data(), input.payloads.data()},
-      input.size, shift, bits, config, append_to);
-}
-
-namespace {
 
 /// Bucket-at-a-time: one ParentSweeper per pool worker moves the tuples
 /// parent by parent (largest parents claimed first, so a hot parent
@@ -722,13 +684,11 @@ util::Result<sim::LaunchResult> BucketAtATimePass(
 
   util::ThreadPool* pool = device->pool();
   const size_t workers = std::min<size_t>(pool->num_threads(), parents);
-  const int scatter_tuples =
-      util::ResolveScatterBufferTuples(config.scatter_buffer_tuples);
   std::vector<ParentSweeper> sweepers;
   sweepers.reserve(workers);
   for (size_t w = 0; w < workers; ++w) {
-    sweepers.emplace_back(in, out, shift, bits, num_blocks, config.stage_elems,
-                          scatter_tuples);
+    sweepers.emplace_back(in, out, shift, bits, num_blocks,
+                          config.stage_elems);
   }
   std::atomic<uint32_t> next_parent{0};
   pool->ParallelForRanges(
@@ -787,8 +747,6 @@ util::Result<sim::LaunchResult> PartitionAtATimePass(
   const uint32_t subfanout = 1u << bits;
   const uint32_t capacity = in.bucket_capacity();
   const size_t num_blocks = static_cast<size_t>(launch.num_blocks);
-  const int scatter_tuples =
-      util::ResolveScatterBufferTuples(config.scatter_buffer_tuples);
   std::vector<std::vector<uint32_t>> block_parents(num_blocks);
   for (uint32_t p = 0; p < parents; ++p) {
     if (in.heads()[p] != BucketChains::kNull) {
@@ -804,7 +762,7 @@ util::Result<sim::LaunchResult> PartitionAtATimePass(
         const size_t id = static_cast<size_t>(block.block_id());
         if (block_parents[id].empty()) return;
         util::ScatterBuffers& sb = ScatterScratch();
-        sb.Init(subfanout, scatter_tuples);
+        sb.Init(subfanout);
         BlockLocalChains local;
         if (!local.Alloc(&block, subfanout, config.stage_elems)) return;
         for (const uint32_t parent : block_parents[id]) {
@@ -850,12 +808,14 @@ util::Result<sim::LaunchResult> PartitionAtATimePass(
   return result;
 }
 
-}  // namespace
-
-util::Result<PartitionedRelation> RadixPartitionNextPass(
-    sim::Device* device, PartitionedRelation prev, int shift, int bits,
-    const RadixPartitionConfig& config) {
-  GJOIN_RETURN_NOT_OK(ValidatePass(config, shift, bits));
+/// One sub-partitioning pass over previous-pass chains: each parent
+/// partition p fans out to children [p * 2^bits, (p+1) * 2^bits).
+/// Takes `prev` by value: the pass consumes the input chains, recycling
+/// their buckets into the shared pool as it drains them.
+util::Result<PartitionedRelation> NextPass(sim::Device* device,
+                                           PartitionedRelation prev,
+                                           int shift, int bits,
+                                           const RadixPartitionConfig& config) {
   const uint32_t subfanout = 1u << bits;
   const size_t smem_needed =
       BlockLocalSharedBytes(subfanout, config.stage_elems);
@@ -902,8 +862,6 @@ util::Result<PartitionedRelation> RadixPartitionNextPass(
   out.pass_seconds.push_back(result.seconds);
   return out;
 }
-
-namespace {
 
 /// Shared driver: `host_input` + `segments` selects the segmented path,
 /// `chunked` the chunk-consuming path; otherwise `device_input` is used
@@ -993,22 +951,23 @@ util::Result<PartitionedRelation> RadixPartitionImpl(
           DeviceRelation seg_dev,
           DeviceRelation::Upload(
               device, data::RelationView::Slice(*host_input, begin, end)));
-      GJOIN_ASSIGN_OR_RETURN(
-          rel, RadixPartitionFirstPass(device, seg_dev, cfg.base_shift,
-                                       cfg.pass_bits[0], cfg, &rel));
+      GJOIN_RETURN_NOT_OK(FirstPassOverSource(
+          device, FlatPassSource{seg_dev.keys.data(), seg_dev.payloads.data()},
+          seg_dev.size, cfg.base_shift, cfg.pass_bits[0], cfg, &rel));
       // seg_dev freed at scope exit: only one segment is ever resident.
     }
   } else if (chunked != nullptr) {
     // Same single launch as the contiguous path, walking the chunks in
     // place; each chunk is freed once its last reader block finishes.
-    GJOIN_ASSIGN_OR_RETURN(
-        rel, FirstPassOverSource(device, ChunkedPassSource{chunked},
-                                 static_cast<size_t>(n), cfg.base_shift,
-                                 cfg.pass_bits[0], cfg, &rel));
+    GJOIN_RETURN_NOT_OK(FirstPassOverSource(
+        device, ChunkedPassSource{chunked}, static_cast<size_t>(n),
+        cfg.base_shift, cfg.pass_bits[0], cfg, &rel));
   } else {
-    GJOIN_ASSIGN_OR_RETURN(
-        rel, RadixPartitionFirstPass(device, *device_input, cfg.base_shift,
-                                     cfg.pass_bits[0], cfg, &rel));
+    GJOIN_RETURN_NOT_OK(FirstPassOverSource(
+        device,
+        FlatPassSource{device_input->keys.data(),
+                       device_input->payloads.data()},
+        device_input->size, cfg.base_shift, cfg.pass_bits[0], cfg, &rel));
     if (consume != nullptr) {
       consume->keys.Reset();
       consume->payloads.Reset();
@@ -1018,8 +977,8 @@ util::Result<PartitionedRelation> RadixPartitionImpl(
   int shift = cfg.base_shift + cfg.pass_bits[0];
   for (size_t pass = 1; pass < cfg.pass_bits.size(); ++pass) {
     GJOIN_ASSIGN_OR_RETURN(
-        rel, RadixPartitionNextPass(device, std::move(rel), shift,
-                                    cfg.pass_bits[pass], cfg));
+        rel, NextPass(device, std::move(rel), shift, cfg.pass_bits[pass],
+                      cfg));
     shift += cfg.pass_bits[pass];
   }
   return rel;

@@ -76,15 +76,6 @@ struct RadixPartitionConfig {
   /// Shared-memory staging slots per partition ("shuffle space").
   uint32_t stage_elems = 16;
 
-  /// Host-side software-managed scatter-buffer size in tuples per
-  /// destination (Section IV-B's buffered scatter, applied to the
-  /// simulator's own host execution). 0 = the process default
-  /// (util::DefaultScatterBufferTuples), 1 = the scalar tuple-at-a-time
-  /// reference loop. Purely a host-speed knob: results and charged
-  /// KernelStats are bit-identical at every size
-  /// (gpujoin_stat_invariance_test pins this).
-  int scatter_buffer_tuples = 0;
-
   /// Optional sink for host-scatter throughput counters
   /// (gjoin_partition_scatter_bytes_total / _flushes_total; a
   /// bucket-at-a-time pass drains its buffers once per parent, so its
@@ -228,26 +219,6 @@ util::Result<PartitionedRelation> RadixPartitionChunkedConsuming(
 util::Result<PartitionedRelation> RadixPartitionSegmented(
     sim::Device* device, const data::Relation& input,
     const RadixPartitionConfig& config, int segments);
-
-/// Single pass over a contiguous input (pass 1). `shift`/`bits` select
-/// the radix field. When `append_to` is non-null, tuples are published
-/// into its existing chains (same layout, shared pool) instead of fresh
-/// ones, and the updated relation is returned.
-[[nodiscard]]
-util::Result<PartitionedRelation> RadixPartitionFirstPass(
-    sim::Device* device, const DeviceRelation& input, int shift, int bits,
-    const RadixPartitionConfig& config,
-    PartitionedRelation* append_to = nullptr);
-
-/// Single sub-partitioning pass over previous-pass chains: each parent
-/// partition p fans out to children [p * 2^bits, (p+1) * 2^bits).
-/// Takes `prev` by value: the pass consumes the input chains, recycling
-/// their buckets into the shared pool as it drains them (callers that
-/// kept a handle would otherwise observe half-drained chains).
-[[nodiscard]]
-util::Result<PartitionedRelation> RadixPartitionNextPass(
-    sim::Device* device, PartitionedRelation prev, int shift, int bits,
-    const RadixPartitionConfig& config);
 
 /// Auto-sizes bucket capacity for `tuples` spread over `partitions`
 /// (exposed for tests).

@@ -144,20 +144,30 @@ util::Result<CoProcessPlan> PlanWorkingSets(
       (r_parts.tuples + s_parts.tuples) * data::Relation::kTupleBytes;
   for (size_t set_index = 0; set_index < sets.size(); ++set_index) {
     const WorkingSet& ws = sets[set_index];
-    // The join's first pass walks and frees the staged chunks; consumed
-    // partitions are released even when the set is skipped as empty.
+    // Each side's first partitioning pass walks and frees its staged
+    // chunks; consumed partitions are released even when the set is
+    // skipped as empty.
     gjoin::gpujoin::ChunkedDeviceInput r_in =
         StageSet(r_parts, owned_build, ws.partitions, device->pool());
     gjoin::gpujoin::ChunkedDeviceInput s_in =
         StageSet(s_parts, owned_probe, ws.partitions, device->pool());
+    const size_t s_tuples = s_in.size();
     const uint64_t r_bytes = r_in.size() * data::Relation::kTupleBytes;
-    const uint64_t s_bytes = s_in.size() * data::Relation::kTupleBytes;
+    const uint64_t s_bytes = s_tuples * data::Relation::kTupleBytes;
     if (r_bytes == 0 || s_bytes == 0) continue;
 
     GJOIN_ASSIGN_OR_RETURN(
+        gjoin::gpujoin::PartitionedRelation r_parted,
+        gjoin::gpujoin::RadixPartitionChunkedConsuming(
+            &scratch, std::move(r_in), join_cfg.partition));
+    GJOIN_ASSIGN_OR_RETURN(
+        gjoin::gpujoin::PartitionedRelation s_parted,
+        gjoin::gpujoin::RadixPartitionChunkedConsuming(
+            &scratch, std::move(s_in), join_cfg.partition));
+    GJOIN_ASSIGN_OR_RETURN(
         JoinStats ws_join,
-        gjoin::gpujoin::PartitionedJoinChunkedConsuming(
-            &scratch, std::move(r_in), std::move(s_in), join_cfg));
+        gjoin::gpujoin::JoinPartitioned(&scratch, r_parted, s_parted,
+                                        join_cfg, s_tuples));
 
     // Oversized singleton sets: the R side exceeds the budget, so S is
     // re-streamed once per budget-sized R slice (GPU sub-partitioning,

@@ -26,6 +26,23 @@ Result<Flags> Flags::Parse(int argc, char** argv) {
   return flags;
 }
 
+Status Flags::AllowOnly(std::initializer_list<std::string_view> names) const {
+  for (const auto& entry : values_) {
+    const std::string& name = entry.first;
+    bool known = false;
+    for (const std::string_view allowed : names) known |= name == allowed;
+    if (known) continue;
+    std::string accepted;
+    for (const std::string_view allowed : names) {
+      accepted += accepted.empty() ? "--" : ", --";
+      accepted += allowed;
+    }
+    return Status::Invalid("unknown flag --" + name + " (accepted: " +
+                           (accepted.empty() ? "none" : accepted) + ")");
+  }
+  return Status::OK();
+}
+
 std::string Flags::GetString(const std::string& name,
                              const std::string& def) const {
   auto it = values_.find(name);

@@ -1,7 +1,7 @@
 // Minimal command-line flag parsing for the benchmark and example
-// binaries. Flags are --name=value or --name value. Names are not
-// declared: a flag no reader asks for is ignored, so a misspelled flag
-// runs the default (check the banner a binary prints). A value that
+// binaries. Flags are --name=value or --name value. Each binary passes
+// the names it reads to AllowOnly, so a misspelled or retired flag is an
+// error naming it instead of a silent run of the defaults. A value that
 // does not parse as the type its reader asks for is an error naming the
 // flag and the value.
 
@@ -9,8 +9,10 @@
 #define GJOIN_UTIL_FLAGS_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "src/util/status.h"
 
@@ -22,6 +24,11 @@ class Flags {
   /// Parses argv; returns Invalid on malformed arguments.
   [[nodiscard]]
   static Result<Flags> Parse(int argc, char** argv);
+
+  /// Invalid naming the first parsed flag (in name order) that is not
+  /// in `names`; OK when every parsed flag is.
+  [[nodiscard]]
+  Status AllowOnly(std::initializer_list<std::string_view> names) const;
 
   /// True iff --name was provided.
   bool Has(const std::string& name) const { return values_.count(name) > 0; }

@@ -20,11 +20,10 @@ namespace gjoin::util {
 
 /// \brief Linear-probing aggregate table with batch fold/probe ops.
 ///
-/// Both batch ops take a probe-pipeline depth (0 = process default,
-/// 1 = scalar): slots for a batch of tuples are hashed and prefetched
-/// before any is visited, hiding the one dependent miss per tuple.
-/// Visits stay in input order at every depth, so the table contents
-/// (AddAll) and the accumulated sums (ProbeAll) are depth-invariant.
+/// Both batch ops run through GroupProbe: slots for a batch of tuples
+/// are hashed and prefetched before any is visited, hiding the one
+/// dependent miss per tuple. Visits stay in input order, so the table
+/// contents (AddAll) are those of the plain loop.
 class FlatAggTable {
  public:
   /// Sizes the table at ~50% max load for `expected_keys` distinct keys.
@@ -36,10 +35,9 @@ class FlatAggTable {
   }
 
   /// Folds `n` build tuples into the aggregate.
-  void AddAll(const uint32_t* keys, const uint32_t* pays, size_t n,
-              int pipeline_depth = 0) {
+  void AddAll(const uint32_t* keys, const uint32_t* pays, size_t n) {
     GroupProbe<size_t>(
-        n, ResolveProbePipelineDepth(pipeline_depth),
+        n,
         [&](size_t i, size_t& slot) {
           slot = Mix32(keys[i]) & mask_;
           PrefetchWrite(&entries_[slot]);
@@ -59,11 +57,10 @@ class FlatAggTable {
   /// key k scores count(k) matches and count(k) * pay + paysum(k)
   /// checksum — the same fold every aggregate-mode join kernel computes.
   void ProbeAll(const uint32_t* keys, const uint32_t* pays, size_t n,
-                uint64_t* matches, uint64_t* checksum,
-                int pipeline_depth = 0) const {
+                uint64_t* matches, uint64_t* checksum) const {
     uint64_t m = 0, c = 0;
     GroupProbe<size_t>(
-        n, ResolveProbePipelineDepth(pipeline_depth),
+        n,
         [&](size_t i, size_t& slot) {
           slot = Mix32(keys[i]) & mask_;
           PrefetchRead(&entries_[slot]);

@@ -17,28 +17,27 @@
 //                          order-independent accumulation (aggregate
 //                          matches / checksums / step counts — sums are
 //                          associative and commutative, so results are
-//                          bit-identical at every depth). Fastest on
+//                          bit-identical to the plain loop's). Fastest on
 //                          chained tables: long-latency probes no
 //                          longer stall their neighbors.
 //   OrderedProbePipeline   Two-stage in-order ring (group prefetch):
 //                          slot prefetch at i+2D-1, head resolution at
 //                          i+D, chain walk at i. Visit order is exactly
-//                          the scalar loop's — required where emission
+//                          the plain loop's — required where emission
 //                          order is observable (output-ring writes).
 //   GroupProbe             One-stage in-order batches for single-access
 //                          tables (dense arrays, linear probing).
 //
-// Charged KernelStats never depend on the depth: the engines only
+// Charged KernelStats never depend on the pipelining: the engines only
 // reorder (or merely prefetch) host work, and every charge a caller
 // derives from them (steps, matches) is an order-independent sum.
 //
-// The depth knob: 0 = use the process-wide default (settable via the
-// benches' --probe_pipeline_depth flag), 1 = the scalar reference loop,
-// >1 = pipelined with that many in-flight probes (clamped to
-// kMaxProbePipelineDepth). Measured on the dev container (16M-row
-// chained probes, tables >> LLC): packed nodes + depth-32 AMAC run
-// ~2.3x the split-array scalar loop; depths past ~32 stop helping
-// because the in-flight lines exceed the L1 miss-handling capacity.
+// The depth is fixed at kProbePipelineDepth in-flight probes (inputs
+// shorter than two rings run the plain loop instead). Measured on
+// 16M-row chained probes over tables far larger than the LLC: packed
+// nodes at depth 32 run ~2.3x the split-array scalar loop, and deeper
+// rings stop helping because the in-flight lines exceed the L1
+// miss-handling capacity.
 
 #ifndef GJOIN_UTIL_PROBE_PIPELINE_H_
 #define GJOIN_UTIL_PROBE_PIPELINE_H_
@@ -49,20 +48,9 @@
 
 namespace gjoin::util {
 
-/// Hard ceiling on pipeline depth (ring buffers live on the stack).
-inline constexpr int kMaxProbePipelineDepth = 64;
-
-/// Process-wide default depth used when a config leaves its
-/// probe_pipeline_depth at 0. Initially 32 (the measured knee).
-int DefaultProbePipelineDepth();
-
-/// Overrides the process-wide default (clamped to [1, kMax]); the
-/// benches wire --probe_pipeline_depth here.
-void SetDefaultProbePipelineDepth(int depth);
-
-/// Maps a config's depth request to an effective depth: 0 -> the
-/// process default, otherwise clamped to [1, kMaxProbePipelineDepth].
-int ResolveProbePipelineDepth(int requested);
+/// Probes each engine keeps in flight (the measured knee; ring buffers
+/// live on the stack).
+inline constexpr int kProbePipelineDepth = 32;
 
 /// Read-intent prefetch with no temporal-locality hint (probe data is
 /// touched once; keep it out of the way of the table's hot set).
@@ -99,18 +87,18 @@ static_assert(sizeof(EpochHead) == 8);
 /// begin(i, st) initializes probe i's state and prefetches its first
 /// dependent access; step(i, st) performs one dependent access and
 /// either returns true (chain continues; the next access has been
-/// prefetched) or false (probe i is done). The engine keeps `depth`
-/// probes in flight and refills a finished slot immediately, so a probe
-/// stalled on a miss never blocks the others.
+/// prefetched) or false (probe i is done). The engine keeps
+/// kProbePipelineDepth probes in flight and refills a finished slot
+/// immediately, so a probe stalled on a miss never blocks the others.
 ///
 /// ORDER: probes finish out of order (finished slots are back-swapped).
-/// Callers must only accumulate order-independent values. depth <= 1
-/// (and small n, where pipelining cannot pay for its ring) runs the
-/// exact scalar reference loop.
+/// Callers must only accumulate order-independent values. Inputs
+/// shorter than two rings, where pipelining cannot pay for its ring,
+/// run the plain loop.
 template <typename State, typename BeginFn, typename StepFn>
-void ProbePipeline(size_t n, int depth, BeginFn&& begin, StepFn&& step) {
-  depth = std::min(depth, kMaxProbePipelineDepth);
-  if (depth <= 1 || n < 2 * static_cast<size_t>(depth)) {
+void ProbePipeline(size_t n, BeginFn&& begin, StepFn&& step) {
+  constexpr int kDepth = kProbePipelineDepth;
+  if (n < 2 * static_cast<size_t>(kDepth)) {
     State st{};
     for (size_t i = 0; i < n; ++i) {
       begin(i, st);
@@ -123,10 +111,10 @@ void ProbePipeline(size_t n, int depth, BeginFn&& begin, StepFn&& step) {
     size_t i;
     State st;
   };
-  Slot ring[kMaxProbePipelineDepth];
+  Slot ring[kDepth];
   size_t next = 0;
   int live = 0;
-  for (; live < depth; ++live, ++next) {
+  for (; live < kDepth; ++live, ++next) {
     ring[live].i = next;
     begin(next, ring[live].st);
   }
@@ -151,16 +139,18 @@ void ProbePipeline(size_t n, int depth, BeginFn&& begin, StepFn&& step) {
 ///
 /// stage0(i, st) computes probe i's slot and prefetches the head cell;
 /// stage1(i, st) resolves the head (now cached) and prefetches the
-/// first chain node; finish(i, st) walks the chain serially. stage0
-/// runs 2*depth-1 probes ahead of finish, stage1 depth ahead, and
-/// finish(i) runs strictly in i order — byte-identical emission order
-/// to the scalar loop at every depth.
+/// first chain node; finish(i, st) walks the chain serially. With D =
+/// kProbePipelineDepth, stage0 runs 2D-1 probes ahead of finish, stage1
+/// D ahead, and finish(i) runs strictly in i order — byte-identical
+/// emission order to the plain loop. Inputs shorter than 2D run the
+/// plain loop.
 template <typename State, typename Stage0Fn, typename Stage1Fn,
           typename FinishFn>
-void OrderedProbePipeline(size_t n, int depth, Stage0Fn&& stage0,
-                          Stage1Fn&& stage1, FinishFn&& finish) {
-  depth = std::min(depth, kMaxProbePipelineDepth);
-  if (depth <= 1 || n < 2 * static_cast<size_t>(depth)) {
+void OrderedProbePipeline(size_t n, Stage0Fn&& stage0, Stage1Fn&& stage1,
+                          FinishFn&& finish) {
+  constexpr size_t kDepth = kProbePipelineDepth;
+  constexpr size_t kRing = 2 * kDepth;
+  if (n < kRing) {
     State st{};
     for (size_t i = 0; i < n; ++i) {
       stage0(i, st);
@@ -169,48 +159,35 @@ void OrderedProbePipeline(size_t n, int depth, Stage0Fn&& stage0,
     }
     return;
   }
-  const size_t ring_size = 2 * static_cast<size_t>(depth);
-  State ring[2 * kMaxProbePipelineDepth];
-  // Probe i's state lives in ring[i % ring_size]; the stage0 lead of
-  // ring_size - 1 keeps it from being overwritten before finish(i).
+  State ring[kRing];
+  // Probe i's state lives in ring[i % kRing]; the stage0 lead of
+  // kRing - 1 keeps it from being overwritten before finish(i).
   size_t i0 = 0, i1 = 0;
-  for (; i0 < ring_size - 1; ++i0) stage0(i0, ring[i0 % ring_size]);
-  for (; i1 < static_cast<size_t>(depth); ++i1) {
-    stage1(i1, ring[i1 % ring_size]);
-  }
+  for (; i0 < kRing - 1; ++i0) stage0(i0, ring[i0 % kRing]);
+  for (; i1 < kDepth; ++i1) stage1(i1, ring[i1 % kRing]);
   for (size_t i = 0; i < n; ++i) {
     if (i0 < n) {
-      stage0(i0, ring[i0 % ring_size]);
+      stage0(i0, ring[i0 % kRing]);
       ++i0;
     }
     if (i1 < n) {
-      stage1(i1, ring[i1 % ring_size]);
+      stage1(i1, ring[i1 % kRing]);
       ++i1;
     }
-    finish(i, ring[i % ring_size]);
+    finish(i, ring[i % kRing]);
   }
 }
 
 /// One-stage in-order batches for tables probed with a single
 /// (non-chained) dependent access: prepare(i, st) computes the slot and
-/// prefetches it for a whole batch of `depth` probes, then consume(i,
-/// st) visits them in order.
+/// prefetches it for a whole batch of kProbePipelineDepth probes, then
+/// consume(i, st) visits them in order.
 template <typename State, typename PrepareFn, typename ConsumeFn>
-void GroupProbe(size_t n, int depth, PrepareFn&& prepare,
-                ConsumeFn&& consume) {
-  depth = std::min(depth, kMaxProbePipelineDepth);
-  if (depth <= 1) {
-    State st{};
-    for (size_t i = 0; i < n; ++i) {
-      prepare(i, st);
-      consume(i, st);
-    }
-    return;
-  }
-  State batch[kMaxProbePipelineDepth];
-  const size_t d = static_cast<size_t>(depth);
-  for (size_t base = 0; base < n; base += d) {
-    const size_t end = std::min(n, base + d);
+void GroupProbe(size_t n, PrepareFn&& prepare, ConsumeFn&& consume) {
+  constexpr size_t kDepth = kProbePipelineDepth;
+  State batch[kDepth];
+  for (size_t base = 0; base < n; base += kDepth) {
+    const size_t end = std::min(n, base + kDepth);
     for (size_t i = base; i < end; ++i) prepare(i, batch[i - base]);
     for (size_t i = base; i < end; ++i) consume(i, batch[i - base]);
   }

@@ -25,15 +25,12 @@
 // with an explicit StreamFence() at the end of each producing region
 // anyway — belt and braces, and self-documenting.
 //
-// The buffer-size knob follows the probe pipeline's depth-invariance
-// recipe exactly: 0 = process-wide default (the benches'
-// --scatter_buffer_tuples flag), 1 = the scalar reference loop (each
-// tuple flushes immediately — today's per-tuple scatter), larger values
-// batch more tuples per flush. Results and charged KernelStats are
-// bit-identical at every size: all stage/flush charges are linear in
-// the tuple count, bucket boundaries depend only on cumulative
-// per-destination counts, and per-destination tuple order is preserved
-// (gpujoin_stat_invariance_test pins this).
+// Each destination stages up to kScatterBufferTuples tuples (callers
+// may cap that lower to bound host memory). Results and charged
+// KernelStats do not depend on the buffer size: all stage/flush charges
+// are linear in the tuple count, bucket boundaries depend only on
+// cumulative per-destination counts, and per-destination tuple order is
+// preserved (gpujoin_stat_invariance_test pins the stats).
 
 #ifndef GJOIN_UTIL_SCATTER_BUFFER_H_
 #define GJOIN_UTIL_SCATTER_BUFFER_H_
@@ -49,23 +46,10 @@
 
 namespace gjoin::util {
 
-/// Hard ceiling on staged tuples per destination (the staging area must
-/// stay cache-resident; 256 tuples = 2 KB of staging per destination).
-inline constexpr int kMaxScatterBufferTuples = 256;
-
-/// Process-wide default used when a config leaves scatter_buffer_tuples
-/// at 0. Initially 256 (2 KB staged bytes = 32 cache lines per
-/// destination: big enough that every flush is a multi-line burst,
-/// small enough that a 2^8-fanout pass stages under 256 KB).
-int DefaultScatterBufferTuples();
-
-/// Overrides the process-wide default (clamped to [1, kMax]); the
-/// benches wire --scatter_buffer_tuples here.
-void SetDefaultScatterBufferTuples(int tuples);
-
-/// Maps a config's request to an effective size: 0 -> the process
-/// default, otherwise clamped to [1, kMaxScatterBufferTuples].
-int ResolveScatterBufferTuples(int requested);
+/// Staged tuples per destination: 256 tuples = 2 KB = 32 cache lines,
+/// big enough that every flush is a multi-line burst, small enough that
+/// a 2^8-fanout pass stages under 512 KB.
+inline constexpr int kScatterBufferTuples = 256;
 
 /// Copies `n` uint32 values to `dst`. Where the ISA has non-temporal
 /// stores, every whole 64-byte line of `dst` the copy covers is written
@@ -118,8 +102,7 @@ inline void StreamFence() {
 /// destination's buffer just filled — the caller flushes Run(d) to the
 /// real destination (typically via StreamCopyU32) and calls Clear(d).
 /// At the end of the producing scope the caller drains the partial
-/// buffers (ForEachDirty). With capacity 1 every Push returns true:
-/// the scalar reference path, tuple-at-a-time scatter.
+/// buffers (DrainAll). With capacity 1 every Push returns true.
 ///
 /// Flush counters (tuples/flushes drained through Clear) accumulate
 /// across Init() calls so one thread-local instance can serve many
@@ -128,10 +111,10 @@ class ScatterBuffers {
  public:
   /// (Re-)shapes the staging area and empties all buffers. Counters are
   /// preserved. Storage is reused when the shape shrinks.
-  void Init(uint32_t fanout, int capacity) {
+  void Init(uint32_t fanout, int capacity = kScatterBufferTuples) {
     fanout_ = fanout;
     capacity_ = static_cast<uint32_t>(
-        std::clamp(capacity, 1, kMaxScatterBufferTuples));
+        std::clamp(capacity, 1, kScatterBufferTuples));
     const size_t slots = static_cast<size_t>(fanout_) * capacity_;
     if (keys_.size() < slots) {
       keys_.resize(slots);

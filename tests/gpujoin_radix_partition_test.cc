@@ -268,23 +268,28 @@ TEST_F(RadixPartitionTest, RejectsInvalidConfigFields) {
 }
 
 TEST_F(RadixPartitionTest, SinglePassesRejectInvalidFields) {
+  // Every pass is checked before the first one runs: a one-pass layout
+  // with a bad field, and a later pass at shift 29 + 4 bits, are
+  // rejected without a launch.
   const data::Relation rel = data::MakeUniqueUniform(4096, 16);
   RadixPartitionConfig cfg;
+  cfg.pass_bits = {4};
   cfg.stage_elems = 0;
-  auto first = RadixPartitionFirstPass(&device_, Upload(rel), 0, 4, cfg);
+  auto first = RadixPartition(&device_, Upload(rel), cfg);
   ASSERT_FALSE(first.ok());
   EXPECT_EQ(first.status().code(), util::StatusCode::kInvalid);
-  EXPECT_FALSE(
-      RadixPartitionFirstPass(&device_, Upload(rel), -1, 4, {}).ok());
-  EXPECT_FALSE(
-      RadixPartitionFirstPass(&device_, Upload(rel), 30, 4, {}).ok());
+  cfg.stage_elems = RadixPartitionConfig{}.stage_elems;
+  cfg.base_shift = -1;
+  EXPECT_FALSE(RadixPartition(&device_, Upload(rel), cfg).ok());
+  cfg.base_shift = 30;
+  EXPECT_FALSE(RadixPartition(&device_, Upload(rel), cfg).ok());
 
-  auto parted = RadixPartitionFirstPass(&device_, Upload(rel), 0, 4, {});
-  ASSERT_TRUE(parted.ok()) << parted.status();
-  auto next = RadixPartitionNextPass(&device_, std::move(parted).ValueOrDie(),
-                                     29, 4, {});
+  cfg.pass_bits = {4, 4};
+  cfg.base_shift = 25;
+  auto next = RadixPartition(&device_, Upload(rel), cfg);
   ASSERT_FALSE(next.ok());
   EXPECT_EQ(next.status().code(), util::StatusCode::kInvalid);
+  EXPECT_TRUE(device_.profile().empty());
 }
 
 TEST_F(RadixPartitionTest, AutoBucketCapacityBounds) {

@@ -29,7 +29,6 @@
 #include "src/outofgpu/coprocess.h"
 #include "src/outofgpu/streaming_probe.h"
 #include "src/util/bits.h"
-#include "src/util/probe_pipeline.h"
 #include "src/util/thread_pool.h"
 
 namespace gjoin {
@@ -89,29 +88,49 @@ class StatInvarianceTest : public ::testing::Test {
 };
 
 TEST_F(StatInvarianceTest, SharedHashJoinAggregate) {
-  sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
-  gpujoin::PartitionedJoinConfig cfg;
-  cfg.partition.pass_bits = {6, 5};
-  auto st = gpujoin::PartitionedJoinFromHost(&device, r_, s_, cfg);
-  ASSERT_TRUE(st.ok()) << st.status();
-  EXPECT_EQ(st->matches, 200000u);
-  EXPECT_EQ(st->payload_sum, 30006356267ull);
-  EXPECT_DOUBLE_EQ(st->seconds, 0.00012578700876018098);
-  EXPECT_DOUBLE_EQ(st->partition_s, 0.00010094888376018099);
-  EXPECT_DOUBLE_EQ(st->join_s, 2.4838125e-05);
-  ExpectProfileMatches(
-      device,
-      {{"radix_partition_pass1", 800000, 0, 800000, 0, 0, 1651200, 100000,
-        5120, 197680, 4942, 40, 1.4496898793363498e-05},
-       {"radix_partition_pass2", 800000, 0, 800000, 60612, 800000, 1600000,
-        100000, 62660, 201554, 5043, 40, 2.5555766793363497e-05},
-       {"radix_partition_pass1", 1600000, 0, 1600000, 0, 0, 3251200, 200000,
-        5120, 395200, 9880, 40, 2.3340997586726994e-05},
-       {"radix_partition_pass2", 1600000, 0, 1600000, 77307, 1600000,
-        3200000, 200000, 79355, 398993, 9981, 40,
-        3.7555220586726994e-05},
-       {"join_copartitions_hash", 2424576, 0, 0, 4096, 1600000, 11437592,
-        100000, 640, 1249080, 31741, 40, 2.4838125e-05}});
+  // The same golden at host pool widths 1 and 8: the scatter buffers and
+  // probe pipelines run per worker, and no charge may depend on how the
+  // host splits the work.
+  for (const size_t threads : {1u, 8u}) {
+    SCOPED_TRACE("pool width " + std::to_string(threads));
+    util::ThreadPool pool(threads);
+    sim::Device device{hw::HardwareSpec::Icde2019Testbed(), &pool};
+    gpujoin::PartitionedJoinConfig cfg;
+    cfg.partition.pass_bits = {6, 5};
+    auto st = gpujoin::PartitionedJoinFromHost(&device, r_, s_, cfg);
+    ASSERT_TRUE(st.ok()) << st.status();
+    EXPECT_EQ(st->matches, 200000u);
+    EXPECT_EQ(st->payload_sum, 30006356267ull);
+    EXPECT_DOUBLE_EQ(st->seconds, 0.00012578700876018098);
+    EXPECT_DOUBLE_EQ(st->partition_s, 0.00010094888376018099);
+    EXPECT_DOUBLE_EQ(st->join_s, 2.4838125e-05);
+    ExpectProfileMatches(
+        device,
+        {{"radix_partition_pass1", 800000, 0, 800000, 0, 0, 1651200, 100000,
+          5120, 197680, 4942, 40, 1.4496898793363498e-05},
+         {"radix_partition_pass2", 800000, 0, 800000, 60612, 800000, 1600000,
+          100000, 62660, 201554, 5043, 40, 2.5555766793363497e-05},
+         {"radix_partition_pass1", 1600000, 0, 1600000, 0, 0, 3251200,
+          200000, 5120, 395200, 9880, 40, 2.3340997586726994e-05},
+         {"radix_partition_pass2", 1600000, 0, 1600000, 77307, 1600000,
+          3200000, 200000, 79355, 398993, 9981, 40,
+          3.7555220586726994e-05},
+         {"join_copartitions_hash", 2424576, 0, 0, 4096, 1600000, 11437592,
+          100000, 640, 1249080, 31741, 40, 2.4838125e-05}});
+  }
+
+  // The CPU joins and the oracle, whose flat aggregate table probes
+  // through GroupProbe, agree with the GPU join on this workload.
+  const data::OracleResult oracle = data::JoinOracle(r_, s_);
+  EXPECT_EQ(oracle.matches, 200000u);
+  EXPECT_EQ(oracle.payload_sum, 30006356267ull);
+  const hw::CpuCostModel model{hw::CpuSpec{}};
+  for (auto* join : {&cpu::NpoJoin, &cpu::ProJoin}) {
+    auto st = join(r_, s_, cpu::CpuJoinConfig{}, model, nullptr);
+    ASSERT_TRUE(st.ok()) << st.status();
+    EXPECT_EQ(st->matches, oracle.matches);
+    EXPECT_EQ(st->payload_sum, oracle.payload_sum);
+  }
 }
 
 TEST_F(StatInvarianceTest, NestedLoopJoinAggregate) {
@@ -217,7 +236,7 @@ TEST_F(StatInvarianceTest, StreamingProbeAggregate) {
 /// 64 co-partitions are oversized (up to 6 chunks), 4 of them probed by
 /// a single work item and 11 by several; the other 49 fit one chunk.
 util::Result<gpujoin::CoPartitionJoinResult> RunOversizedSharedHashJoin(
-    sim::Device* device, int pipeline_depth) {
+    sim::Device* device) {
   const data::Relation r = data::MakeZipf(60000, 100000, 1.0, 51);
   const data::Relation s = data::MakeZipf(100000, 100000, 1.0, 52, 9);
   gpujoin::RadixPartitionConfig pc;
@@ -240,7 +259,6 @@ util::Result<gpujoin::CoPartitionJoinResult> RunOversizedSharedHashJoin(
   // Per-match gathers make each (chunk, S bucket)'s match count visible
   // in random_transactions, not just the total.
   cfg.build_extra_payload_bytes = 8;
-  cfg.probe_pipeline_depth = pipeline_depth;
 
   // Guard the workload's shape: both kinds of oversized partition occur.
   int single_item = 0, multi_item = 0;
@@ -260,7 +278,7 @@ util::Result<gpujoin::CoPartitionJoinResult> RunOversizedSharedHashJoin(
 
 TEST_F(StatInvarianceTest, OversizedSharedHashAggregate) {
   sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
-  auto st = RunOversizedSharedHashJoin(&device, 0);
+  auto st = RunOversizedSharedHashJoin(&device);
   ASSERT_TRUE(st.ok()) << st.status();
   EXPECT_EQ(st->matches, 73790u);
   EXPECT_EQ(st->payload_sum, 5957537450ull);
@@ -445,37 +463,20 @@ TEST_F(StatInvarianceTest, CoProcessPlanOversizedWorkingSets) {
   }
 }
 
-// ---- Pipeline-depth invariance ----
-// The probe pipeline (src/util/probe_pipeline.h) is a host wall-clock
-// knob: at every depth the functional results (match counts, checksums,
-// materialized ring bytes) and every charged KernelStats counter must
-// be byte-identical — the modeled GPU cost is independent of how the
-// host computes the answer. Depths {1, 4, 16} cover the scalar
-// reference loop, a shallow ring and a deep ring. These tests extend
-// the golden suite above without touching its values: each depth is
-// compared against the depth-1 run of the same workload.
+// ---- Chunked-input invariance ----
+// The chunk-consuming first-pass input is a residency choice: at every
+// chunking it must charge the same stats the contiguous path charges.
 
-/// Everything observable from one run: results, full launch profile and
-/// (when materializing) the raw ring bytes.
-struct DepthRunCapture {
-  uint64_t matches = 0;
-  uint64_t payload_sum = 0;
-  std::vector<sim::ProfileEntry> profile;
-  std::vector<uint64_t> ring;
-};
-
-void ExpectSameRun(const DepthRunCapture& ref, const DepthRunCapture& got,
-                   int depth) {
-  SCOPED_TRACE("pipeline depth " + std::to_string(depth));
-  EXPECT_EQ(got.matches, ref.matches);
-  EXPECT_EQ(got.payload_sum, ref.payload_sum);
-  ASSERT_EQ(got.profile.size(), ref.profile.size());
-  for (size_t i = 0; i < ref.profile.size(); ++i) {
-    SCOPED_TRACE("launch " + std::to_string(i) + " (" + ref.profile[i].name +
-                 ")");
-    const hw::KernelStats& a = ref.profile[i].stats;
-    const hw::KernelStats& b = got.profile[i].stats;
-    EXPECT_EQ(got.profile[i].name, ref.profile[i].name);
+/// Expects two launch profiles to match launch for launch: name, every
+/// KernelStats counter and modeled seconds.
+void ExpectSameProfile(const std::vector<sim::ProfileEntry>& ref,
+                       const std::vector<sim::ProfileEntry>& got) {
+  ASSERT_EQ(got.size(), ref.size());
+  for (size_t i = 0; i < ref.size(); ++i) {
+    SCOPED_TRACE("launch " + std::to_string(i) + " (" + ref[i].name + ")");
+    const hw::KernelStats& a = ref[i].stats;
+    const hw::KernelStats& b = got[i].stats;
+    EXPECT_EQ(got[i].name, ref[i].name);
     EXPECT_EQ(b.coalesced_read_bytes, a.coalesced_read_bytes);
     EXPECT_EQ(b.coalesced_write_bytes, a.coalesced_write_bytes);
     EXPECT_EQ(b.scatter_write_bytes, a.scatter_write_bytes);
@@ -487,173 +488,7 @@ void ExpectSameRun(const DepthRunCapture& ref, const DepthRunCapture& got,
     EXPECT_EQ(b.total_cycles, a.total_cycles);
     EXPECT_EQ(b.max_block_cycles, a.max_block_cycles);
     EXPECT_EQ(b.num_blocks, a.num_blocks);
-    EXPECT_DOUBLE_EQ(got.profile[i].seconds, ref.profile[i].seconds);
-  }
-  ASSERT_EQ(got.ring.size(), ref.ring.size());
-  for (size_t i = 0; i < ref.ring.size(); ++i) {
-    ASSERT_EQ(got.ring[i], ref.ring[i]) << "ring byte mismatch at " << i;
-  }
-}
-
-constexpr int kDepths[] = {1, 4, 16};
-
-TEST_F(StatInvarianceTest, DepthInvariantPartitionedSharedHash) {
-  DepthRunCapture ref;
-  for (const int depth : kDepths) {
-    sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
-    gpujoin::PartitionedJoinConfig cfg;
-    cfg.partition.pass_bits = {6, 5};
-    cfg.join.probe_pipeline_depth = depth;
-    auto st = gpujoin::PartitionedJoinFromHost(&device, r_, s_, cfg);
-    ASSERT_TRUE(st.ok()) << st.status();
-    DepthRunCapture run{st->matches, st->payload_sum, device.profile(), {}};
-    if (depth == kDepths[0]) {
-      ref = std::move(run);
-    } else {
-      ExpectSameRun(ref, run, depth);
-    }
-  }
-  // Oversized co-partitions (block-NL fallback) at the scalar loop and a
-  // deep ring.
-  DepthRunCapture oversized_ref;
-  for (const int depth : {1, 32}) {
-    sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
-    auto st = RunOversizedSharedHashJoin(&device, depth);
-    ASSERT_TRUE(st.ok()) << st.status();
-    DepthRunCapture run{st->matches, st->payload_sum, device.profile(), {}};
-    if (depth == 1) {
-      oversized_ref = std::move(run);
-    } else {
-      ExpectSameRun(oversized_ref, run, depth);
-    }
-  }
-}
-
-TEST_F(StatInvarianceTest, DepthInvariantDeviceHashMaterializedRing) {
-  // Materialization through a caller-owned ring: the pipeline must
-  // preserve the exact match emission order, pinned here byte-for-byte.
-  DepthRunCapture ref;
-  for (const int depth : kDepths) {
-    sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
-    gpujoin::RadixPartitionConfig part_cfg;
-    part_cfg.pass_bits = {6, 5};
-    auto rd = gpujoin::DeviceRelation::Upload(&device, r_);
-    auto sd = gpujoin::DeviceRelation::Upload(&device, s_);
-    ASSERT_TRUE(rd.ok() && sd.ok());
-    auto rp = gpujoin::RadixPartition(&device, *rd, part_cfg);
-    auto sp = gpujoin::RadixPartition(&device, *sd, part_cfg);
-    ASSERT_TRUE(rp.ok() && sp.ok());
-    gpujoin::CoPartitionJoinConfig cfg;
-    cfg.algo = gpujoin::ProbeAlgorithm::kDeviceHash;
-    cfg.output = gpujoin::OutputMode::kMaterialize;
-    cfg.key_bits = 17;
-    cfg.probe_pipeline_depth = depth;
-    auto ring_result = gpujoin::OutputRing::Allocate(&device.memory(),
-                                                     s_.size() + 1);
-    ASSERT_TRUE(ring_result.ok());
-    gpujoin::OutputRing ring = std::move(ring_result).ValueOrDie();
-    auto st = gpujoin::JoinCoPartitions(&device, *rp, *sp, cfg, &ring);
-    ASSERT_TRUE(st.ok()) << st.status();
-    DepthRunCapture run{st->matches, st->payload_sum, device.profile(), {}};
-    ASSERT_FALSE(ring.wrapped());
-    run.ring.reserve(ring.total_written());
-    for (uint64_t i = 0; i < ring.total_written(); ++i) {
-      run.ring.push_back(ring.pair(i));
-    }
-    if (depth == kDepths[0]) {
-      ref = std::move(run);
-    } else {
-      ExpectSameRun(ref, run, depth);
-    }
-  }
-}
-
-TEST_F(StatInvarianceTest, DepthInvariantNonPartitioned) {
-  for (const bool materialize : {false, true}) {
-    for (const auto variant : {gpujoin::NonPartitionedVariant::kChaining,
-                               gpujoin::NonPartitionedVariant::kPerfectHash}) {
-      DepthRunCapture ref;
-      for (const int depth : kDepths) {
-        sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
-        auto rd = gpujoin::DeviceRelation::Upload(&device, r_);
-        auto sd = gpujoin::DeviceRelation::Upload(&device, s_);
-        ASSERT_TRUE(rd.ok() && sd.ok());
-        gpujoin::NonPartitionedJoinConfig cfg;
-        cfg.variant = variant;
-        cfg.output = materialize ? gpujoin::OutputMode::kMaterialize
-                                 : gpujoin::OutputMode::kAggregate;
-        cfg.probe_pipeline_depth = depth;
-        auto st = gpujoin::NonPartitionedJoin(&device, *rd, *sd, cfg);
-        ASSERT_TRUE(st.ok()) << st.status();
-        DepthRunCapture run{st->matches, st->payload_sum, device.profile(),
-                            {}};
-        if (depth == kDepths[0]) {
-          ref = std::move(run);
-        } else {
-          ExpectSameRun(ref, run, depth);
-        }
-      }
-    }
-  }
-}
-
-TEST_F(StatInvarianceTest, DepthInvariantCpuJoinAndOracle) {
-  const int saved = util::DefaultProbePipelineDepth();
-  uint64_t ref_matches = 0, ref_sum = 0;
-  for (const int depth : kDepths) {
-    cpu::CpuJoinConfig cfg;
-    cfg.probe_pipeline_depth = depth;
-    const hw::CpuCostModel model{hw::CpuSpec{}};
-    auto st = cpu::NpoJoin(r_, s_, cfg, model);
-    ASSERT_TRUE(st.ok());
-    // The oracle takes the process-wide default depth.
-    util::SetDefaultProbePipelineDepth(depth);
-    const data::OracleResult oracle = data::JoinOracle(r_, s_);
-    EXPECT_EQ(st->matches, oracle.matches);
-    EXPECT_EQ(st->payload_sum, oracle.payload_sum);
-    if (depth == kDepths[0]) {
-      ref_matches = st->matches;
-      ref_sum = st->payload_sum;
-    } else {
-      EXPECT_EQ(st->matches, ref_matches);
-      EXPECT_EQ(st->payload_sum, ref_sum);
-    }
-  }
-  util::SetDefaultProbePipelineDepth(saved);
-}
-
-// ---- Scatter-buffer and chunked-input invariance ----
-// The host-side software-managed scatter buffers and the chunk-consuming
-// first-pass input are raw-speed / residency knobs: at every buffer size,
-// host thread count and chunking they must charge the same golden stats
-// the scalar single-threaded contiguous path charges.
-
-TEST_F(StatInvarianceTest, ScatterBufferSizeAndThreadInvariant) {
-  DepthRunCapture ref;
-  bool have_ref = false;
-  for (const size_t threads : {1u, 8u}) {
-    util::ThreadPool pool(threads);
-    for (const int tuples : {1, 4, 64}) {
-      SCOPED_TRACE("threads " + std::to_string(threads) +
-                   " scatter_buffer_tuples " + std::to_string(tuples));
-      sim::Device device{hw::HardwareSpec::Icde2019Testbed(), &pool};
-      gpujoin::PartitionedJoinConfig cfg;
-      cfg.partition.pass_bits = {6, 5};
-      cfg.partition.scatter_buffer_tuples = tuples;
-      auto st = gpujoin::PartitionedJoinFromHost(&device, r_, s_, cfg);
-      ASSERT_TRUE(st.ok()) << st.status();
-      // Pinned to the SharedHashJoinAggregate golden above.
-      EXPECT_EQ(st->matches, 200000u);
-      EXPECT_EQ(st->payload_sum, 30006356267ull);
-      EXPECT_DOUBLE_EQ(st->seconds, 0.00012578700876018098);
-      DepthRunCapture run{st->matches, st->payload_sum, device.profile(), {}};
-      if (!have_ref) {
-        ref = std::move(run);
-        have_ref = true;
-      } else {
-        ExpectSameRun(ref, run, tuples);
-      }
-    }
+    EXPECT_DOUBLE_EQ(got[i].seconds, ref[i].seconds);
   }
 }
 
@@ -667,8 +502,6 @@ TEST_F(StatInvarianceTest, ChunkedConsumingJoinMatchesContiguous) {
   ASSERT_TRUE(rd.ok() && sd.ok());
   auto ref_st = gpujoin::PartitionedJoin(&ref_device, *rd, *sd, cfg);
   ASSERT_TRUE(ref_st.ok()) << ref_st.status();
-  const DepthRunCapture ref{ref_st->matches, ref_st->payload_sum,
-                            ref_device.profile(), {}};
 
   auto chunked = [](const data::Relation& rel, size_t chunk) {
     gpujoin::ChunkedDeviceInput input;
@@ -679,18 +512,27 @@ TEST_F(StatInvarianceTest, ChunkedConsumingJoinMatchesContiguous) {
     }
     return input;
   };
+  // PartitionedJoin derives key_bits from the build keys; so must the
+  // chunked run.
+  cfg.join.key_bits =
+      gpujoin::KeyBitsFor(*std::max_element(r_.keys.begin(), r_.keys.end()));
   for (const size_t chunk : {7000u, 100000u, 1000000u}) {
     SCOPED_TRACE("chunk " + std::to_string(chunk));
     sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
-    auto st = gpujoin::PartitionedJoinChunkedConsuming(
-        &device, chunked(r_, chunk), chunked(s_, chunk), cfg);
+    auto rp = gpujoin::RadixPartitionChunkedConsuming(
+        &device, chunked(r_, chunk), cfg.partition);
+    ASSERT_TRUE(rp.ok()) << rp.status();
+    auto sp = gpujoin::RadixPartitionChunkedConsuming(
+        &device, chunked(s_, chunk), cfg.partition);
+    ASSERT_TRUE(sp.ok()) << sp.status();
+    auto st = gpujoin::JoinPartitioned(&device, *rp, *sp, cfg, s_.size());
     ASSERT_TRUE(st.ok()) << st.status();
+    EXPECT_EQ(st->matches, ref_st->matches);
+    EXPECT_EQ(st->payload_sum, ref_st->payload_sum);
     EXPECT_DOUBLE_EQ(st->seconds, ref_st->seconds);
     EXPECT_DOUBLE_EQ(st->partition_s, ref_st->partition_s);
     EXPECT_DOUBLE_EQ(st->join_s, ref_st->join_s);
-    const DepthRunCapture run{st->matches, st->payload_sum, device.profile(),
-                              {}};
-    ExpectSameRun(ref, run, static_cast<int>(chunk));
+    ExpectSameProfile(ref_device.profile(), device.profile());
   }
 }
 
@@ -1147,7 +989,9 @@ TEST_F(StatInvarianceTest, SweepDealStartsMidGrid) {
     sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
     auto input = gpujoin::DeviceRelation::Upload(&device, r_);
     ASSERT_TRUE(input.ok()) << input.status();
-    auto first = gpujoin::RadixPartitionFirstPass(&device, *input, 0, 5, cfg);
+    gpujoin::RadixPartitionConfig first_pass = cfg;
+    first_pass.pass_bits = {5};
+    auto first = gpujoin::RadixPartition(&device, *input, first_pass);
     ASSERT_TRUE(first.ok()) << first.status();
     size_t dealt = 0;
     int mid_grid = 0;

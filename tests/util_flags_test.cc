@@ -107,10 +107,40 @@ TEST(FlagsTest, MalformedValuesAreErrorsNamingFlagAndValue) {
 }
 
 TEST(FlagsTest, UnknownNamesAreIgnored) {
-  // Names are not declared: a flag no reader asks for changes nothing.
+  // Readers ignore a flag they do not ask for; AllowOnly (below) is the
+  // check that rejects it.
   Flags f = MustParse({"--bogus=1"});
   EXPECT_TRUE(f.Has("bogus"));
   EXPECT_EQ(*f.GetInt("divisor", 16), 16);
+}
+
+TEST(FlagsTest, AllowOnlyAcceptsListedNames) {
+  Flags f = MustParse({"--divisor=8", "--strict", "--trace_dir", "out"});
+  EXPECT_TRUE(f.AllowOnly({"divisor", "trace_dir", "strict"}).ok());
+  EXPECT_TRUE(f.AllowOnly({"strict", "divisor", "trace_dir", "extra"}).ok());
+  EXPECT_TRUE(MustParse({}).AllowOnly({}).ok());
+  EXPECT_TRUE(MustParse({}).AllowOnly({"divisor"}).ok());
+}
+
+TEST(FlagsTest, AllowOnlyRejectsUnknownNamesNamingTheToken) {
+  // A retired or misspelled flag is an error, not a silent default run.
+  for (const char* bad :
+       {"--depth=1", "--bogus", "--divisr=8", "--Divisor=8"}) {
+    Flags f = MustParse({"--divisor=8", bad});
+    const Status status = f.AllowOnly({"divisor", "strict"});
+    ASSERT_FALSE(status.ok()) << "accepted: " << bad;
+    EXPECT_EQ(status.code(), StatusCode::kInvalid) << bad;
+    const std::string token = bad;
+    const std::string name = token.substr(0, token.find('='));
+    const std::string message = status.ToString();
+    EXPECT_NE(message.find("unknown flag " + name), std::string::npos)
+        << message;
+    // The accepted names are listed, so the fix is in the message.
+    EXPECT_NE(message.find("--divisor, --strict"), std::string::npos)
+        << message;
+  }
+  // With no names allowed, any flag is unknown.
+  EXPECT_FALSE(MustParse({"--divisor=8"}).AllowOnly({}).ok());
 }
 
 TEST(FlagsTest, MalformedArgumentsReportTypedErrorNamingTheToken) {

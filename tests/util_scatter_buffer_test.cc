@@ -78,8 +78,8 @@ TEST(ScatterBuffersTest, CapacityOneFlushesEveryTupleAndSizesClamp) {
 
   sb.Init(2, 0);
   EXPECT_EQ(sb.capacity(), 1u);
-  sb.Init(2, kMaxScatterBufferTuples + 1000);
-  EXPECT_EQ(sb.capacity(), static_cast<uint32_t>(kMaxScatterBufferTuples));
+  sb.Init(2, kScatterBufferTuples + 1000);
+  EXPECT_EQ(sb.capacity(), static_cast<uint32_t>(kScatterBufferTuples));
 }
 
 TEST(ScatterBuffersTest, DrainAllVisitsDirtyBuffersInAscendingOrder) {
