@@ -71,14 +71,6 @@ class BucketChains {
   int32_t* heads() { return heads_.data(); }
   const int32_t* heads() const { return heads_.data(); }
 
-  /// Allocates one bucket from the pool (device atomic in kernels).
-  /// Returns kNull when the pool is exhausted.
-  int32_t AllocateBucket() { return pool_->AllocateBucket(); }
-
-  /// Returns a consumed bucket to the pool (recycling during later
-  /// passes).
-  void FreeBucket(int32_t bucket) { pool_->FreeBucket(bucket); }
-
   /// Atomically publishes a chain segment [first..last] onto partition
   /// p's list: heads[p] = first, next[last] = previous head.
   void PublishSegment(uint32_t partition, int32_t first, int32_t last);

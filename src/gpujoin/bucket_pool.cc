@@ -1,6 +1,14 @@
 #include "src/gpujoin/bucket_pool.h"
 
+#include <algorithm>
+
 namespace gjoin::gpujoin {
+
+uint32_t BucketPool::DrawBatch(size_t producers) {
+  const size_t per_producer = kInFlightSlack / std::max<size_t>(producers, 1);
+  return static_cast<uint32_t>(
+      std::clamp<size_t>(per_producer, 1, kMaxDrawBatch));
+}
 
 util::Result<std::shared_ptr<BucketPool>> BucketPool::Allocate(
     sim::DeviceMemory* memory, uint32_t num_buckets,
@@ -40,22 +48,48 @@ util::Result<std::shared_ptr<BucketPool>> BucketPool::Allocate(
 
 int32_t BucketPool::AllocateBucket() {
   util::MutexLock lock(&free_mu_);
+  ++traffic_.locks;
   if (free_list_.empty()) return kNull;
   const int32_t b = free_list_.back();
   free_list_.pop_back();
+  ++traffic_.drawn;
   fill_[b] = 0;
   next_[b] = kNull;
   return b;
 }
 
+uint32_t BucketPool::AllocateBuckets(uint32_t n, std::vector<int32_t>* out) {
+  util::MutexLock lock(&free_mu_);
+  ++traffic_.locks;
+  const size_t take = std::min<size_t>(n, free_list_.size());
+  // The top `take` entries in list order: out->back() is the bucket a
+  // single AllocateBucket would have popped.
+  const auto first = free_list_.end() - static_cast<ptrdiff_t>(take);
+  for (auto it = first; it != free_list_.end(); ++it) {
+    fill_[*it] = 0;
+    next_[*it] = kNull;
+  }
+  out->insert(out->end(), first, free_list_.end());
+  free_list_.erase(first, free_list_.end());
+  traffic_.drawn += take;
+  return static_cast<uint32_t>(take);
+}
+
 void BucketPool::FreeBucket(int32_t bucket) {
   util::MutexLock lock(&free_mu_);
+  ++traffic_.locks;
   free_list_.push_back(bucket);
 }
 
 void BucketPool::FreeBuckets(const std::vector<int32_t>& buckets) {
   util::MutexLock lock(&free_mu_);
+  ++traffic_.locks;
   free_list_.insert(free_list_.end(), buckets.begin(), buckets.end());
+}
+
+BucketPool::Traffic BucketPool::traffic() const {
+  util::MutexLock lock(&free_mu_);
+  return traffic_;
 }
 
 uint32_t BucketPool::free_buckets() const {

@@ -8,6 +8,16 @@
 // partitioned form's memory footprint near the data size — without it,
 // a pass would need input and output copies simultaneously, which does
 // not fit device memory for the paper's larger build:probe ratios.
+//
+// The free list is LIFO (recently freed, cache-hot buckets go out
+// first) behind one host mutex. In the kernel every bucket drawn is one
+// device atomic on the pool cursor, and partitioning still charges
+// exactly that; on the host, producers draw in batches
+// (AllocateBuckets) into a private stash and hand leftovers back with
+// one FreeBuckets, so the lock is taken once per batch, not per bucket.
+// A batch is at most DrawBatch(width) buckets: with `width` producers
+// in flight, the stashes then hold at most kInFlightSlack buckets the
+// chains do not, which is the slack RadixPartition adds to every pool.
 
 #ifndef GJOIN_GPUJOIN_BUCKET_POOL_H_
 #define GJOIN_GPUJOIN_BUCKET_POOL_H_
@@ -29,6 +39,18 @@ class BucketPool {
   /// Sentinel for "no bucket".
   static constexpr int32_t kNull = -1;
 
+  /// Buckets every partitioning pool reserves beyond its chains' need
+  /// for buckets held in producers' stashes.
+  static constexpr uint32_t kInFlightSlack = 128;
+
+  /// Largest batch a producer draws per lock.
+  static constexpr uint32_t kMaxDrawBatch = 32;
+
+  /// The batch size for `producers` concurrent producers:
+  /// min(kMaxDrawBatch, kInFlightSlack / producers), at least 1, so all
+  /// stashes together never exceed kInFlightSlack.
+  static uint32_t DrawBatch(size_t producers);
+
   /// Allocates a pool of `num_buckets` buckets of `bucket_capacity`
   /// tuples each; all buckets start on the free list.
   [[nodiscard]]
@@ -41,11 +63,26 @@ class BucketPool {
   /// pointer to kNull.
   int32_t AllocateBucket();
 
+  /// Pops up to `n` buckets under one lock acquisition and appends them
+  /// to `out`, the last one appended being the one AllocateBucket would
+  /// have returned first. Each is reset as AllocateBucket resets it.
+  /// Returns how many were taken: min(n, free_buckets()), so a request
+  /// the pool can only partly serve empties it instead of failing.
+  uint32_t AllocateBuckets(uint32_t n, std::vector<int32_t>* out);
+
   /// Returns a consumed bucket to the free list.
   void FreeBucket(int32_t bucket);
 
   /// Returns several consumed buckets under one lock acquisition.
   void FreeBuckets(const std::vector<int32_t>& buckets);
+
+  /// Free-list traffic since allocation: lock acquisitions by the four
+  /// calls above, and buckets they handed out.
+  struct Traffic {
+    uint64_t locks = 0;
+    uint64_t drawn = 0;
+  };
+  Traffic traffic() const;
 
   // --- Geometry ---
   uint32_t num_buckets() const { return num_buckets_; }
@@ -75,6 +112,7 @@ class BucketPool {
   sim::DeviceBuffer<uint32_t> fill_;
   mutable util::Mutex free_mu_;
   std::vector<int32_t> free_list_ GJOIN_GUARDED_BY(free_mu_);
+  Traffic traffic_ GJOIN_GUARDED_BY(free_mu_);
 };
 
 }  // namespace gjoin::gpujoin

@@ -115,6 +115,51 @@ util::Status ValidatePass(const RadixPartitionConfig& config, int shift,
   return util::Status::OK();
 }
 
+/// A producer's private supply of empty buckets. An empty stash refills
+/// with up to `batch` buckets under one pool lock; buckets the producer
+/// has read in full are recycled into it and drawn first; Return() hands
+/// what is left back under one more. The kernel's one device atomic per
+/// bucket is charged by the callers, per bucket, as before: only the
+/// host lock is per batch. BucketPool::DrawBatch bounds `batch` so the
+/// stashes of all concurrent producers fit the pool's in-flight slack.
+class BucketStash {
+ public:
+  BucketStash(BucketPool* pool, uint32_t batch) : pool_(pool), batch_(batch) {}
+
+  /// An empty bucket (fill 0, no successor).
+  int32_t Draw() {
+    if (buckets_.empty() && pool_->AllocateBuckets(batch_, &buckets_) == 0) {
+      // Pool exhausted: an internal sizing bug; make it loud.
+      std::fprintf(stderr, "gjoin: bucket pool exhausted\n");
+      std::abort();
+    }
+    const int32_t b = buckets_.back();
+    buckets_.pop_back();
+    return b;
+  }
+
+  /// Takes back a bucket whose tuples and link have been read, emptying
+  /// it as the pool empties the buckets it hands out.
+  void Recycle(int32_t bucket) {
+    pool_->fill()[bucket] = 0;
+    pool_->next()[bucket] = BucketPool::kNull;
+    buckets_.push_back(bucket);
+  }
+
+  /// Returns every bucket still held to the pool. Call once the
+  /// producer is done drawing.
+  void Return() {
+    if (buckets_.empty()) return;
+    pool_->FreeBuckets(buckets_);
+    buckets_.clear();
+  }
+
+ private:
+  BucketPool* pool_;
+  uint32_t batch_;
+  std::vector<int32_t> buckets_;
+};
+
 /// Per-block partitioning state for block-private chains (pass 1 and
 /// partition-at-a-time later passes): current bucket, fill, staging, and
 /// the segment endpoints published at the end. All of it lives in the
@@ -174,25 +219,23 @@ struct BlockLocalChains {
   /// per-tuple stage pushes plus their flushes charged: 8B staged + one
   /// stage-slot atomic per tuple, then 8B shared re-read + 8B scatter
   /// write per tuple, and one device atomic per bucket drawn from the
-  /// pool. Bucket boundaries are identical to the tuple-at-a-time path
-  /// because chains fill each bucket to capacity before allocating. The
-  /// host copy is non-temporal (the caller's block body ends with
-  /// StreamFence before other threads may read the pool).
-  void AppendRun(sim::Block* block, BucketChains* out, uint32_t lp,
-                 const uint32_t* keys, const uint32_t* pays, uint32_t count) {
+  /// pool (the host draws from the block's stash, which takes the pool
+  /// lock once per batch). Bucket boundaries are identical to the
+  /// tuple-at-a-time path because chains fill each bucket to capacity
+  /// before allocating. The host copy is non-temporal (the caller's
+  /// block body ends with StreamFence before other threads may read the
+  /// pool).
+  void AppendRun(sim::Block* block, BucketChains* out, BucketStash* stash,
+                 uint32_t lp, const uint32_t* keys, const uint32_t* pays,
+                 uint32_t count) {
     block->ChargeStagePush(count);
     block->ChargeStageFlush(count);
     const uint32_t cap = out->bucket_capacity();
     uint32_t done = 0;
     while (done < count) {
       if (cur_bucket[lp] == BucketChains::kNull || cur_fill[lp] == cap) {
-        const int32_t nb = out->AllocateBucket();
+        const int32_t nb = stash->Draw();
         block->ChargeDeviceAtomic(1);  // pool cursor
-        if (nb == BucketChains::kNull) {
-          // Pool exhausted: an internal sizing bug; make it loud.
-          std::fprintf(stderr, "gjoin: bucket pool exhausted\n");
-          std::abort();
-        }
         if (cur_bucket[lp] == BucketChains::kNull) {
           seg_first[lp] = nb;
         } else {
@@ -279,9 +322,9 @@ struct BlockTally {
 /// per parent moves every tuple once — scatter buffer, then straight
 /// into the child's current bucket — and recycles each input bucket as
 /// soon as it has read it. It reuses the buckets it freed before drawing
-/// from the shared free list, so the pool lock is taken only for a
-/// parent's extra partial buckets (at most one per child, which
-/// RadixPartitionImpl reserves).
+/// from the shared free list, so it draws only a parent's extra partial
+/// buckets (at most one per child, which RadixPartitionImpl reserves),
+/// and those a batch per pool lock through its stash.
 ///
 /// While sweeping it tallies what each block's visit of the parent
 /// charges inline, from per-child counts n (with g tuples of the child
@@ -297,9 +340,10 @@ struct BlockTally {
 class ParentSweeper {
  public:
   ParentSweeper(BucketChains* in, BucketChains* out, int shift, int bits,
-                uint32_t num_blocks, uint32_t stage_elems)
+                uint32_t num_blocks, uint32_t stage_elems, uint32_t batch)
       : in_(in),
         out_(out),
+        stash_(out->pool().get(), batch),
         shift_(shift),
         bits_(bits),
         fanout_(1u << bits),
@@ -328,11 +372,10 @@ class ParentSweeper {
         [&](uint32_t c, util::ScatterBuffers::RunView run) { Pack(c, run); });
   }
 
-  /// Returns the unused recycled buckets to the shared pool and fences
+  /// Returns the stash's leftover buckets to the shared pool and fences
   /// the non-temporal copies. Call once after the worker's last parent.
   void Finish() {
-    out_->pool()->FreeBuckets(free_);
-    free_.clear();
+    stash_.Return();
     util::StreamFence();
     counters_ = ScatterScratch().TakeCounters();
   }
@@ -364,7 +407,7 @@ class ParentSweeper {
           sb_->Clear(c);
         }
       }
-      free_.push_back(bucket);  // read in full; its tuples are staged
+      stash_.Recycle(bucket);  // read in full; its tuples are staged
     }
     t.cycles += fanout_ / 32 + 1;
     for (const uint32_t c : dirty_) {
@@ -386,7 +429,7 @@ class ParentSweeper {
     uint32_t done = 0;
     while (done < run.count) {
       if (head == BucketChains::kNull || out_->fill()[head] == cap) {
-        const int32_t b = Draw();
+        const int32_t b = stash_.Draw();
         out_->next()[b] = head;
         head = b;
       }
@@ -401,25 +444,9 @@ class ParentSweeper {
     }
   }
 
-  /// An empty bucket: one this worker recycled, else one from the pool.
-  int32_t Draw() {
-    if (free_.empty()) {
-      const int32_t b = out_->AllocateBucket();
-      if (b == BucketChains::kNull) {
-        // Pool exhausted: an internal sizing bug; make it loud.
-        std::fprintf(stderr, "gjoin: bucket pool exhausted\n");
-        std::abort();
-      }
-      return b;
-    }
-    const int32_t b = free_.back();
-    free_.pop_back();
-    out_->fill()[b] = 0;
-    return b;
-  }
-
   BucketChains* in_;
   BucketChains* out_;
+  BucketStash stash_;  ///< Recycled buckets, then pool batches.
   int shift_;
   int bits_;
   uint32_t fanout_;
@@ -430,7 +457,6 @@ class ParentSweeper {
   std::vector<uint64_t> routed_;  ///< Child's tuples from lower blocks.
   std::vector<uint32_t> group_;   ///< Child's tuples in this visit.
   std::vector<uint32_t> dirty_;   ///< Children with group_ > 0.
-  std::vector<int32_t> free_;     ///< Recycled buckets, reused first.
   std::vector<BlockTally> tallies_;
   util::ScatterBuffers::Counters counters_;
 };
@@ -595,6 +621,7 @@ util::Status FirstPassOverSource(sim::Device* device, Source src,
       static_cast<size_t>(num_blocks));
   std::vector<util::ScatterBuffers::Counters> scatter_counters(
       static_cast<size_t>(num_blocks));
+  const uint32_t batch = BucketPool::DrawBatch(device->pool()->num_threads());
   GJOIN_ASSIGN_OR_RETURN(
       sim::LaunchResult result,
       device->Launch(
@@ -614,6 +641,7 @@ util::Status FirstPassOverSource(sim::Device* device, Source src,
             // as one non-temporal burst.
             util::ScatterBuffers& sb = ScatterScratch();
             sb.Init(fanout);
+            BucketStash stash(chains.pool().get(), batch);
             auto cur = src.At(begin);
             // The cursor never steps past the block's last tuple (a
             // chunked source may have freed whatever follows).
@@ -622,17 +650,18 @@ util::Status FirstPassOverSource(sim::Device* device, Source src,
               const uint32_t p = util::RadixOf(key, shift, bits);
               if (sb.Push(p, key, cur.pay())) {
                 const util::ScatterBuffers::RunView run = sb.Run(p);
-                local.AppendRun(&block, &chains, p, run.keys, run.pays,
-                                run.count);
+                local.AppendRun(&block, &chains, &stash, p, run.keys,
+                                run.pays, run.count);
                 sb.Clear(p);
               }
               if (++i == end) break;
               cur.Next();
             }
             sb.DrainAll([&](uint32_t p, util::ScatterBuffers::RunView run) {
-              local.AppendRun(&block, &chains, p, run.keys, run.pays,
+              local.AppendRun(&block, &chains, &stash, p, run.keys, run.pays,
                               run.count);
             });
+            stash.Return();
             local.Finish(&block, &chains, /*gp_base=*/0,
                          &pending[static_cast<size_t>(block.block_id())]);
             scatter_counters[static_cast<size_t>(block.block_id())] =
@@ -684,11 +713,12 @@ util::Result<sim::LaunchResult> BucketAtATimePass(
 
   util::ThreadPool* pool = device->pool();
   const size_t workers = std::min<size_t>(pool->num_threads(), parents);
+  const uint32_t batch = BucketPool::DrawBatch(pool->num_threads());
   std::vector<ParentSweeper> sweepers;
   sweepers.reserve(workers);
   for (size_t w = 0; w < workers; ++w) {
     sweepers.emplace_back(in, out, shift, bits, num_blocks,
-                          config.stage_elems);
+                          config.stage_elems, batch);
   }
   std::atomic<uint32_t> next_parent{0};
   pool->ParallelForRanges(
@@ -755,6 +785,7 @@ util::Result<sim::LaunchResult> PartitionAtATimePass(
   }
   std::vector<std::vector<PendingSegment>> pending(num_blocks);
   std::vector<util::ScatterBuffers::Counters> scatter_counters(num_blocks);
+  const uint32_t batch = BucketPool::DrawBatch(device->pool()->num_threads());
 
   GJOIN_ASSIGN_OR_RETURN(
       sim::LaunchResult result,
@@ -765,6 +796,9 @@ util::Result<sim::LaunchResult> PartitionAtATimePass(
         sb.Init(subfanout);
         BlockLocalChains local;
         if (!local.Alloc(&block, subfanout, config.stage_elems)) return;
+        // Input and output chains share one pool: the block's consumed
+        // input buckets become its next output buckets.
+        BucketStash stash(out->pool().get(), batch);
         for (const uint32_t parent : block_parents[id]) {
           local.ResetMeta(&block);
           int32_t b = in.heads()[parent];
@@ -783,23 +817,24 @@ util::Result<sim::LaunchResult> PartitionAtATimePass(
               const uint32_t sub = util::RadixOf(bkeys[t], shift, bits);
               if (sb.Push(sub, bkeys[t], bpays[t])) {
                 const util::ScatterBuffers::RunView run = sb.Run(sub);
-                local.AppendRun(&block, out, sub, run.keys, run.pays,
+                local.AppendRun(&block, out, &stash, sub, run.keys, run.pays,
                                 run.count);
                 sb.Clear(sub);
               }
             }
             // Staged copies make later pool reuse safe; free only after
             // the bucket's tuples are read.
-            in.FreeBucket(b);
+            stash.Recycle(b);
             block.ChargeDeviceAtomic(1);
             b = next_b;
           }
           sb.DrainAll([&](uint32_t sub, util::ScatterBuffers::RunView run) {
-            local.AppendRun(&block, out, sub, run.keys, run.pays,
+            local.AppendRun(&block, out, &stash, sub, run.keys, run.pays,
                             run.count);
           });
           local.Finish(&block, out, parent << bits, &pending[id]);
         }
+        stash.Return();
         scatter_counters[id] = sb.TakeCounters();
         util::StreamFence();
       }));
@@ -917,7 +952,10 @@ util::Result<PartitionedRelation> RadixPartitionImpl(
   // One pool for all passes: data buckets + block-private partials of
   // pass 1 (each segment's producers publish their own partials, bounded
   // by blocks x fanout per segment) + one partial per final child +
-  // slack for in-flight recycling.
+  // the in-flight slack. Producers draw from private stashes of at most
+  // BucketPool::DrawBatch(pool width) buckets each, at most one producer
+  // per pool worker runs at a time, so the stashes hold no more than
+  // kInFlightSlack buckets the chains do not.
   const uint64_t seg_count =
       host_input != nullptr ? std::max<uint64_t>(1, segments) : 1;
   const uint64_t per_seg = CeilDiv(n, seg_count);
@@ -927,7 +965,7 @@ util::Result<PartitionedRelation> RadixPartitionImpl(
       seg_count;
   const uint32_t pool_buckets = static_cast<uint32_t>(
       CeilDiv(n, cfg.bucket_capacity) + producer_slack +
-      cfg.num_partitions() + 128);
+      cfg.num_partitions() + BucketPool::kInFlightSlack);
   GJOIN_ASSIGN_OR_RETURN(
       std::shared_ptr<BucketPool> pool,
       BucketPool::Allocate(&device->memory(), pool_buckets,

@@ -57,6 +57,131 @@ TEST_F(PoolTest, AllocationResetsBucketState) {
   EXPECT_EQ(pool->next()[again], BucketPool::kNull);
 }
 
+TEST_F(PoolTest, AllocateBucketsTakesWhatIsFreeAndResetsEach) {
+  auto pool =
+      std::move(BucketPool::Allocate(&device_.memory(), 8, 16)).ValueOrDie();
+  std::vector<int32_t> all;
+  ASSERT_EQ(pool->AllocateBuckets(8, &all), 8u);
+  for (const int32_t b : all) {
+    pool->fill()[b] = 5;
+    pool->next()[b] = 3;
+  }
+  pool->FreeBuckets(all);
+
+  // Appends to what `out` already holds; every bucket drawn is clean.
+  std::vector<int32_t> batch = {-7};
+  EXPECT_EQ(pool->AllocateBuckets(3, &batch), 3u);
+  ASSERT_EQ(batch.size(), 4u);
+  EXPECT_EQ(batch[0], -7);
+  for (size_t i = 1; i < batch.size(); ++i) {
+    EXPECT_EQ(pool->fill()[batch[i]], 0u);
+    EXPECT_EQ(pool->next()[batch[i]], BucketPool::kNull);
+  }
+  EXPECT_EQ(pool->free_buckets(), 5u);
+
+  // A request the pool can serve only in part empties it.
+  std::vector<int32_t> rest;
+  EXPECT_EQ(pool->AllocateBuckets(10, &rest), 5u);
+  EXPECT_EQ(rest.size(), 5u);
+  EXPECT_EQ(pool->free_buckets(), 0u);
+  std::set<int32_t> distinct(batch.begin() + 1, batch.end());
+  distinct.insert(rest.begin(), rest.end());
+  EXPECT_EQ(distinct.size(), 8u) << "bucket handed out twice";
+  for (const int32_t b : rest) {
+    EXPECT_EQ(pool->fill()[b], 0u);
+    EXPECT_EQ(pool->next()[b], BucketPool::kNull);
+  }
+
+  // An empty pool takes nothing and appends nothing.
+  EXPECT_EQ(pool->AllocateBuckets(4, &rest), 0u);
+  EXPECT_EQ(rest.size(), 5u);
+  EXPECT_EQ(pool->traffic().drawn, 16u);
+}
+
+TEST_F(PoolTest, AllocateBucketsPopsInAllocateBucketOrder) {
+  // out->back() is the bucket AllocateBucket would return first, so a
+  // stash popping from its back hands buckets out in the same order.
+  auto one = std::move(BucketPool::Allocate(&device_.memory(), 6, 16))
+                 .ValueOrDie();
+  auto batched = std::move(BucketPool::Allocate(&device_.memory(), 6, 16))
+                     .ValueOrDie();
+  one->FreeBucket(one->AllocateBucket());  // same LIFO state on both
+  batched->FreeBucket(batched->AllocateBucket());
+  std::vector<int32_t> singles;
+  for (int i = 0; i < 4; ++i) singles.push_back(one->AllocateBucket());
+  std::vector<int32_t> batch;
+  ASSERT_EQ(batched->AllocateBuckets(4, &batch), 4u);
+  std::reverse(batch.begin(), batch.end());
+  EXPECT_EQ(batch, singles);
+}
+
+TEST_F(PoolTest, TrafficCountsLocksAndDraws) {
+  auto pool =
+      std::move(BucketPool::Allocate(&device_.memory(), 8, 16)).ValueOrDie();
+  std::vector<int32_t> taken;
+  pool->AllocateBuckets(3, &taken);
+  taken.push_back(pool->AllocateBucket());
+  pool->FreeBucket(taken.back());
+  taken.pop_back();
+  pool->FreeBuckets(taken);
+  EXPECT_EQ(pool->free_buckets(), 8u);  // reads do not count
+  const BucketPool::Traffic traffic = pool->traffic();
+  EXPECT_EQ(traffic.locks, 4u);
+  EXPECT_EQ(traffic.drawn, 4u);
+}
+
+TEST_F(PoolTest, DrawBatchKeepsStashesWithinTheInFlightSlack) {
+  for (const size_t producers : {0u, 1u, 2u, 3u, 4u, 5u, 8u, 16u, 100u, 128u,
+                                 129u, 4096u}) {
+    SCOPED_TRACE("producers " + std::to_string(producers));
+    const uint32_t batch = BucketPool::DrawBatch(producers);
+    EXPECT_GE(batch, 1u);
+    EXPECT_LE(batch, BucketPool::kMaxDrawBatch);
+    if (producers >= 1 && producers <= BucketPool::kInFlightSlack) {
+      EXPECT_LE(batch * producers, BucketPool::kInFlightSlack);
+    }
+  }
+  EXPECT_EQ(BucketPool::DrawBatch(1), BucketPool::kMaxDrawBatch);
+  EXPECT_EQ(BucketPool::DrawBatch(8), 16u);
+}
+
+TEST_F(PoolTest, PartitioningLocksThePoolOncePerBatch) {
+  // small_joins' probe side at pool width 1: 256K tuples, passes {8, 7},
+  // 32-tuple buckets. Every producer (a pass-1 block, a pass-2 sweeper
+  // or block) refills its stash a full batch per lock and returns its
+  // leftovers with one more, so the pool sees ceil(drawn / batch) locks
+  // plus at most one per producer. Locking once per bucket would take at
+  // least one lock per bucket drawn.
+  util::ThreadPool one(1);
+  sim::Device device(spec_, &one);
+  const auto rel = data::MakeUniformProbe(256 * 1024, 64 * 1024, 12);
+  const uint64_t blocks = static_cast<uint64_t>(spec_.gpu.num_sms) *
+                          static_cast<uint64_t>(spec_.gpu.blocks_per_sm);
+  const uint64_t batch = BucketPool::DrawBatch(1);
+  for (const WorkAssignment assignment :
+       {WorkAssignment::kBucketAtATime, WorkAssignment::kPartitionAtATime}) {
+    SCOPED_TRACE(assignment == WorkAssignment::kBucketAtATime
+                     ? "bucket at a time"
+                     : "partition at a time");
+    auto rel_dev =
+        std::move(DeviceRelation::Upload(&device, rel)).ValueOrDie();
+    RadixPartitionConfig cfg;
+    cfg.pass_bits = {8, 7};
+    cfg.assignment = assignment;
+    auto parted =
+        std::move(RadixPartition(&device, rel_dev, cfg)).ValueOrDie();
+    ASSERT_EQ(parted.chains.bucket_capacity(), 32u);
+    const BucketPool::Traffic traffic = parted.chains.pool()->traffic();
+    // Pass-1 blocks, then one sweeper (width 1) or one producer per
+    // block holding parents.
+    const uint64_t producers =
+        blocks + (assignment == WorkAssignment::kBucketAtATime ? 1 : blocks);
+    const uint64_t bound = (traffic.drawn + batch - 1) / batch + producers;
+    EXPECT_LE(traffic.locks, bound) << traffic.drawn << " buckets drawn";
+    EXPECT_GT(traffic.drawn, 10 * bound);  // the bound sees per-bucket locks
+  }
+}
+
 TEST_F(PoolTest, RejectsZeroGeometry) {
   EXPECT_FALSE(BucketPool::Allocate(&device_.memory(), 0, 64).ok());
   EXPECT_FALSE(BucketPool::Allocate(&device_.memory(), 8, 0).ok());
@@ -69,12 +194,13 @@ TEST_F(PoolTest, ChainsShareOnePool) {
                .ValueOrDie();
   auto b = std::move(BucketChains::Allocate(&device_.memory(), 8, pool))
                .ValueOrDie();
-  const int32_t from_a = a.AllocateBucket();
-  const int32_t from_b = b.AllocateBucket();
+  EXPECT_EQ(a.pool(), b.pool());
+  const int32_t from_a = a.pool()->AllocateBucket();
+  const int32_t from_b = b.pool()->AllocateBucket();
   EXPECT_NE(from_a, from_b);
   EXPECT_EQ(pool->free_buckets(), 30u);
-  a.FreeBucket(from_a);
-  b.FreeBucket(from_b);
+  a.pool()->FreeBucket(from_a);
+  b.pool()->FreeBucket(from_b);
   EXPECT_EQ(pool->free_buckets(), 32u);
 }
 

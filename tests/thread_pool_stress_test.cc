@@ -311,9 +311,13 @@ TEST_F(LaunchDeterminismTest, PartitionAtATimeSecondPassIdentical) {
 }
 
 /// A partitioned relation's layout as a join reads it: per partition,
-/// its tuples and its bucket fills, both in chain order.
+/// its tuples and its bucket fills, both in chain order. `stray` counts
+/// buckets off the free list that no chain holds (a producer's stash not
+/// handed back).
 struct ChainContents {
   std::vector<std::vector<uint32_t>> keys, pays, fills;
+  uint32_t bucket_capacity = 0;
+  int64_t stray = 0;
 };
 
 ChainContents PartitionAndRead(sim::Device* dev, const data::Relation& rel,
@@ -328,6 +332,9 @@ ChainContents PartitionAndRead(sim::Device* dev, const data::Relation& rel,
   const gpujoin::BucketChains& chains = parted->chains;
   const uint32_t cap = chains.bucket_capacity();
   const uint32_t parts = chains.num_partitions();
+  const gpujoin::BucketPool& pool = *chains.pool();
+  out.bucket_capacity = cap;
+  out.stray = static_cast<int64_t>(pool.num_buckets()) - pool.free_buckets();
   out.keys.resize(parts);
   out.pays.resize(parts);
   out.fills.resize(parts);
@@ -337,6 +344,7 @@ ChainContents PartitionAndRead(sim::Device* dev, const data::Relation& rel,
       const uint32_t fill = chains.fill()[b];
       const size_t base = static_cast<size_t>(b) * cap;
       out.fills[p].push_back(fill);
+      --out.stray;
       out.keys[p].insert(out.keys[p].end(), chains.keys() + base,
                          chains.keys() + base + fill);
       out.pays[p].insert(out.pays[p].end(), chains.payloads() + base,
@@ -350,7 +358,8 @@ ChainContents PartitionAndRead(sim::Device* dev, const data::Relation& rel,
 /// whatever order the workers claim them. Every width must leave the
 /// same tuples in the same chain order, in buckets of the same fills,
 /// with the same charges — stats alone would not notice two runs
-/// swapped in a chain.
+/// swapped in a chain — and every bucket not in a chain back on the free
+/// list.
 void ExpectChainsIdenticalAcrossWidths(
     const data::Relation& rel, const gpujoin::RadixPartitionConfig& cfg,
     std::initializer_list<util::ThreadPool*> pools) {
@@ -360,10 +369,12 @@ void ExpectChainsIdenticalAcrossWidths(
   size_t tuples = 0;
   for (const auto& keys : ref.keys) tuples += keys.size();
   ASSERT_EQ(tuples, rel.size());
+  EXPECT_EQ(ref.stray, 0);
   for (auto it = pools.begin() + 1; it != pools.end(); ++it) {
     SCOPED_TRACE("pool width " + std::to_string((*it)->num_threads()));
     sim::Device dev{hw::HardwareSpec::Icde2019Testbed(), *it};
     const ChainContents got = PartitionAndRead(&dev, rel, cfg);
+    EXPECT_EQ(got.stray, 0);
     ASSERT_EQ(got.keys.size(), ref.keys.size());
     for (size_t p = 0; p < ref.keys.size(); ++p) {
       ASSERT_EQ(got.fills[p], ref.fills[p]) << "partition " << p;
@@ -411,6 +422,46 @@ TEST_F(LaunchDeterminismTest, ChainContentsIdenticalWithHotParent) {
   gpujoin::RadixPartitionConfig cfg;
   cfg.pass_bits = {5, 5};
   ExpectChainsIdenticalAcrossWidths(rel, cfg, {&pool1_, &pool2_, &pool8_});
+}
+
+TEST_F(LaunchDeterminismTest, BatchedDrawsLeaveNoBucketStrayAtAnyWidth) {
+  // Producers draw buckets in batches into private stashes and hand the
+  // leftovers back. small_joins' probe geometry (256K tuples, {8, 7},
+  // 32-tuple buckets) draws tens of thousands; one-bit passes leave the
+  // pool the least room beyond the stashes' in-flight slack.
+  const data::Relation small_joins =
+      data::MakeUniformProbe(256 * 1024, 64 * 1024, 51);
+  const data::Relation one_bit = data::MakeUniformProbe(20000, 20000, 52);
+  const data::Relation tiny = data::MakeUniformProbe(100, 100, 53);
+  {
+    sim::Device dev{hw::HardwareSpec::Icde2019Testbed(), &pool1_};
+    gpujoin::RadixPartitionConfig cfg;
+    cfg.pass_bits = {8, 7};
+    ASSERT_EQ(PartitionAndRead(&dev, small_joins, cfg).bucket_capacity, 32u);
+  }
+  struct Case {
+    const data::Relation* rel;
+    std::vector<int> bits;
+  };
+  const Case cases[] = {{&small_joins, {8, 7}}, {&one_bit, {1}},
+                        {&one_bit, {1, 1}},     {&tiny, {1}},
+                        {&tiny, {1, 1}}};
+  for (const gpujoin::WorkAssignment assignment :
+       {gpujoin::WorkAssignment::kBucketAtATime,
+        gpujoin::WorkAssignment::kPartitionAtATime}) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::to_string(c.rel->size()) + " tuples, " +
+                   std::to_string(c.bits.size()) + " passes, " +
+                   (assignment == gpujoin::WorkAssignment::kBucketAtATime
+                        ? "bucket at a time"
+                        : "partition at a time"));
+      gpujoin::RadixPartitionConfig cfg;
+      cfg.pass_bits = c.bits;
+      cfg.assignment = assignment;
+      ExpectChainsIdenticalAcrossWidths(*c.rel, cfg,
+                                        {&pool1_, &pool2_, &pool8_});
+    }
+  }
 }
 
 TEST_F(LaunchDeterminismTest, MaterializedRingBytesIdenticalEvenWrapped) {
