@@ -46,50 +46,26 @@ util::Result<std::shared_ptr<BucketPool>> BucketPool::Allocate(
   return pool;
 }
 
-int32_t BucketPool::AllocateBucket() {
-  util::MutexLock lock(&free_mu_);
-  ++traffic_.locks;
-  if (free_list_.empty()) return kNull;
-  const int32_t b = free_list_.back();
-  free_list_.pop_back();
-  ++traffic_.drawn;
-  fill_[b] = 0;
-  next_[b] = kNull;
-  return b;
-}
-
 uint32_t BucketPool::AllocateBuckets(uint32_t n, std::vector<int32_t>* out) {
   util::MutexLock lock(&free_mu_);
-  ++traffic_.locks;
+  ++lock_count_;
   const size_t take = std::min<size_t>(n, free_list_.size());
-  // The top `take` entries in list order: out->back() is the bucket a
-  // single AllocateBucket would have popped.
   const auto first = free_list_.end() - static_cast<ptrdiff_t>(take);
-  for (auto it = first; it != free_list_.end(); ++it) {
-    fill_[*it] = 0;
-    next_[*it] = kNull;
-  }
+  for (auto it = first; it != free_list_.end(); ++it) ResetBucket(*it);
   out->insert(out->end(), first, free_list_.end());
   free_list_.erase(first, free_list_.end());
-  traffic_.drawn += take;
   return static_cast<uint32_t>(take);
-}
-
-void BucketPool::FreeBucket(int32_t bucket) {
-  util::MutexLock lock(&free_mu_);
-  ++traffic_.locks;
-  free_list_.push_back(bucket);
 }
 
 void BucketPool::FreeBuckets(const std::vector<int32_t>& buckets) {
   util::MutexLock lock(&free_mu_);
-  ++traffic_.locks;
+  ++lock_count_;
   free_list_.insert(free_list_.end(), buckets.begin(), buckets.end());
 }
 
-BucketPool::Traffic BucketPool::traffic() const {
+uint64_t BucketPool::lock_count() const {
   util::MutexLock lock(&free_mu_);
-  return traffic_;
+  return lock_count_;
 }
 
 uint32_t BucketPool::free_buckets() const {

@@ -58,31 +58,27 @@ class BucketPool {
       sim::DeviceMemory* memory, uint32_t num_buckets,
       uint32_t bucket_capacity);
 
-  /// Pops a bucket from the free list (one device atomic in kernels);
-  /// kNull when exhausted. The bucket's fill is reset to 0 and its next
-  /// pointer to kNull.
-  int32_t AllocateBucket();
-
   /// Pops up to `n` buckets under one lock acquisition and appends them
-  /// to `out`, the last one appended being the one AllocateBucket would
-  /// have returned first. Each is reset as AllocateBucket resets it.
-  /// Returns how many were taken: min(n, free_buckets()), so a request
-  /// the pool can only partly serve empties it instead of failing.
+  /// to `out`, each reset by ResetBucket. Returns how many were taken:
+  /// min(n, free_buckets()), so a request the pool can only partly
+  /// serve empties it instead of failing.
   uint32_t AllocateBuckets(uint32_t n, std::vector<int32_t>* out);
 
-  /// Returns a consumed bucket to the free list.
-  void FreeBucket(int32_t bucket);
-
-  /// Returns several consumed buckets under one lock acquisition.
+  /// Returns consumed buckets to the free list under one lock
+  /// acquisition.
   void FreeBuckets(const std::vector<int32_t>& buckets);
 
-  /// Free-list traffic since allocation: lock acquisitions by the four
-  /// calls above, and buckets they handed out.
-  struct Traffic {
-    uint64_t locks = 0;
-    uint64_t drawn = 0;
-  };
-  Traffic traffic() const;
+  /// Empties a bucket its holder owns: fill 0, no successor. Every
+  /// bucket handed out is in this state.
+  void ResetBucket(int32_t bucket) {
+    fill_[bucket] = 0;
+    next_[bucket] = kNull;
+  }
+
+  /// Free-list lock acquisitions since allocation (AllocateBuckets and
+  /// FreeBuckets calls). Read by the regression test that bounds the
+  /// locks a partition takes per bucket drawn.
+  uint64_t lock_count() const;
 
   // --- Geometry ---
   uint32_t num_buckets() const { return num_buckets_; }
@@ -112,7 +108,7 @@ class BucketPool {
   sim::DeviceBuffer<uint32_t> fill_;
   mutable util::Mutex free_mu_;
   std::vector<int32_t> free_list_ GJOIN_GUARDED_BY(free_mu_);
-  Traffic traffic_ GJOIN_GUARDED_BY(free_mu_);
+  uint64_t lock_count_ GJOIN_GUARDED_BY(free_mu_) = 0;
 };
 
 }  // namespace gjoin::gpujoin

@@ -141,8 +141,7 @@ class BucketStash {
   /// Takes back a bucket whose tuples and link have been read, emptying
   /// it as the pool empties the buckets it hands out.
   void Recycle(int32_t bucket) {
-    pool_->fill()[bucket] = 0;
-    pool_->next()[bucket] = BucketPool::kNull;
+    pool_->ResetBucket(bucket);
     buckets_.push_back(bucket);
   }
 

@@ -31,26 +31,30 @@ TEST_F(PoolTest, AllocateFreeRoundTrip) {
   auto pool =
       std::move(BucketPool::Allocate(&device_.memory(), 8, 64)).ValueOrDie();
   EXPECT_EQ(pool->free_buckets(), 8u);
+  std::vector<int32_t> v;
   std::set<int32_t> taken;
   for (int i = 0; i < 8; ++i) {
-    const int32_t b = pool->AllocateBucket();
-    ASSERT_NE(b, BucketPool::kNull);
-    EXPECT_TRUE(taken.insert(b).second) << "bucket handed out twice";
+    ASSERT_EQ(pool->AllocateBuckets(1, &v), 1u);
+    EXPECT_TRUE(taken.insert(v.back()).second) << "bucket handed out twice";
   }
-  EXPECT_EQ(pool->AllocateBucket(), BucketPool::kNull);  // exhausted
-  pool->FreeBucket(*taken.begin());
+  EXPECT_EQ(pool->AllocateBuckets(1, &v), 0u);  // exhausted
+  EXPECT_EQ(v.size(), 8u);
+  pool->FreeBuckets({*taken.begin()});
   EXPECT_EQ(pool->free_buckets(), 1u);
-  EXPECT_NE(pool->AllocateBucket(), BucketPool::kNull);
+  EXPECT_EQ(pool->AllocateBuckets(1, &v), 1u);
 }
 
 TEST_F(PoolTest, AllocationResetsBucketState) {
   auto pool =
       std::move(BucketPool::Allocate(&device_.memory(), 2, 16)).ValueOrDie();
-  const int32_t b = pool->AllocateBucket();
+  std::vector<int32_t> v;
+  ASSERT_EQ(pool->AllocateBuckets(1, &v), 1u);
+  const int32_t b = v.back();
   pool->fill()[b] = 7;
   pool->next()[b] = 1;
-  pool->FreeBucket(b);
-  const int32_t again = pool->AllocateBucket();
+  pool->FreeBuckets({b});
+  ASSERT_EQ(pool->AllocateBuckets(1, &v), 1u);
+  const int32_t again = v.back();
   // LIFO free list returns the same bucket, cleaned.
   EXPECT_EQ(again, b);
   EXPECT_EQ(pool->fill()[again], 0u);
@@ -95,39 +99,19 @@ TEST_F(PoolTest, AllocateBucketsTakesWhatIsFreeAndResetsEach) {
   // An empty pool takes nothing and appends nothing.
   EXPECT_EQ(pool->AllocateBuckets(4, &rest), 0u);
   EXPECT_EQ(rest.size(), 5u);
-  EXPECT_EQ(pool->traffic().drawn, 16u);
 }
 
-TEST_F(PoolTest, AllocateBucketsPopsInAllocateBucketOrder) {
-  // out->back() is the bucket AllocateBucket would return first, so a
-  // stash popping from its back hands buckets out in the same order.
-  auto one = std::move(BucketPool::Allocate(&device_.memory(), 6, 16))
-                 .ValueOrDie();
-  auto batched = std::move(BucketPool::Allocate(&device_.memory(), 6, 16))
-                     .ValueOrDie();
-  one->FreeBucket(one->AllocateBucket());  // same LIFO state on both
-  batched->FreeBucket(batched->AllocateBucket());
-  std::vector<int32_t> singles;
-  for (int i = 0; i < 4; ++i) singles.push_back(one->AllocateBucket());
-  std::vector<int32_t> batch;
-  ASSERT_EQ(batched->AllocateBuckets(4, &batch), 4u);
-  std::reverse(batch.begin(), batch.end());
-  EXPECT_EQ(batch, singles);
-}
-
-TEST_F(PoolTest, TrafficCountsLocksAndDraws) {
+TEST_F(PoolTest, LockCountCountsEachDrawAndFree) {
   auto pool =
       std::move(BucketPool::Allocate(&device_.memory(), 8, 16)).ValueOrDie();
   std::vector<int32_t> taken;
   pool->AllocateBuckets(3, &taken);
-  taken.push_back(pool->AllocateBucket());
-  pool->FreeBucket(taken.back());
+  pool->AllocateBuckets(1, &taken);
+  pool->FreeBuckets({taken.back()});
   taken.pop_back();
   pool->FreeBuckets(taken);
   EXPECT_EQ(pool->free_buckets(), 8u);  // reads do not count
-  const BucketPool::Traffic traffic = pool->traffic();
-  EXPECT_EQ(traffic.locks, 4u);
-  EXPECT_EQ(traffic.drawn, 4u);
+  EXPECT_EQ(pool->lock_count(), 4u);
 }
 
 TEST_F(PoolTest, DrawBatchKeepsStashesWithinTheInFlightSlack) {
@@ -147,38 +131,59 @@ TEST_F(PoolTest, DrawBatchKeepsStashesWithinTheInFlightSlack) {
 
 TEST_F(PoolTest, PartitioningLocksThePoolOncePerBatch) {
   // small_joins' probe side at pool width 1: 256K tuples, passes {8, 7},
-  // 32-tuple buckets. Every producer (a pass-1 block, a pass-2 sweeper
-  // or block) refills its stash a full batch per lock and returns its
-  // leftovers with one more, so the pool sees ceil(drawn / batch) locks
-  // plus at most one per producer. Locking once per bucket would take at
-  // least one lock per bucket drawn.
+  // 32-tuple buckets. A producer (a pass-1 block, a pass-2 sweeper or
+  // block) refills its stash a full batch per lock and returns its
+  // leftovers with one more, so it takes at most ceil(used / batch) + 2
+  // locks for the `used` pool buckets it keeps. Pass 1 keeps every bucket
+  // its chains hold; pass 2 recycles those and draws at most the buckets
+  // its own chains hold. Locking once per bucket would take at least one
+  // lock per pass-1 bucket.
   util::ThreadPool one(1);
   sim::Device device(spec_, &one);
   const auto rel = data::MakeUniformProbe(256 * 1024, 64 * 1024, 12);
   const uint64_t blocks = static_cast<uint64_t>(spec_.gpu.num_sms) *
                           static_cast<uint64_t>(spec_.gpu.blocks_per_sm);
   const uint64_t batch = BucketPool::DrawBatch(1);
+  const auto partition = [&](std::vector<int> pass_bits,
+                             WorkAssignment assignment) {
+    auto rel_dev =
+        std::move(DeviceRelation::Upload(&device, rel)).ValueOrDie();
+    RadixPartitionConfig cfg;
+    cfg.pass_bits = std::move(pass_bits);
+    cfg.assignment = assignment;
+    return std::move(RadixPartition(&device, rel_dev, cfg)).ValueOrDie();
+  };
+  const auto held = [](const PartitionedRelation& parted) {
+    const BucketPool& pool = *parted.chains.pool();
+    return static_cast<uint64_t>(pool.num_buckets() - pool.free_buckets());
+  };
+
+  // Pass 1 alone: `blocks` producers.
+  const PartitionedRelation first =
+      partition({8}, WorkAssignment::kBucketAtATime);
+  ASSERT_EQ(first.chains.bucket_capacity(), 32u);
+  const uint64_t pass1_buckets = held(first);
+  const uint64_t pass1_bound =
+      (pass1_buckets + batch - 1) / batch + 2 * blocks;
+  EXPECT_LE(first.chains.pool()->lock_count(), pass1_bound);
+  EXPECT_GT(pass1_buckets, 10 * pass1_bound);  // sees per-bucket locks
+
   for (const WorkAssignment assignment :
        {WorkAssignment::kBucketAtATime, WorkAssignment::kPartitionAtATime}) {
     SCOPED_TRACE(assignment == WorkAssignment::kBucketAtATime
                      ? "bucket at a time"
                      : "partition at a time");
-    auto rel_dev =
-        std::move(DeviceRelation::Upload(&device, rel)).ValueOrDie();
-    RadixPartitionConfig cfg;
-    cfg.pass_bits = {8, 7};
-    cfg.assignment = assignment;
-    auto parted =
-        std::move(RadixPartition(&device, rel_dev, cfg)).ValueOrDie();
+    const PartitionedRelation parted = partition({8, 7}, assignment);
     ASSERT_EQ(parted.chains.bucket_capacity(), 32u);
-    const BucketPool::Traffic traffic = parted.chains.pool()->traffic();
-    // Pass-1 blocks, then one sweeper (width 1) or one producer per
+    // Pass 1's blocks, then one sweeper (width 1) or one producer per
     // block holding parents.
     const uint64_t producers =
         blocks + (assignment == WorkAssignment::kBucketAtATime ? 1 : blocks);
-    const uint64_t bound = (traffic.drawn + batch - 1) / batch + producers;
-    EXPECT_LE(traffic.locks, bound) << traffic.drawn << " buckets drawn";
-    EXPECT_GT(traffic.drawn, 10 * bound);  // the bound sees per-bucket locks
+    const uint64_t used = pass1_buckets + held(parted);
+    const uint64_t bound = (used + batch - 1) / batch + 2 * producers;
+    EXPECT_LE(parted.chains.pool()->lock_count(), bound)
+        << used << " buckets filled";
+    EXPECT_GT(pass1_buckets, 5 * bound);  // sees per-bucket locks
   }
 }
 
@@ -195,12 +200,14 @@ TEST_F(PoolTest, ChainsShareOnePool) {
   auto b = std::move(BucketChains::Allocate(&device_.memory(), 8, pool))
                .ValueOrDie();
   EXPECT_EQ(a.pool(), b.pool());
-  const int32_t from_a = a.pool()->AllocateBucket();
-  const int32_t from_b = b.pool()->AllocateBucket();
+  std::vector<int32_t> from_a;
+  std::vector<int32_t> from_b;
+  ASSERT_EQ(a.pool()->AllocateBuckets(1, &from_a), 1u);
+  ASSERT_EQ(b.pool()->AllocateBuckets(1, &from_b), 1u);
   EXPECT_NE(from_a, from_b);
   EXPECT_EQ(pool->free_buckets(), 30u);
-  a.pool()->FreeBucket(from_a);
-  b.pool()->FreeBucket(from_b);
+  a.pool()->FreeBuckets(from_a);
+  b.pool()->FreeBuckets(from_b);
   EXPECT_EQ(pool->free_buckets(), 32u);
 }
 
