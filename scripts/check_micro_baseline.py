@@ -10,8 +10,8 @@ a fresh run on a different machine is uniformly faster or slower. To
 separate machine speed from simulator regressions, the checker
 normalizes every benchmark's current/baseline ratio by a *calibration*
 benchmark that exercises no simulator code (BM_ZipfGeneration: pure
-data generation) and flags kernels that drifted past the tolerance
-relative to it. A broad regression across all simulator kernels is
+data generation on the benchmark thread) and flags kernels that
+drifted past the tolerance relative to it. A broad regression across all simulator kernels is
 still caught because the calibration kernel does not move with them.
 If the calibration benchmark is absent, the median ratio is used (which
 only catches regressions in fewer than half the kernels).

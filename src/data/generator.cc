@@ -1,9 +1,10 @@
 #include "src/data/generator.h"
 
 #include <algorithm>
-#include <utility>
+#include <vector>
 
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 
 namespace gjoin::data {
 
@@ -15,14 +16,12 @@ Relation MakeUniqueUniform(size_t n, uint64_t seed) {
   }
   util::Rng rng(seed);
   // Shuffle keys only; payload i remains the row id of position i.
-  for (size_t i = n; i > 1; --i) {
-    const size_t j = rng.Uniform(i);
-    std::swap(rel.keys[i - 1], rel.keys[j]);
-  }
+  util::Shuffle(&rel.keys, &rng);
   return rel;
 }
 
 Relation MakeUniformProbe(size_t n, size_t distinct, uint64_t seed) {
+  distinct = std::max<size_t>(distinct, 1);
   Relation rel;
   rel.Reserve(n);
   util::Rng rng(seed);
@@ -41,10 +40,7 @@ void StreamUniqueUniform(size_t n, uint64_t seed, size_t chunk_tuples,
   std::vector<uint32_t> keys(n);
   for (size_t i = 0; i < n; ++i) keys[i] = static_cast<uint32_t>(i + 1);
   util::Rng rng(seed);
-  for (size_t i = n; i > 1; --i) {
-    const size_t j = rng.Uniform(i);
-    std::swap(keys[i - 1], keys[j]);
-  }
+  util::Shuffle(&keys, &rng);
   std::vector<uint32_t> payloads(std::min(n, chunk_tuples));
   for (size_t begin = 0; begin < n; begin += chunk_tuples) {
     const size_t end = std::min(n, begin + chunk_tuples);
@@ -57,6 +53,7 @@ void StreamUniqueUniform(size_t n, uint64_t seed, size_t chunk_tuples,
 
 void StreamUniformProbe(size_t n, size_t distinct, uint64_t seed,
                         size_t chunk_tuples, const ChunkSink& sink) {
+  distinct = std::max<size_t>(distinct, 1);
   chunk_tuples = std::max<size_t>(chunk_tuples, 1);
   util::Rng rng(seed);
   std::vector<uint32_t> keys(std::min(n, chunk_tuples));
@@ -73,6 +70,7 @@ void StreamUniformProbe(size_t n, size_t distinct, uint64_t seed,
 
 Relation MakeZipf(size_t n, size_t distinct, double skew, uint64_t seed,
                   uint64_t perm_seed) {
+  distinct = std::max<size_t>(distinct, 1);
   Relation rel;
   rel.Reserve(n);
   util::ZipfGenerator zipf(distinct, skew, seed);
@@ -88,9 +86,39 @@ Relation MakeZipf(size_t n, size_t distinct, double skew, uint64_t seed,
     rank_to_key[i] = static_cast<uint32_t>(i + 1);
   }
   util::Shuffle(&rank_to_key, &rng);
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t rank = zipf.Next() - 1;
-    rel.Append(rank_to_key[rank], static_cast<uint32_t>(i));
+
+  // Each rejection-inversion step takes one draw and accepts or rejects
+  // it on that draw alone, so a block of draws taken in order maps to
+  // ranks in parallel, and its accepted ranks kept in draw order are
+  // exactly Next()'s. The rank-to-key lookups, which mostly miss the
+  // cache, run as a batch instead of each waiting behind a pow() chain.
+  // A block never holds more draws than tuples are missing, so no draw is
+  // wasted. Skew 0 keeps its sequential Rng::Uniform ranks (one may take
+  // several draws); only their lookups are batched.
+  const bool uniform = zipf.skew() == 0.0;
+  std::vector<uint64_t> block(std::min(n, kZipfDrawBlock));
+  while (rel.size() < n) {
+    const size_t draws = std::min(kZipfDrawBlock, n - rel.size());
+    for (size_t j = 0; j < draws; ++j) {
+      block[j] = uniform ? zipf.Next() : zipf.rng()->Next64();
+    }
+    // Keys start at 1, so 0 still marks a rejected draw after the lookup.
+    util::ThreadPool::Default()->ParallelForRanges(
+        draws, [&](size_t /*worker*/, size_t begin, size_t end) {
+          if (!uniform) {
+            for (size_t j = begin; j < end; ++j) {
+              block[j] = zipf.Candidate(block[j]);
+            }
+          }
+          for (size_t j = begin; j < end; ++j) {
+            if (block[j] != 0) block[j] = rank_to_key[block[j] - 1];
+          }
+        });
+    for (size_t j = 0; j < draws; ++j) {
+      if (block[j] == 0) continue;
+      rel.Append(static_cast<uint32_t>(block[j]),
+                 static_cast<uint32_t>(rel.size()));
+    }
   }
   return rel;
 }
@@ -99,7 +127,7 @@ Relation MakeReplicated(size_t n, double avg_replicas, uint64_t seed) {
   if (avg_replicas < 1.0) avg_replicas = 1.0;
   const size_t distinct =
       static_cast<size_t>(static_cast<double>(n) / avg_replicas);
-  return MakeUniformProbe(n, distinct == 0 ? 1 : distinct, seed);
+  return MakeUniformProbe(n, distinct, seed);
 }
 
 }  // namespace gjoin::data

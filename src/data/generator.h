@@ -2,7 +2,8 @@
 //
 // All generators are deterministic in their seed. Key spaces start at 1
 // (key 0 is reserved as the empty slot marker of the perfect-hash
-// baseline).
+// baseline). An empty key domain (`distinct` = 0) is treated as the one
+// key 1, the way util::ZipfGenerator treats n = 0.
 
 #ifndef GJOIN_DATA_GENERATOR_H_
 #define GJOIN_DATA_GENERATOR_H_
@@ -35,8 +36,19 @@ Relation MakeUniformProbe(size_t n, size_t distinct, uint64_t seed);
 /// perm_seed but different `seed`s are "identically skewed with the same
 /// popular values" — the paper's worst case; different perm_seeds give
 /// independently skewed relations. perm_seed = 0 derives it from `seed`.
+///
+/// The output is exactly that of one util::ZipfGenerator::Next() and one
+/// rank-to-key lookup per tuple, computed in blocks of at most
+/// kZipfDrawBlock generator draws: the draws are taken in order on the
+/// calling thread, mapped to ranks (s > 0) and keys on
+/// util::ThreadPool::Default(), and kept in draw order. So MakeZipf must
+/// not be called from inside a ThreadPool::Default() task
+/// (ThreadPool::Wait() forbids that).
 Relation MakeZipf(size_t n, size_t distinct, double skew, uint64_t seed,
                   uint64_t perm_seed = 0);
+
+/// Largest number of generator draws MakeZipf maps per pool dispatch.
+inline constexpr size_t kZipfDrawBlock = size_t{1} << 15;
 
 /// Uniform distribution with duplicates: n tuples over n / avg_replicas
 /// distinct values, so every key appears `avg_replicas` times on average

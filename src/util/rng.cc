@@ -1,6 +1,8 @@
 #include "src/util/rng.h"
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 
 #include "src/util/bits.h"
 
@@ -13,6 +15,11 @@ constexpr uint64_t RotL(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); 
 uint64_t SplitMix64(uint64_t* state) {
   *state += 0x9e3779b97f4a7c15ULL;
   return Mix64(*state);
+}
+
+/// Uniform double in [0, 1) from the top 53 bits of one draw.
+double UnitDouble(uint64_t raw) {
+  return static_cast<double>(raw >> 11) * 0x1.0p-53;
 }
 
 }  // namespace
@@ -49,9 +56,7 @@ uint64_t Rng::Uniform(uint64_t bound) {
   return static_cast<uint64_t>(m >> 64);
 }
 
-double Rng::NextDouble() {
-  return static_cast<double>(Next64() >> 11) * 0x1.0p-53;
-}
+double Rng::NextDouble() { return UnitDouble(Next64()); }
 
 // ---------------------------------------------------------------------------
 // ZipfGenerator — rejection-inversion (Hörmann & Derflinger 1996).
@@ -64,9 +69,14 @@ double Rng::NextDouble() {
 
 ZipfGenerator::ZipfGenerator(uint64_t n, double s, uint64_t seed)
     : n_(n == 0 ? 1 : n), s_(s < 0 ? 0.0 : s), rng_(seed) {
-  h_x1_ = H(1.5) - 1.0;
   h_n_ = H(static_cast<double>(n_) + 0.5);
   cut_ = H(0.5);
+  // A NaN or overflowed constant rejects every draw, so Next() would
+  // never return.
+  if (!std::isfinite(s) || !std::isfinite(h_n_) || !std::isfinite(cut_)) {
+    std::fprintf(stderr, "gjoin: Zipf skew %g gives no finite sampler\n", s);
+    std::abort();
+  }
 }
 
 double ZipfGenerator::H(double x) const {
@@ -79,19 +89,22 @@ double ZipfGenerator::HInverse(double x) const {
   return std::pow(1.0 + x * (1.0 - s_), 1.0 / (1.0 - s_));
 }
 
+uint64_t ZipfGenerator::Candidate(uint64_t raw) const {
+  const double u = cut_ + UnitDouble(raw) * (h_n_ - cut_);
+  const double x = HInverse(u);
+  uint64_t k = static_cast<uint64_t>(x + 0.5);
+  if (k < 1) k = 1;
+  if (k > n_) k = n_;
+  const double kd = static_cast<double>(k);
+  // Accept if u lands within the correction band around rank k.
+  return u >= H(kd + 0.5) - std::pow(kd, -s_) ? k : 0;
+}
+
 uint64_t ZipfGenerator::Next() {
   if (s_ == 0.0) return rng_.Uniform(n_) + 1;  // Uniform fast path.
   while (true) {
-    const double u = cut_ + rng_.NextDouble() * (h_n_ - cut_);
-    const double x = HInverse(u);
-    uint64_t k = static_cast<uint64_t>(x + 0.5);
-    if (k < 1) k = 1;
-    if (k > n_) k = n_;
-    const double kd = static_cast<double>(k);
-    // Accept if u lands within the correction band around rank k.
-    if (u >= H(kd + 0.5) - std::pow(kd, -s_)) {
-      return k;
-    }
+    const uint64_t k = Candidate(rng_.Next64());
+    if (k != 0) return k;
   }
 }
 

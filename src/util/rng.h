@@ -58,13 +58,27 @@ void Shuffle(std::vector<T>* data, Rng* rng) {
 /// of the paper's Figures 17, 18 and 20.
 class ZipfGenerator {
  public:
-  /// \param n number of distinct ranks (>= 1)
-  /// \param s skew parameter (>= 0); s = 0 means uniform
+  /// \param n number of distinct ranks (n = 0 is treated as 1)
+  /// \param s skew parameter (>= 0; negative means 0); s = 0 means
+  ///        uniform. A skew that is not finite, or so large that the
+  ///        sampler's constants overflow, aborts naming the value: no draw
+  ///        would ever be accepted.
   /// \param seed PRNG seed
   ZipfGenerator(uint64_t n, double s, uint64_t seed);
 
-  /// Next rank in [1, n].
+  /// Next rank in [1, n]: Candidate() over fresh rng() draws until one is
+  /// accepted. s = 0 instead takes one Rng::Uniform draw.
   uint64_t Next();
+
+  /// One rejection-inversion step for s > 0: maps one raw Rng::Next64()
+  /// draw to its rank in [1, n], or to 0 when the step rejects it. The
+  /// outcome depends on `raw` alone, so a block of draws taken in order
+  /// from rng() may be mapped in parallel and filtered in draw order to
+  /// give exactly the ranks Next() would.
+  uint64_t Candidate(uint64_t raw) const;
+
+  /// The draw stream Next() consumes.
+  Rng* rng() { return &rng_; }
 
   /// The configured skew parameter.
   double skew() const { return s_; }
@@ -80,7 +94,6 @@ class ZipfGenerator {
   double s_;
   Rng rng_;
   // Precomputed constants of the rejection-inversion method.
-  double h_x1_;
   double h_n_;
   double cut_;
 };

@@ -6,7 +6,10 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <set>
+
+#include "src/util/rng.h"
 
 namespace gjoin::data {
 namespace {
@@ -98,6 +101,88 @@ TEST(ZipfRelationTest, DomainRespected) {
   for (uint32_t k : rel.keys) {
     EXPECT_GE(k, 1u);
     EXPECT_LE(k, 777u);
+  }
+}
+
+/// The plain sequential definition MakeZipf must reproduce: the shuffled
+/// rank-to-key map, then one ZipfGenerator::Next() and one lookup per
+/// tuple.
+Relation SequentialZipf(size_t n, size_t distinct, double skew, uint64_t seed,
+                        uint64_t perm_seed) {
+  util::ZipfGenerator zipf(distinct, skew, seed);
+  util::Rng rng(perm_seed != 0 ? perm_seed : seed ^ 0xabcdef12345ULL);
+  std::vector<uint32_t> rank_to_key(distinct);
+  std::iota(rank_to_key.begin(), rank_to_key.end(), 1u);
+  util::Shuffle(&rank_to_key, &rng);
+  Relation rel;
+  for (size_t i = 0; i < n; ++i) {
+    rel.Append(rank_to_key[zipf.Next() - 1], static_cast<uint32_t>(i));
+  }
+  return rel;
+}
+
+TEST(ZipfRelationTest, MatchesSequentialDefinition) {
+  // Sizes straddle the draw block MakeZipf maps per pool dispatch.
+  constexpr size_t kB = kZipfDrawBlock;
+  for (const size_t n :
+       {size_t{0}, size_t{1}, kB - 1, kB, kB + 1, 3 * kB + 7}) {
+    for (const double skew : {0.0, 0.25, 0.5, 1.0, 1.5}) {
+      for (const uint64_t perm_seed : {uint64_t{0}, uint64_t{77}}) {
+        const Relation got = MakeZipf(n, 5000, skew, 31, perm_seed);
+        const Relation want = SequentialZipf(n, 5000, skew, 31, perm_seed);
+        EXPECT_EQ(got.keys, want.keys)
+            << "n=" << n << " skew=" << skew << " perm_seed=" << perm_seed;
+        EXPECT_EQ(got.payloads, want.payloads)
+            << "n=" << n << " skew=" << skew << " perm_seed=" << perm_seed;
+      }
+    }
+  }
+}
+
+TEST(ZipfRelationTest, GoldenHash) {
+  // FNV-1a over every tuple's key and payload bytes of ten relations,
+  // captured from the one-draw-at-a-time generator; the block pipeline
+  // must keep it at every pool width.
+  uint64_t hash = 14695981039346656037ULL;
+  auto mix = [&hash](uint32_t v) {
+    for (int b = 0; b < 4; ++b) {
+      hash ^= (v >> (8 * b)) & 0xffu;
+      hash *= 1099511628211ULL;
+    }
+  };
+  for (const double skew : {0.0, 0.25, 0.5, 1.0, 1.5}) {
+    for (const uint64_t perm_seed : {uint64_t{0}, uint64_t{77}}) {
+      const Relation rel =
+          MakeZipf(3 * 32768 + 7, 20000, skew, 1234, perm_seed);
+      for (size_t i = 0; i < rel.size(); ++i) {
+        mix(rel.keys[i]);
+        mix(rel.payloads[i]);
+      }
+    }
+  }
+  EXPECT_EQ(hash, 0xe4572a6972e188c3ULL);
+}
+
+TEST(EmptyDomainTest, EveryGeneratorUsesOneKey) {
+  // distinct = 0 is the one key 1 (util::ZipfGenerator treats n = 0 so).
+  std::vector<Relation> rels = {
+      MakeZipf(100, 0, 0.0, 3), MakeZipf(100, 0, 0.5, 3),
+      MakeZipf(100, 0, 0.5, 3, 9), MakeUniformProbe(100, 0, 3),
+      MakeReplicated(100, 1000.0, 3)};
+  Relation streamed;
+  StreamUniformProbe(100, 0, 3, 32, [&](const RelationView& view) {
+    for (size_t i = 0; i < view.size; ++i) {
+      streamed.Append(view.keys[i], view.payloads[i]);
+    }
+  });
+  rels.push_back(streamed);
+  for (size_t r = 0; r < rels.size(); ++r) {
+    const Relation& rel = rels[r];
+    ASSERT_EQ(rel.size(), 100u) << "relation " << r;
+    for (size_t i = 0; i < rel.size(); ++i) {
+      EXPECT_EQ(rel.keys[i], 1u) << "relation " << r;
+      EXPECT_EQ(rel.payloads[i], i) << "relation " << r;
+    }
   }
 }
 

@@ -119,6 +119,30 @@ TEST(ZipfTest, SkewIncreasesHeadMass) {
   }
 }
 
+TEST(ZipfTest, NextIsCandidateFilteredOverDraws) {
+  int rejected = 0;
+  for (const double s : {0.25, 0.5, 1.0, 1.5}) {
+    ZipfGenerator sequential(5000, s, 17);
+    ZipfGenerator filtered(5000, s, 17);
+    for (int i = 0; i < 20000; ++i) {
+      uint64_t k = 0;
+      while ((k = filtered.Candidate(filtered.rng()->Next64())) == 0) {
+        ++rejected;
+      }
+      ASSERT_EQ(sequential.Next(), k) << "s=" << s << " i=" << i;
+    }
+  }
+  EXPECT_GT(rejected, 0);  // The filter was exercised.
+}
+
+TEST(ZipfDeathTest, NonFiniteSkewAbortsNamingIt) {
+  EXPECT_DEATH(ZipfGenerator(100, std::nan(""), 1), "Zipf skew nan");
+  EXPECT_DEATH(ZipfGenerator(100, INFINITY, 1), "Zipf skew inf");
+  EXPECT_DEATH(ZipfGenerator(100, -INFINITY, 1), "Zipf skew -inf");
+  // Finite, but 0.5^(1 - s) overflows: no draw would be accepted either.
+  EXPECT_DEATH(ZipfGenerator(100, 5000.0, 1), "Zipf skew 5000");
+}
+
 class ZipfParamTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(ZipfParamTest, MeanRankDecreasesWithSkewAndIsFinite) {
