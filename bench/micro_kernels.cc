@@ -387,6 +387,46 @@ BENCHMARK(BM_JoinCoPartitionsMaterialized)
     ->Arg(1 << 18)
     ->MeasureProcessCPUTime();
 
+/// Small co-partition gate: the join phase of bench/e2e's small_joins
+/// (64K x 256K uniform, pass_bits {8, 7}: 2^15 co-partitions of about 2
+/// build and 8 probe tuples, each one chain-walking work item). Each
+/// item is a few cold misses on its buckets and little else; the launch
+/// hides them by prefetching a block's next item while the current one
+/// runs, and regressing toward cold starts shows here. Inputs are
+/// partitioned once outside the loop. Registered with
+/// MeasureProcessCPUTime: the blocks run on pool workers.
+void BM_JoinCoPartitionsSmall(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
+  const auto r = data::MakeUniqueUniform(n, 27);
+  const auto s = data::MakeUniformProbe(4 * n, n, 28);
+  gpujoin::RadixPartitionConfig pcfg;
+  pcfg.pass_bits = {8, 7};
+  const auto partition = [&](const data::Relation& rel) {
+    return util::ValueOrExit(
+        gpujoin::RadixPartition(
+            &device,
+            util::ValueOrExit(gpujoin::DeviceRelation::Upload(&device, rel),
+                              "micro_kernels"),
+            pcfg),
+        "micro_kernels");
+  };
+  const auto rp = partition(r);
+  const auto sp = partition(s);
+  const gpujoin::CoPartitionJoinConfig cfg;
+  for (auto _ : state) {
+    auto result = util::ValueOrExit(
+        gpujoin::JoinCoPartitions(&device, rp, sp, cfg), "micro_kernels");
+    benchmark::DoNotOptimize(result.matches);
+    device.ClearProfile();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 5 *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_JoinCoPartitionsSmall)
+    ->Arg(1 << 16)
+    ->MeasureProcessCPUTime();
+
 /// Streamed-probe gate at small chunks: 4096-tuple probe chunks stream
 /// past a resident 256K-tuple build in 512 co-partitions of about 512
 /// tuples (session_mixed's layout), so each chunk probes every build

@@ -16,6 +16,12 @@ still caught because the calibration kernel does not move with them.
 If the calibration benchmark is absent, the median ratio is used (which
 only catches regressions in fewer than half the kernels).
 
+A run with repetitions (--benchmark_repetitions=N, as CI runs it, with
+--benchmark_report_aggregates_only=true) is read by its per-benchmark
+median aggregates, so one slow repetition of an entry or of the
+calibrator does not decide the verdict; a run without them by its
+single cpu_time per benchmark.
+
 Exit status: 0 = within tolerance, 1 = regression or a benchmark that
 reported an error (SkipWithError), 2 = usage/data error.
 Tolerance defaults to 0.30; override with GJOIN_MICRO_TOLERANCE.
@@ -29,6 +35,18 @@ import sys
 CALIBRATION_PREFIX = "BM_ZipfGeneration/"
 
 
+def current_times(benchmarks):
+    """cpu_time per benchmark name: the median aggregate when the run has
+    repetitions, else the single iteration entry."""
+    medians = {b["run_name"]: b["cpu_time"] for b in benchmarks
+               if b.get("run_type") == "aggregate"
+               and b.get("aggregate_name") == "median"}
+    if medians:
+        return medians
+    return {b["name"]: b["cpu_time"] for b in benchmarks
+            if b.get("run_type", "iteration") == "iteration"}
+
+
 def main() -> int:
     if len(sys.argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -38,7 +56,7 @@ def main() -> int:
     with open(sys.argv[1]) as f:
         baseline = json.load(f)["benchmarks"]
     current_run = json.load(sys.stdin)
-    current = {b["name"]: b["cpu_time"] for b in current_run["benchmarks"]}
+    current = current_times(current_run["benchmarks"])
     errors = [b for b in current_run["benchmarks"] if b.get("error_occurred")]
     for b in errors:
         print(f"ERROR    {b['name']}: {b.get('error_message', '')}",

@@ -30,6 +30,33 @@ struct WorkItem {
   bool aggregated;
 };
 
+/// Group prefetching across work items (Chen et al., ICDE'04). A real
+/// block's first global access per co-partition is hidden by its other
+/// resident warps, but the host runs a block's items one after another,
+/// so each small item would start on cold misses. Before an item runs,
+/// its block's next item has its first S bucket and its R chain head's
+/// links fetched, and the head's tuples if `r_tuples` (the item gathers
+/// or aggregates them). Always inlined: GCC finds a function whose only
+/// effects are prefetches pure and drops the calls to it.
+[[gnu::always_inline]] inline void PrefetchWorkItem(
+    const BucketChains& build, const BucketChains& probe,
+    const std::vector<int32_t>& s_buckets_flat, const WorkItem& item,
+    bool r_tuples) {
+  const size_t sb = static_cast<size_t>(s_buckets_flat[item.s_from]);
+  util::PrefetchRead(probe.keys() + sb * probe.bucket_capacity());
+  util::PrefetchRead(probe.payloads() + sb * probe.bucket_capacity());
+  util::PrefetchRead(probe.fill() + sb);
+  const int32_t rb = build.heads()[item.p];
+  if (rb == BucketChains::kNull) return;
+  if (r_tuples) {
+    const size_t r_base = static_cast<size_t>(rb) * build.bucket_capacity();
+    util::PrefetchRead(build.keys() + r_base);
+    util::PrefetchRead(build.payloads() + r_base);
+  }
+  util::PrefetchRead(build.fill() + rb);
+  util::PrefetchRead(build.next() + rb);
+}
+
 /// Per-block shared-memory layout for the join kernels.
 struct JoinSharedArea {
   uint32_t* rkeys = nullptr;
@@ -615,6 +642,13 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
 
         for (size_t w = static_cast<size_t>(block.block_id());
              w < items.size(); w += static_cast<size_t>(num_blocks)) {
+          const size_t next = w + static_cast<size_t>(num_blocks);
+          if (next < items.size()) {
+            const WorkItem& ahead = items[next];
+            PrefetchWorkItem(
+                build.chains, probe.chains, s_buckets_flat, ahead,
+                ahead.aggregated || host_plan[ahead.p] == kPerItem);
+          }
           const WorkItem& item = items[w];
           const uint64_t matches_before_item = state.matches;
           block.ChargeCoalescedRead(12);  // work-list entry
@@ -997,6 +1031,13 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
           for (size_t w = b; w < items.size();
                w += static_cast<size_t>(num_blocks)) {
             if (sink.Skips(item_pairs[w])) continue;
+            // Once the block's pairs survive, so do its later items'.
+            const size_t next = w + static_cast<size_t>(num_blocks);
+            if (next < items.size()) {
+              const WorkItem& ahead = items[next];
+              PrefetchWorkItem(build.chains, probe.chains, s_buckets_flat,
+                               ahead, host_plan[ahead.p] != kMemoChunk);
+            }
             const WorkItem& item = items[w];
             const uint32_t r_total = static_cast<uint32_t>(r_sizes[item.p]);
             const ChunkTables* memoized = memo.Find(item.p);

@@ -310,6 +310,11 @@ struct BlockTally {
   }
 };
 
+/// log2(d) if d is a power of two, else -1.
+int8_t PowerOfTwoShift(uint32_t d) {
+  return util::IsPowerOfTwo(d) ? static_cast<int8_t>(util::Log2Floor(d)) : -1;
+}
+
 /// One pool worker's sweep over whole parents of a bucket-at-a-time
 /// pass (later passes, paper's default assignment).
 ///
@@ -345,11 +350,12 @@ class ParentSweeper {
         stash_(out->pool().get(), batch),
         shift_(shift),
         bits_(bits),
-        fanout_(1u << bits),
         num_blocks_(num_blocks),
         stage_elems_(stage_elems),
-        routed_(fanout_),
-        group_(fanout_),
+        stage_shift_(PowerOfTwoShift(stage_elems)),
+        cap_shift_(PowerOfTwoShift(in->bucket_capacity())),
+        routed_(1u << bits),
+        group_(1u << bits),
         tallies_(num_blocks) {}
 
   /// Sweeps `parent`, whose chain buckets are `buckets[0, count)` and
@@ -360,7 +366,7 @@ class ParentSweeper {
     std::fill(routed_.begin(), routed_.end(), 0);
     child_base_ = parent << bits_;
     sb_ = &ScatterScratch();
-    sb_->Init(fanout_);
+    sb_->Init(1u << bits_);
     // Bucket i belongs to block (r0 + i) mod B: visit the owners in
     // ascending id, each starting at its first bucket.
     for (uint32_t b = 0; b < num_blocks_; ++b) {
@@ -408,14 +414,30 @@ class ParentSweeper {
       }
       stash_.Recycle(bucket);  // read in full; its tuples are staged
     }
-    t.cycles += fanout_ / 32 + 1;
-    for (const uint32_t c : dirty_) {
-      const uint64_t n = group_[c];
-      const uint64_t g = routed_[c];
-      t.flush_events += CeilDiv(n, stage_elems_);
-      t.draws += CeilDiv(g + n, cap) - CeilDiv(g, cap);
-      routed_[c] = g + n;
-      group_[c] = 0;
+    t.cycles += (1u << bits_) / 32 + 1;
+    if (stage_shift_ >= 0 && cap_shift_ >= 0) {
+      // The usual case (the default stage_elems and every automatic
+      // bucket capacity are powers of two): ceilings by shifts.
+      const uint64_t stage_round = stage_elems_ - 1;
+      const uint64_t cap_round = cap - 1;
+      for (const uint32_t c : dirty_) {
+        const uint64_t n = group_[c];
+        const uint64_t g = routed_[c];
+        t.flush_events += (n + stage_round) >> stage_shift_;
+        t.draws += ((g + n + cap_round) >> cap_shift_) -
+                   ((g + cap_round) >> cap_shift_);
+        routed_[c] = g + n;
+        group_[c] = 0;
+      }
+    } else {
+      for (const uint32_t c : dirty_) {
+        const uint64_t n = group_[c];
+        const uint64_t g = routed_[c];
+        t.flush_events += CeilDiv(n, stage_elems_);
+        t.draws += CeilDiv(g + n, cap) - CeilDiv(g, cap);
+        routed_[c] = g + n;
+        group_[c] = 0;
+      }
     }
     dirty_.clear();
   }
@@ -448,10 +470,11 @@ class ParentSweeper {
   BucketStash stash_;  ///< Recycled buckets, then pool batches.
   int shift_;
   int bits_;
-  uint32_t fanout_;
   uint32_t num_blocks_;
   uint32_t stage_elems_;
   uint32_t child_base_ = 0;
+  int8_t stage_shift_;  ///< log2(stage_elems_), or -1 if not a power of 2.
+  int8_t cap_shift_;    ///< log2 of the input bucket capacity, or -1.
   util::ScatterBuffers* sb_ = nullptr;
   std::vector<uint64_t> routed_;  ///< Child's tuples from lower blocks.
   std::vector<uint32_t> group_;   ///< Child's tuples in this visit.

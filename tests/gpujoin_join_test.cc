@@ -11,6 +11,8 @@
 #include "src/data/oracle.h"
 #include "src/gpujoin/nonpartitioned.h"
 #include "src/gpujoin/partitioned_join.h"
+#include "src/util/bits.h"
+#include "src/util/thread_pool.h"
 
 namespace gjoin::gpujoin {
 namespace {
@@ -280,6 +282,213 @@ TEST_F(GpuJoinTest, BuildTableCacheRejectsAnotherBuildOrConfig) {
   EXPECT_EQ(moved_from.status().code(), util::StatusCode::kInvalid);
   EXPECT_TRUE(
       JoinCoPartitions(&device_, *build, *probe, jcfg, nullptr, &moved).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Work-item striding
+// ---------------------------------------------------------------------------
+// Block b runs work items b, b + B, b + 2B, ... of a B-block grid and
+// prefetches each next item's buckets while it runs the current one.
+// These shapes reach the stride's edges: fewer items than blocks, an
+// item count that is not a multiple of the grid, and co-partitions with
+// an empty build or probe side between full ones. Every run must match
+// the oracle, and its launch profile, result and ring contents must
+// match digests captured before the join prefetched, at pool widths 1
+// and 8.
+
+/// FNV-1a over 64-bit words.
+struct Fnv {
+  uint64_t hash = 14695981039346656037ull;
+  void Mix(uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (v >> (8 * byte)) & 0xFF;
+      hash *= 1099511628211ull;
+    }
+  }
+};
+
+/// Work items JoinCoPartitions makes: a co-partition with both sides
+/// non-empty slices its S chain into items of `per_item` buckets.
+size_t CountWorkItems(const PartitionedRelation& build,
+                      const PartitionedRelation& probe, uint32_t per_item) {
+  size_t items = 0;
+  for (uint32_t p = 0; p < build.chains.num_partitions(); ++p) {
+    if (build.chains.PartitionSize(p) == 0) continue;
+    items += util::CeilDiv(probe.chains.PartitionBuckets(p).size(), per_item);
+  }
+  return items;
+}
+
+struct StrideGolden {
+  ProbeAlgorithm algo;
+  OutputMode output;
+  uint64_t digest;  ///< Profile, matches, checksum and ring contents.
+};
+
+/// Partitions r and s with `pcfg`, joins them under `jcfg` with each
+/// golden's algorithm and output mode at pool widths 1 and 8, and checks
+/// each run against the oracle and the golden digest. A materializing
+/// run's ring holds half the result, so it wraps. Returns the work-item
+/// count, for the caller's shape checks.
+size_t ExpectStrideGoldens(const data::Relation& r, const data::Relation& s,
+                           const RadixPartitionConfig& pcfg,
+                           const CoPartitionJoinConfig& jcfg,
+                           const std::vector<StrideGolden>& goldens) {
+  const data::OracleResult oracle = data::JoinOracle(r, s);
+  size_t items = 0;
+  for (const size_t threads : {1u, 8u}) {
+    util::ThreadPool pool(threads);
+    sim::Device device{hw::HardwareSpec::Icde2019Testbed(), &pool};
+    const auto partition = [&](const data::Relation& rel) {
+      return std::move(
+                 RadixPartition(
+                     &device,
+                     std::move(DeviceRelation::Upload(&device, rel))
+                         .ValueOrDie(),
+                     pcfg))
+          .ValueOrDie();
+    };
+    const PartitionedRelation build = partition(r);
+    const PartitionedRelation probe = partition(s);
+    items = CountWorkItems(build, probe, jcfg.max_probe_buckets_per_item);
+    for (const StrideGolden& g : goldens) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " algo " +
+                   std::to_string(static_cast<int>(g.algo)) + " output " +
+                   std::to_string(static_cast<int>(g.output)));
+      CoPartitionJoinConfig cfg = jcfg;
+      cfg.algo = g.algo;
+      cfg.output = g.output;
+      OutputRing ring = std::move(OutputRing::Allocate(
+                                      &device.memory(),
+                                      std::max<uint64_t>(oracle.matches / 2,
+                                                         1)))
+                            .ValueOrDie();
+      device.ClearProfile();
+      auto result = JoinCoPartitions(&device, build, probe, cfg, &ring);
+      if (!result.ok()) {
+        ADD_FAILURE() << result.status();
+        continue;
+      }
+      EXPECT_EQ(result->matches, oracle.matches);
+      EXPECT_EQ(result->payload_sum, oracle.payload_sum);
+      Fnv fnv;
+      for (const auto& launch : device.profile()) {
+        for (const char c : launch.name) fnv.Mix(static_cast<uint8_t>(c));
+        const auto& st = launch.stats;
+        for (const uint64_t v :
+             {st.coalesced_read_bytes, st.coalesced_write_bytes,
+              st.scatter_write_bytes, st.random_transactions,
+              st.random_working_set_bytes, st.shared_bytes,
+              st.shared_atomics, st.device_atomics, st.total_cycles,
+              st.max_block_cycles, st.num_blocks}) {
+          fnv.Mix(v);
+        }
+      }
+      fnv.Mix(result->matches);
+      fnv.Mix(result->payload_sum);
+      if (g.output == OutputMode::kMaterialize) {
+        EXPECT_TRUE(ring.wrapped());
+        fnv.Mix(ring.total_written());
+        for (size_t i = 0; i < ring.capacity(); ++i) fnv.Mix(ring.pair(i));
+      }
+      EXPECT_EQ(fnv.hash, g.digest);
+    }
+  }
+  return items;
+}
+
+TEST(WorkItemStrideTest, FewerItemsThanBlocks) {
+  // Eight co-partitions of about 250 build and 750 probe tuples on a
+  // 64-block grid: most blocks get no item, none a second one. With 256
+  // hash slots most shared-hash items probe key-aggregated tables.
+  const auto r = data::MakeUniqueUniform(2000, 41);
+  const auto s = data::MakeUniformProbe(6000, 2000, 42);
+  RadixPartitionConfig pcfg;
+  pcfg.pass_bits = {3};
+  CoPartitionJoinConfig jcfg;
+  jcfg.num_blocks = 64;
+  jcfg.hash_slots = 256;
+  const size_t items = ExpectStrideGoldens(
+      r, s, pcfg, jcfg,
+      {{ProbeAlgorithm::kSharedHash, OutputMode::kAggregate,
+        18169458820038078652ull},
+       {ProbeAlgorithm::kSharedHash, OutputMode::kMaterialize,
+        2080020687295395291ull},
+       {ProbeAlgorithm::kNestedLoop, OutputMode::kAggregate,
+        8131777706815792792ull},
+       {ProbeAlgorithm::kNestedLoop, OutputMode::kMaterialize,
+        6704592787850429218ull},
+       {ProbeAlgorithm::kDeviceHash, OutputMode::kAggregate,
+        4686007643964073980ull},
+       {ProbeAlgorithm::kDeviceHash, OutputMode::kMaterialize,
+        11046158083403302454ull}});
+  EXPECT_GT(items, 0u);
+  EXPECT_LT(items, 64u);
+}
+
+TEST(WorkItemStrideTest, ItemCountNotAMultipleOfBlocks) {
+  // 128 co-partitions whose S chains of about ten 32-tuple buckets split
+  // into items of three buckets, on a 9-block grid: the last round is
+  // partial. Partitions probed by several walking items are memoized.
+  const auto r = data::MakeUniqueUniform(20000, 43);
+  const auto s = data::MakeUniformProbe(40000, 20000, 44);
+  RadixPartitionConfig pcfg;
+  pcfg.pass_bits = {4, 3};
+  pcfg.bucket_capacity = 32;
+  CoPartitionJoinConfig jcfg;
+  jcfg.num_blocks = 9;
+  jcfg.max_probe_buckets_per_item = 3;
+  const size_t items = ExpectStrideGoldens(
+      r, s, pcfg, jcfg,
+      {{ProbeAlgorithm::kSharedHash, OutputMode::kAggregate,
+        1776256136947736651ull},
+       {ProbeAlgorithm::kSharedHash, OutputMode::kMaterialize,
+        6294326277054294622ull},
+       {ProbeAlgorithm::kNestedLoop, OutputMode::kAggregate,
+        10322516011192123547ull},
+       {ProbeAlgorithm::kNestedLoop, OutputMode::kMaterialize,
+        8649728671447048963ull},
+       {ProbeAlgorithm::kDeviceHash, OutputMode::kAggregate,
+        14699237595119770423ull},
+       {ProbeAlgorithm::kDeviceHash, OutputMode::kMaterialize,
+        6233944160586023794ull}});
+  EXPECT_GT(items, 9u * 4);
+  EXPECT_NE(items % 9, 0u);
+}
+
+TEST(WorkItemStrideTest, EmptySidesBetweenFullCoPartitions) {
+  // 16 co-partitions on the low key nibble. Going up, every four hold
+  // both sides, the build side only, the probe side only, and neither,
+  // so the work list skips three of every four partitions.
+  data::Relation r, s;
+  for (uint32_t i = 0; i < 4000; ++i) {
+    const uint32_t nib = (i % 8) / 2 * 4 + i % 2;  // 0, 1, 4, 5, ...
+    r.Append(((i / 8 + 1) << 4) | nib, i);
+  }
+  for (uint32_t j = 0; j < 8000; ++j) {
+    const uint32_t nib = (j % 8) / 2 * 4 + (j % 2) * 2;  // 0, 2, 4, 6, ...
+    s.Append((((j / 8) % 500 + 1) << 4) | nib, j);
+  }
+  RadixPartitionConfig pcfg;
+  pcfg.pass_bits = {4};
+  CoPartitionJoinConfig jcfg;
+  jcfg.num_blocks = 5;
+  jcfg.max_probe_buckets_per_item = 1;
+  const size_t items = ExpectStrideGoldens(
+      r, s, pcfg, jcfg,
+      {{ProbeAlgorithm::kSharedHash, OutputMode::kAggregate,
+        8652942260162539665ull},
+       {ProbeAlgorithm::kSharedHash, OutputMode::kMaterialize,
+        7885778774017702430ull},
+       {ProbeAlgorithm::kNestedLoop, OutputMode::kAggregate,
+        18247488643975302057ull},
+       {ProbeAlgorithm::kNestedLoop, OutputMode::kMaterialize,
+        12039425903067372085ull},
+       {ProbeAlgorithm::kDeviceHash, OutputMode::kAggregate,
+        10525996049744513302ull},
+       {ProbeAlgorithm::kDeviceHash, OutputMode::kMaterialize,
+        17696782665253923688ull}});
+  EXPECT_GT(items, 5u);
 }
 
 // ---------------------------------------------------------------------------

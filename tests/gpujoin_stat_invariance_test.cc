@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -935,13 +936,14 @@ uint64_t ChainHash(const gpujoin::BucketChains& chains) {
   return hash;
 }
 
-/// Partitions `rel` at pool widths 1 and 4 and checks each run against
-/// the golden chain hash and launch profile.
+/// Partitions `rel` at each pool width (1 and 4 by default) and checks
+/// each run against the golden chain hash and launch profile.
 void ExpectSweepGolden(const data::Relation& rel,
                        const gpujoin::RadixPartitionConfig& cfg,
                        uint64_t chain_hash,
-                       const std::vector<GoldenLaunch>& golden) {
-  for (const size_t threads : {1u, 4u}) {
+                       const std::vector<GoldenLaunch>& golden,
+                       std::initializer_list<size_t> widths = {1, 4}) {
+  for (const size_t threads : widths) {
     SCOPED_TRACE("threads " + std::to_string(threads));
     util::ThreadPool pool(threads);
     sim::Device device{hw::HardwareSpec::Icde2019Testbed(), &pool};
@@ -1055,6 +1057,40 @@ TEST_F(StatInvarianceTest, SweepZipfHotParent) {
         2884, 395120, 9878, 40, 2.3055097586726994e-05},
        {"radix_partition_pass2", 1600000, 0, 1600000, 37614, 1600000,
         3200000, 200000, 39165, 396720, 10898, 40, 2.9991118586726994e-05}});
+}
+
+// The sweep tallies each visit's stage flushes and bucket draws as
+// ceilings of divisions by stage_elems and the bucket capacity, by shifts
+// when both are powers of two. These goldens, captured while every
+// ceiling was a division, pin the division path for the other configs:
+// neither divisor a power of two, and only the capacity one.
+
+TEST_F(StatInvarianceTest, SweepNonPowerOfTwoCapacityAndStage) {
+  gpujoin::RadixPartitionConfig cfg;
+  cfg.pass_bits = {4, 3};
+  cfg.bucket_capacity = 48;
+  cfg.stage_elems = 12;
+  ExpectSweepGolden(
+      r_, cfg, 10483508949259561154ull,
+      {{"radix_partition_pass1", 800000, 0, 800000, 0, 0, 1612800, 100000,
+        3097, 197560, 4939, 40, 1.4234423793363496e-05},
+       {"radix_partition_pass2", 800000, 0, 800000, 13113, 800000, 1600000,
+        100000, 15289, 196285, 5176, 40, 1.6594455793363498e-05}},
+      {1, 8});
+}
+
+TEST_F(StatInvarianceTest, SweepPowerOfTwoCapacityOddStage) {
+  gpujoin::RadixPartitionConfig cfg;
+  cfg.pass_bits = {4, 3};
+  cfg.bucket_capacity = 64;
+  cfg.stage_elems = 12;
+  ExpectSweepGolden(
+      r_, cfg, 11841300644302629290ull,
+      {{"radix_partition_pass1", 800000, 0, 800000, 0, 0, 1612800, 100000,
+        2559, 197560, 4939, 40, 1.4167173793363498e-05},
+       {"radix_partition_pass2", 800000, 0, 800000, 12590, 800000, 1600000,
+        100000, 14254, 197339, 5156, 40, 1.6431608793363499e-05}},
+      {1, 8});
 }
 
 // ---- Streamed chunks against one resident build ----
